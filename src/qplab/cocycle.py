@@ -448,29 +448,84 @@ def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
     Returns (phases, log_mags) arrays; exact zeros give (0, -inf).  This
     is the vectorized backbone for boundary quadrature in the zeros
     module and is restricted to shift dynamics, where f_n is analytic in z.
+    The pair (f_k, f_{k-1}) is renormalized every r sites and after site
+    n, with r = max(1, floor(600 / log B)) and B the bound on the
+    transfer factors' norms given in :func:`_laurent_sweep`.
     """
     if n < 1:
         raise ValueError("complex_det_grid needs n >= 1")
     zs = np.asarray(zs, dtype=complex)
-    offset = 1 if first_site == "Tx" else 0
-    f_prev2 = np.zeros(zs.shape, dtype=complex)
-    f_prev = np.ones(zs.shape, dtype=complex)
-    log_acc = np.zeros(zs.shape, dtype=float)
-    for k in range(1, n + 1):
-        rot = cmath.exp(2j * math.pi * ((k - 1 + offset) * omega % 1.0))
-        v = pot_mod.eval_laurent(p, zs * rot)
-        f = (v - E) * f_prev - f_prev2
-        scale = np.maximum(np.abs(f), np.abs(f_prev))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        f_prev2 = f_prev / scale
-        f_prev = f / scale
-        log_acc += np.log(scale)
-    mag = np.abs(f_prev)
+    pts = zs.ravel()
+    f, _, log_acc = _laurent_sweep(p, omega, pts, E, 1, n,
+                                   np.ones((1, pts.size), complex),
+                                   np.zeros((1, pts.size), complex), first_site)
+    f = f[0]
+    mag = np.abs(f)
     with np.errstate(divide="ignore"):
         log_mags = np.where(mag > 0.0, log_acc + np.log(np.where(mag > 0, mag, 1.0)),
                             NEG_INF)
-    phases = np.where(mag > 0.0, f_prev / np.where(mag > 0, mag, 1.0), 0j)
-    return phases, log_mags
+    phases = np.where(mag > 0.0, f / np.where(mag > 0, mag, 1.0), 0j)
+    return phases.reshape(zs.shape), log_mags.reshape(zs.shape)
+
+
+def _laurent_sweep(p: Potential, omega: float, zs: np.ndarray, E, a: int, b: int,
+                   cur: np.ndarray, prev: np.ndarray, first_site: str = "Tx"):
+    """Run x_k = (v(k, z) - E) x_{k-1} - x_{k-2} over sites a..b at complex phases.
+
+    This is the one site stream of the complex phase (shift dynamics).
+    Site k reads lam * V at z e((k-1+offset) omega), so
+    v(k, z) = sum_j c_kj z^j with c_kj = lam v_j e(j (k-1+offset) omega):
+    the powers z^j are formed once per point and the c_kj once per call.
+    ``zs`` is a 1-d array of m points; ``cur`` and ``prev`` hold x_{a-1}
+    and x_{a-2} with shape (s, m), s independent solutions per point
+    (s = 2 carries the two columns of a transfer product).  Returns
+    (x_b, x_{b-1}, log_scale): the true values are exp(log_scale) times
+    the arrays, with one log_scale per point.
+
+    The pair is rescaled by its largest modulus every
+    r = max(1, floor(600 / log B)) sites and after site b, where
+    B = max_z sum_j |lam v_j| |z|^j + |E| + 2 bounds every transfer
+    factor's norm.  Between rescalings a solution grows by at most
+    B^r <= e^600, and since every factor has determinant 1 it shrinks by
+    at most as much, so neither overflow nor underflow can occur.
+    """
+    if np.any(zs == 0):
+        raise ZeroDivisionError("Laurent evaluation needs z != 0")
+    offset = 1 if first_site == "Tx" else 0
+    nonzero = p._ks != 0
+    ks = p._ks[nonzero]
+    vs = p.lam * p._vs[nonzero]
+    v0 = p.lam * p.coeff(0)
+    rows = [zs ** int(j) for j in ks]
+    frac = (np.arange(a - 1 + offset, b + offset) * omega) % 1.0
+    coef = (vs * np.exp(2j * math.pi * frac[:, None] * ks)).tolist()
+    bound = abs(v0) + abs(E) + 2.0 + float(np.max(
+        sum(abs(v) * np.abs(r) for v, r in zip(vs, rows)), initial=0.0))
+    every = max(1, int(600.0 / math.log(bound)))
+    cur = np.array(cur, dtype=complex)
+    prev = np.array(prev, dtype=complex)
+    nxt = np.empty_like(cur)
+    t = np.empty(zs.size, dtype=complex)
+    term = np.empty(zs.size, dtype=complex)
+    log_acc = np.zeros(zs.size)
+    c0 = v0 - E
+    # elementwise sums, not a BLAS matrix-vector product: a threaded BLAS
+    # stalls badly on small products when other threads compete for cores
+    for i, c in enumerate(coef):
+        t.fill(c0)
+        for row, cj in zip(rows, c):
+            np.multiply(row, cj, out=term)
+            t += term
+        np.multiply(t, cur, out=nxt)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        if (i + 1) % every == 0 or i == b - a:
+            scale = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
+            scale[scale == 0.0] = 1.0
+            cur /= scale
+            prev /= scale
+            log_acc += np.log(scale)
+    return cur, prev, log_acc
 
 
 # ---------------------------------------------------------------------------

@@ -383,8 +383,10 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
 
     analytic: sum over sites of (lam V)'(x + k omega) |psi_j(k)|^2 with
     the eigenvector from inverse iteration; fd: central difference of
-    the index-j eigenvalue under x -> x +- h.  Shift dynamics only
-    (skew-shift and doubling phases do not translate linearly).
+    the index-j eigenvalue under x -> x +- h, with h cut to 1% of the
+    neighbour gap over sup|(lam V)'| when that is smaller.  Shift
+    dynamics only (skew-shift and doubling phases do not translate
+    linearly).
     """
     if not isinstance(dyn, Shift) or dyn.d != 1:
         raise ValueError("hellmann_feynman needs the 1d shift")
@@ -404,6 +406,12 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     sites = dyn_mod.mod1(x0 + (np.arange(N) + offset) * dyn.omega[0])
     analytic = float(np.sum(derivative_many(p, sites) * pair.vector ** 2))
+    # every eigenvalue moves at most sup|(lam V)'| per unit of phase; keep
+    # that move within 1% of the neighbour gap so the index-j branch
+    # cannot swap inside the difference
+    slope = abs(p.lam) * 2.0 * math.pi * float(np.sum(np.abs(p._ks * p._vs)))
+    if slope > 0.0:
+        h = min(h, 1e-2 * neighbor_gap / slope)
 
     def ej_at(xs: float) -> float:
         Hs = hamiltonian(p, dyn, dyn_mod.phase(xs), N, first_site)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potential as pot_mod
-from .cocycle import NEG_INF, SignedLog, complex_det_grid, op_norm_2x2
+from .cocycle import NEG_INF, SignedLog, _laurent_sweep, complex_det_grid
 from .potential import ComplexPhase, Potential
 
 ANNULUS_HALF_WIDTH = 0.05
@@ -559,47 +558,39 @@ def zero_separation(p: Potential, omega: float, E, N: int,
         annulus_ceiling=2 * N * p.k0)
 
 
+def _op_norms(mats: np.ndarray) -> np.ndarray:
+    """op_norm_2x2 over a stack of matrices of shape (2, 2, m)."""
+    fro2 = np.sum(np.abs(mats) ** 2, axis=(0, 1))
+    det = np.abs(mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0])
+    gap = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
+    return np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
+
+
 def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int,
                       first_site: str = "Tx"):
     """log||M_k(z)|| at k = n and k = 2n, plus log||M_n(z e(n omega))||.
 
-    One vectorized pass over the 2n sites of each z; the second half of
-    the site sequence is exactly the transfer product started at
-    z e(n omega), so all three norms come from the same sweep.
+    Sites n+1..2n at z are exactly sites 1..n at z e(n omega), so the
+    two half-window products come from the complex site stream over
+    1..n and n+1..2n, and M_2n is their product.  Each product is carried
+    as its two columns, solutions of the determinant recurrence started
+    from (1, 0) and (0, 1).
     """
-    zs = np.asarray(zs, dtype=complex)
-    offset = 1 if first_site == "Tx" else 0
+    zs = np.asarray(zs, dtype=complex).ravel()
     m = zs.size
 
-    def run(start: int, length: int):
-        mats = np.zeros((m, 2, 2), dtype=complex)
-        mats[:, 0, 0] = 1.0
-        mats[:, 1, 1] = 1.0
-        acc = np.zeros(m)
-        for k in range(start + 1, start + length + 1):
-            rot = cmath.exp(2j * math.pi * ((k - 1 + offset) * omega % 1.0))
-            v = pot_mod.eval_laurent(p, zs * rot)
-            top0 = (v - E) * mats[:, 0, 0] - mats[:, 1, 0]
-            top1 = (v - E) * mats[:, 0, 1] - mats[:, 1, 1]
-            mats[:, 1, 0] = mats[:, 0, 0]
-            mats[:, 1, 1] = mats[:, 0, 1]
-            mats[:, 0, 0] = top0
-            mats[:, 0, 1] = top1
-            scale = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)))
-            scale = np.where(scale == 0.0, 1.0, scale)
-            mats /= scale[:, None, None]
-            acc += np.log(scale)
-        return mats, acc
+    def run(a: int, b: int):
+        eye = np.eye(2, dtype=complex)[:, :, None].repeat(m, axis=2)
+        top, bottom, acc = _laurent_sweep(p, omega, zs, E, a, b, eye[0], eye[1],
+                                          first_site)
+        return np.stack([top, bottom]), acc
 
-    first, acc1 = run(0, n)
-    shifted, acc2 = run(n, n)
-    norms1 = np.array([op_norm_2x2(first[i]) for i in range(m)])
-    norms2 = np.array([op_norm_2x2(shifted[i]) for i in range(m)])
-    full = shifted @ first
-    norms_full = np.array([op_norm_2x2(full[i]) for i in range(m)])
-    log_n = acc1 + np.log(norms1)
-    log_shift = acc2 + np.log(norms2)
-    log_2n = acc1 + acc2 + np.log(norms_full)
+    first, acc1 = run(1, n)
+    shifted, acc2 = run(n + 1, 2 * n)
+    full = np.einsum("ikm,kjm->ijm", shifted, first)
+    log_n = acc1 + np.log(_op_norms(first))
+    log_shift = acc2 + np.log(_op_norms(shifted))
+    log_2n = acc1 + acc2 + np.log(_op_norms(full))
     return log_n, log_shift, log_2n
 
 

@@ -128,3 +128,16 @@ def test_avalanche_rows_report_the_verdict():
             assert r[ip] == 1.0
         else:
             assert np.isnan(r[ip])
+
+
+def test_concatenation_bound_past_the_dense_trace_size():
+    # above N = 200 the dense trace check is skipped and ok_trace is NaN
+    cols, rows = ex.run_experiment(
+        "concatenation_bound", AMO3, SHIFT,
+        {"E": 0.0, "N": 240, "eta_list": [0.05, 0.01], "x_samples": 2}, seed=3)
+    assert len(rows) == 4
+    i_trace, i_win, i_full = (cols.index(k)
+                              for k in ("ok_trace", "ok_window", "ok_full"))
+    for r in rows:
+        assert np.isnan(r[i_trace])
+        assert r[i_win] == 1 and r[i_full] == 1

@@ -179,6 +179,15 @@ def test_hellmann_feynman_two_routes_agree():
         assert abs(an - fd) <= 1e-6 * max(abs(an), 1.0)
 
 
+def test_hellmann_feynman_steps_inside_the_neighbour_gap():
+    # neighbours within 2.9e-6 and 5.6e-7 of eigenvalues 25 and 99: with
+    # a fixed step h = 1e-6 the difference follows the wrong branch
+    x = dy.phase(0.6327419744014022)
+    for j in (25, 99):
+        an, fd = sp.hellmann_feynman(AMO3, SHIFT, x, j, 100)
+        assert abs(an - fd) <= 1e-4 * max(abs(an), abs(fd))
+
+
 def test_hellmann_feynman_validates_inputs():
     with pytest.raises(ValueError):
         sp.hellmann_feynman(AMO3, SHIFT, dy.phase(0.2), 60, 60)
