@@ -24,9 +24,13 @@ accumulated log of factored-out norms; a :class:`SignedLog` keeps a
 phase (sign, in the real case) and a log magnitude.  Long products never
 overflow, and log-norms are exact up to accumulated rounding.
 
-Batched kernels (``batched_log_norms``, ``batched_log_absdet``) run the
-same recurrences vectorized over arrays of starting phases; they are the
-hot path for Lyapunov and large-deviation statistics.
+Real phases have one site stream, :func:`_sites`, exact to rounding for
+all three maps, and one recurrence core, :func:`_recur`, vectorized over
+starting phases.  The batched kernels (``batched_log_norms``,
+``batched_log_absdet``, ``batched_sup_rate``), the hot path for Lyapunov
+and large-deviation statistics, are thin wrappers over the two; the core
+rescales only every r = max(1, floor(600 / log(sup|lam V| + |E| + 2)))
+sites and at checkpoints.
 """
 
 from __future__ import annotations
@@ -237,7 +241,80 @@ class ScaledProduct:
 
 
 # ---------------------------------------------------------------------------
-# site values
+# the real-phase site stream
+
+# sites x phases per block of the site stream: 128 KiB of float64, so the
+# evaluation temporaries of a block stay in cache
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
+           first_site: str = "Tx", rng=None):
+    """Yield lam*V(T^t x_i) for sites k0..k1 in blocks of shape (B, m).
+
+    This is the one site stream of the real phase.  ``xs`` is an (m, d)
+    batch of reduced phases, site k reads time t = k (``first_site="Tx"``)
+    or t = k - 1 (``"x"``), B*m is at most 2^14 (or B = 1), and site k
+    equals ``eval_real(p, iterate(dyn, x, t)[0])`` to rounding:
+
+    * shift: frac(t omega) is exact per site, from the integer ratio of
+      omega as in ``fracmul``; V is summed by angle addition, with e(j x_i)
+      once per call and e(j frac(t omega)) once per site;
+    * skew shift: the closed form x + t y + t(t-1)/2 omega (valid for
+      t < 0 too), with frac(t(t-1)/2 omega) exact per site and t y exact
+      up to one rounding: frac(start y) per block, then j y split in two;
+    * doubling: sequential steps from t = 0; with an ``rng`` each step
+      adds one ``rng.random((m, d))`` draw scaled by 2^-52.  Negative
+      times raise ValueError.
+    """
+    if first_site not in ("Tx", "x"):
+        raise ValueError(f"first_site must be 'Tx' or 'x', got {first_site!r}")
+    if k1 < k0:
+        return
+    t0 = k0 if first_site == "Tx" else k0 - 1
+    t1 = t0 + (k1 - k0) + 1
+    m = xs.shape[0]
+    size = max(1, _BLOCK_ELEMENTS // m)
+    if isinstance(dyn, Shift):
+        num, den = dyn.omega[0].as_integer_ratio()
+        pos = (p._ks > 0) & (p._vs != 0)
+        ks, coef = p._ks[pos], 2.0 * p.lam * p._vs[pos]
+        ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
+        for start in range(t0, t1, size):
+            frac = np.array([((t * num) % den) / den
+                             for t in range(start, min(start + size, t1))])
+            out = np.full((frac.size, m), p.lam * p.coeff(0).real)
+            for k, c, u in zip(ks, coef, ux):
+                out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u).real
+            yield out
+    elif isinstance(dyn, dyn_mod.SkewShift):
+        num, den = dyn.omega.as_integer_ratio()
+        # y_hi has at most 27 bits, so j * y_hi is exact for j < size <= 2^14
+        y_hi = np.round(xs[:, 1] * 2.0 ** 26) / 2.0 ** 26
+        steps = np.arange(min(size, t1 - t0))[:, None]
+        for start in range(t0, t1, size):
+            j = steps[:t1 - start]
+            lin = np.array([dyn_mod.fracmul(start, y) for y in xs[:, 1]])
+            quad = np.array([[((t * (t - 1) // 2 * num) % den) / den]
+                             for t in range(start, start + len(j))])
+            yield pot_mod.eval_real_many(p, dyn_mod.mod1(
+                xs[:, 0] + lin + dyn_mod.mod1(j * y_hi) + j * (xs[:, 1] - y_hi) + quad))
+    elif isinstance(dyn, dyn_mod.Doubling):
+        if t0 < 0:
+            raise ValueError("doubling map is not invertible; window starts too early")
+        cur, rows = xs, []
+        for t in range(t1):
+            if t > 0:
+                cur = dyn_mod.mod1(2.0 * cur)
+                if rng is not None:
+                    cur = dyn_mod.mod1(cur + rng.random(cur.shape) * 2.0 ** -52)
+            if t >= t0:
+                rows.append(cur[:, 0])
+            if len(rows) == size or t == t1 - 1:
+                yield pot_mod.eval_real_many(p, np.array(rows))
+                rows = []
+    else:
+        raise TypeError(f"unknown dynamics {dyn!r}")
 
 
 def _site_values(p: Potential, dyn: Dynamics, x, a: int, b: int,
@@ -253,33 +330,8 @@ def _site_values(p: Potential, dyn: Dynamics, x, a: int, b: int,
         raise ValueError(f"first_site must be 'Tx' or 'x', got {first_site!r}")
     if b < a:
         return np.empty(0)
-    offset = 0 if first_site == "Tx" else -1
-    times = np.arange(a, b + 1) + offset
-    if isinstance(dyn, dyn_mod.Doubling) and times[0] < 0:
-        raise ValueError("doubling map is not invertible; window starts too early")
-    if times[0] >= 1 and isinstance(dyn, (Shift, dyn_mod.SkewShift, dyn_mod.Doubling)):
-        # forward orbit, vectorized
-        coords = dyn_mod.orbit_first_coord(dyn, x, int(times[-1]))
-        sel = coords[times - 1]
-    else:
-        sel = np.array([dyn_mod.iterate(dyn, x, int(t))[0] if t >= 0
-                        else _iterate_back(dyn, x, int(-t))[0]
-                        for t in times])
-    return pot_mod.eval_real_many(p, sel)
-
-
-def _iterate_back(dyn: Dynamics, x, n: int):
-    """T^{-n} x for the invertible maps."""
-    if isinstance(dyn, Shift):
-        return dyn_mod.mod1(np.atleast_1d(np.asarray(x, float)) - n * np.asarray(dyn.omega))
-    if isinstance(dyn, dyn_mod.SkewShift):
-        # the closed form is valid for all integer n
-        p = np.atleast_1d(np.asarray(x, float))
-        xx, yy = p
-        m = -n
-        quad = (m * (m - 1) // 2) * dyn.omega
-        return dyn_mod.phase(xx + m * yy + quad, yy + m * dyn.omega)
-    raise ValueError("dynamics is not invertible")
+    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
+    return np.concatenate([blk[:, 0] for blk in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +344,8 @@ def transfer_product(p: Potential, dyn: Dynamics, x, E: float, n: int,
 
     The log of the operator norm of the true product is
     ``result.log_scale + log ||result.mat||``, exact up to accumulated
-    rounding; renormalization fires whenever the residual norm leaves
-    [1/2, 2].
+    rounding; the product runs in :func:`_recur`, which rescales every r
+    sites and leaves the residual with operator norm in [1, 2].
     """
     if n < 1:
         raise ValueError("transfer_product needs n >= 1")
@@ -307,34 +359,11 @@ def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
         raise ValueError("window must satisfy b >= a-1")
     if b < a:
         return ScaledProduct.identity()
-    vs = _site_values(p, dyn, x, a, b, first_site)
-    E = complex(E) if isinstance(E, complex) else float(E)
-    # unrolled push_left: each factor has determinant exactly 1
-    log_scale = 0.0
-    one = 1.0 + 0j if isinstance(E, complex) else 1.0
-    m00, m11 = one, one
-    m01, m10 = 0.0 * one, 0.0 * one
-    for v in vs:
-        t = v - E
-        n00 = t * m00 - m10
-        n01 = t * m01 - m11
-        m10, m11 = m00, m01
-        m00, m01 = n00, n01
-        fro2 = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
-        det = abs(m00 * m11 - m01 * m10)
-        gap = fro2 * fro2 - 4.0 * det * det
-        nrm = math.sqrt(0.5 * (fro2 + math.sqrt(gap if gap > 0.0 else 0.0)))
-        if not math.isfinite(nrm):
-            raise NumericOverflow("transfer product overflowed despite scaling")
-        if nrm < NORM_LO or nrm > NORM_HI:
-            log_scale += math.log(nrm)
-            m00 /= nrm
-            m01 /= nrm
-            m10 /= nrm
-            m11 /= nrm
+    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
+    cur, prev, log_scale = _recur(p, E, blocks, 1, 2)
     out = ScaledProduct.identity()
-    out.mat = np.array([[m00, m01], [m10, m11]])
-    out.log_scale = log_scale
+    out.mat = np.array([cur[:, 0], prev[:, 0]])
+    out.log_scale = float(log_scale[0])
     out.det = SignedLog.one()  # every transfer factor has determinant 1 exactly
     return out
 
@@ -464,7 +493,12 @@ def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
     with np.errstate(divide="ignore"):
         log_mags = np.where(mag > 0.0, log_acc + np.log(np.where(mag > 0, mag, 1.0)),
                             NEG_INF)
-    phases = np.where(mag > 0.0, f / np.where(mag > 0, mag, 1.0), 0j)
+    # divide the parts by the larger one first: for subnormal f the complex
+    # division f / |f| overflows
+    big = np.maximum(np.abs(f.real), np.abs(f.imag))
+    big[big == 0.0] = 1.0
+    f = f.real / big + 1j * (f.imag / big)
+    phases = np.where(mag > 0.0, f / np.where(mag > 0, np.abs(f), 1.0), 0j)
     return phases.reshape(zs.shape), log_mags.reshape(zs.shape)
 
 
@@ -482,12 +516,9 @@ def _laurent_sweep(p: Potential, omega: float, zs: np.ndarray, E, a: int, b: int
     (x_b, x_{b-1}, log_scale): the true values are exp(log_scale) times
     the arrays, with one log_scale per point.
 
-    The pair is rescaled by its largest modulus every
-    r = max(1, floor(600 / log B)) sites and after site b, where
-    B = max_z sum_j |lam v_j| |z|^j + |E| + 2 bounds every transfer
-    factor's norm.  Between rescalings a solution grows by at most
-    B^r <= e^600, and since every factor has determinant 1 it shrinks by
-    at most as much, so neither overflow nor underflow can occur.
+    The pair is rescaled every r = max(1, floor(600 / log B)) sites and
+    after site b, safe by the argument of :func:`_recur`, where
+    B = max_z sum_j |lam v_j| |z|^j + |E| + 2 bounds every factor's norm.
     """
     if np.any(zs == 0):
         raise ZeroDivisionError("Laurent evaluation needs z != 0")
@@ -520,11 +551,7 @@ def _laurent_sweep(p: Potential, omega: float, zs: np.ndarray, E, a: int, b: int
         nxt -= prev
         prev, cur, nxt = cur, nxt, prev
         if (i + 1) % every == 0 or i == b - a:
-            scale = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
-            scale[scale == 0.0] = 1.0
-            cur /= scale
-            prev /= scale
-            log_acc += np.log(scale)
+            _rescale(cur, prev, log_acc)
     return cur, prev, log_acc
 
 
@@ -541,20 +568,89 @@ def _phase_batch(dyn: Dynamics, xs) -> np.ndarray:
     return dyn_mod.mod1(xs)
 
 
-def _advance(dyn: Dynamics, cur: np.ndarray, rng) -> np.ndarray:
-    """One dynamics step for a batch; optional low-bit replenishment.
+def _op_norms(mats: np.ndarray) -> np.ndarray:
+    """op_norm_2x2 over a stack of matrices of shape (2, 2, m)."""
+    fro2 = np.sum(np.abs(mats) ** 2, axis=(0, 1))
+    det = np.abs(mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0])
+    gap = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
+    return np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
 
-    Every float is a dyadic rational, so a float orbit of the doubling
-    map reaches the fixed point 0 within about 52 steps.  When an rng is
-    supplied, each doubling step appends a fresh uniform low-order bit
-    block (scale 2^-52), which reproduces the map's Lebesgue statistics:
-    for a Lebesgue-typical point the incoming binary digits are fair
-    independent bits.  Other dynamics ignore the rng.
+
+def _rescale(cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray) -> None:
+    """Divide the pair by its largest modulus per column, in place."""
+    scale = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
+    scale[scale == 0.0] = 1.0
+    cur /= scale
+    prev /= scale
+    log_acc += np.log(scale)
+
+
+def _one_phase(dyn: Dynamics, x) -> np.ndarray:
+    return _phase_batch(dyn, np.reshape(np.asarray(x, dtype=float), (1, -1)))
+
+
+def _recur(p: Potential, E, blocks, m: int, solutions: int, stops=(), visit=None):
+    """Run x_k = (v_k - E) x_{k-1} - x_{k-2} over the site rows of ``blocks``.
+
+    This is the one recurrence core of the real phase.  ``blocks`` yields
+    site values of ``p`` in arrays of shape (B, m), one column per phase,
+    as :func:`_sites` does.  ``solutions=1`` carries f_k from
+    (f_0, f_{-1}) = (1, 0); ``solutions=2`` carries M_k, whose rows are
+    (x_k, x_{k-1}) for the two solutions started from the identity.  Each
+    step is an in-place multiply-subtract.  At every site k (counted from
+    1) in ``stops``, ``visit(k, logs)`` receives log|f_k| (exact zeros as
+    -inf) or log||M_k||, one value per phase.  Returns (x_n, x_{n-1},
+    log_scale), arrays of shape (solutions, m) scaled by exp(log_scale).
+
+    The pair is rescaled by its largest modulus every
+    r = max(1, floor(600 / log B)) sites, at every stop and after the
+    last site, with B = sup|lam V| + |E| + 2 bounding every transfer
+    factor's norm.  Between rescalings a solution grows by at most
+    B^r <= e^600, and since every factor has determinant 1 it shrinks by
+    at most as much, so neither overflow nor underflow can occur.  The
+    op-norm closed form is taken only after a rescale, where its squares
+    cannot overflow.
     """
-    cur = dyn_mod.step_batch(dyn, cur)
-    if rng is not None and isinstance(dyn, dyn_mod.Doubling):
-        cur = dyn_mod.mod1(cur + rng.random(cur.shape) * 2.0 ** -52)
-    return cur
+    every = max(1, int(600.0 / math.log(p.sup_bound() + abs(E) + 2.0)))
+    cur = np.zeros((solutions, m), complex if isinstance(E, complex) else float)
+    prev = np.zeros_like(cur)
+    nxt = np.empty_like(cur)
+    log_acc = np.zeros(m)
+    cur[0] = 1.0
+    if solutions == 2:
+        prev[1] = 1.0
+    k = 0
+    for block in blocks:
+        for t in block - E:
+            np.multiply(t, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+            k += 1
+            if k % every and k not in stops:
+                continue
+            _rescale(cur, prev, log_acc)
+            if k not in stops:
+                continue
+            if solutions == 1:
+                with np.errstate(divide="ignore"):
+                    visit(k, log_acc + np.log(np.abs(cur[0])))
+            else:
+                visit(k, log_acc + np.log(_op_norms(np.stack([cur, prev]))))
+    _rescale(cur, prev, log_acc)
+    return cur, prev, log_acc
+
+
+def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: str,
+           rng, solutions: int) -> dict:
+    """{k: logs} at the checkpoints, from :func:`_recur` over sites 1..n."""
+    want = set(checkpoints) if checkpoints is not None else {n}
+    if want and (min(want) < 1 or max(want) > n):
+        raise ValueError("checkpoints must lie in [1, n]")
+    xs = _phase_batch(dyn, xs)
+    out = {}
+    _recur(p, E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], solutions,
+           want, out.__setitem__)
+    return out
 
 
 def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
@@ -562,86 +658,31 @@ def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
     """log ||M_k(x_i, E)|| for every starting phase, at chosen checkpoints.
 
     Returns a dict {k: array of shape (m,)} for each requested k
-    (default: only k = n).  The residual matrix is renormalized to unit
-    operator norm at every step, so the running log-norm is just the
-    accumulated log.
+    (default: only k = n).  Sites come from the blocked stream
+    :func:`_sites`; the product is rescaled by its largest entry every r
+    sites (see :func:`_recur`) and at each checkpoint, where the log-norm
+    is read off.
+
+    A float orbit of the doubling map reaches the fixed point 0 within
+    about 52 steps, since every float is dyadic.  With an rng, each
+    doubling step appends fresh uniform low-order bits (scale 2^-52), the
+    fair digits a Lebesgue-typical orbit brings in.  Other dynamics
+    ignore the rng.
     """
-    cur = _phase_batch(dyn, xs)
-    m = cur.shape[0]
-    want = sorted(set(checkpoints)) if checkpoints is not None else [n]
-    if want and (want[0] < 1 or want[-1] > n):
-        raise ValueError("checkpoints must lie in [1, n]")
-    a = np.ones(m)
-    b = np.zeros(m)
-    c = np.zeros(m)
-    d = np.ones(m)
-    log_acc = np.zeros(m)
-    out = {}
-    if first_site == "x":
-        coords = cur[:, 0]
-    for k in range(1, n + 1):
-        if first_site == "Tx":
-            cur = _advance(dyn, cur, rng)
-            coords = cur[:, 0]
-        t = pot_mod.eval_real_many(p, coords) - E
-        a1 = t * a - c
-        b1 = t * b - d
-        c, d = a, b
-        a, b = a1, b1
-        fro2 = a * a + b * b + c * c + d * d
-        det = np.abs(a * d - b * c)
-        gap = fro2 * fro2 - 4.0 * det * det
-        np.maximum(gap, 0.0, out=gap)
-        nrm = np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
-        log_acc += np.log(nrm)
-        a /= nrm
-        b /= nrm
-        c /= nrm
-        d /= nrm
-        if k in want:
-            out[k] = log_acc.copy()
-        if first_site == "x" and k < n:
-            cur = _advance(dyn, cur, rng)
-            coords = cur[:, 0]
-    return out
+    return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 2)
 
 
 def batched_sup_rate(p: Potential, dyn: Dynamics, xs, E: float, n: int,
                      first_site: str = "Tx", rng=None) -> np.ndarray:
-    """sup over 1 <= k <= n of (1/k) log ||M_k(x_i, E)||, per phase."""
-    cur = _phase_batch(dyn, xs)
-    m = cur.shape[0]
-    a = np.ones(m)
-    b = np.zeros(m)
-    c = np.zeros(m)
-    d = np.ones(m)
-    log_acc = np.zeros(m)
-    best = np.full(m, NEG_INF)
-    if first_site == "x":
-        coords = cur[:, 0]
-    for k in range(1, n + 1):
-        if first_site == "Tx":
-            cur = _advance(dyn, cur, rng)
-            coords = cur[:, 0]
-        t = pot_mod.eval_real_many(p, coords) - E
-        a1 = t * a - c
-        b1 = t * b - d
-        c, d = a, b
-        a, b = a1, b1
-        fro2 = a * a + b * b + c * c + d * d
-        det = np.abs(a * d - b * c)
-        gap = fro2 * fro2 - 4.0 * det * det
-        np.maximum(gap, 0.0, out=gap)
-        nrm = np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
-        log_acc += np.log(nrm)
-        a /= nrm
-        b /= nrm
-        c /= nrm
-        d /= nrm
-        np.maximum(best, log_acc / k, out=best)
-        if first_site == "x" and k < n:
-            cur = _advance(dyn, cur, rng)
-            coords = cur[:, 0]
+    """sup over 1 <= k <= n of (1/k) log ||M_k(x_i, E)||, per phase.
+
+    Every site is a stop of :func:`_recur`, so the product is rescaled at
+    every site; the rng contract is that of :func:`batched_log_norms`.
+    """
+    xs = _phase_batch(dyn, xs)
+    best = np.full(xs.shape[0], NEG_INF)
+    _recur(p, E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], 2,
+           range(1, n + 1), lambda k, logs: np.maximum(best, logs / k, out=best))
     return best
 
 
@@ -649,38 +690,7 @@ def batched_log_absdet(p: Potential, dyn: Dynamics, xs, E, n: int,
                        checkpoints=None, first_site: str = "Tx", rng=None) -> dict:
     """log |f_k(x_i, E)| vectorized over starting phases.
 
-    Same checkpoint contract as batched_log_norms.  E may be complex.
-    Exact zeros return -inf for that phase and scale.
+    Same checkpoint, rescaling and rng contract as batched_log_norms.  E
+    may be complex.  Exact zeros return -inf for that phase and scale.
     """
-    cur = _phase_batch(dyn, xs)
-    m = cur.shape[0]
-    want = sorted(set(checkpoints)) if checkpoints is not None else [n]
-    if want and (want[0] < 1 or want[-1] > n):
-        raise ValueError("checkpoints must lie in [1, n]")
-    dtype = complex if isinstance(E, complex) else float
-    f_prev2 = np.zeros(m, dtype=dtype)
-    f_prev = np.ones(m, dtype=dtype)
-    log_acc = np.zeros(m)
-    out = {}
-    if first_site == "x":
-        coords = cur[:, 0]
-    for k in range(1, n + 1):
-        if first_site == "Tx":
-            cur = _advance(dyn, cur, rng)
-            coords = cur[:, 0]
-        t = pot_mod.eval_real_many(p, coords) - E
-        f = t * f_prev - f_prev2
-        scale = np.maximum(np.abs(f), np.abs(f_prev))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        f_prev2 = f_prev / scale
-        f_prev = f / scale
-        log_acc += np.log(scale)
-        if k in want:
-            mag = np.abs(f_prev)
-            with np.errstate(divide="ignore"):
-                out[k] = np.where(mag > 0.0, log_acc + np.log(np.where(mag > 0, mag, 1.0)),
-                                  NEG_INF)
-        if first_site == "x" and k < n:
-            cur = _advance(dyn, cur, rng)
-            coords = cur[:, 0]
-    return out
+    return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 1)

@@ -25,7 +25,7 @@ from . import cocycle
 from . import dynamics as dyn_mod
 from .cocycle import _site_values
 from .dynamics import Dynamics, Shift
-from .potential import Potential, derivative_many, eval_real_many
+from .potential import Potential
 
 DELTA_GAP_DEFAULT = 0.5     # exponent in the min-gap diagnostic e^(-N^delta)
 EIG_TOL_DEFAULT = 1e-10
@@ -285,22 +285,13 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
 def _orbit_diags(p: Potential, dyn: Dynamics, xs: np.ndarray, N: int,
                  first_site: str = "Tx", rng=None) -> np.ndarray:
     """Diagonals lam*V(T^k x_i), k=1..N, for a batch of phases: (m, N)."""
-    cur = np.atleast_2d(np.asarray(xs, dtype=float))
-    if cur.shape[1] != dyn.d:
-        raise ValueError("phase batch has wrong dimension")
-    m = cur.shape[0]
-    out = np.empty((m, N))
-    if first_site == "x":
-        coords = cur[:, 0]
-    for k in range(N):
-        if first_site == "Tx":
-            cur = cocycle._advance(dyn, cur, rng)
-            coords = cur[:, 0]
-        out[:, k] = eval_real_many(p, coords)
-        if first_site == "x" and k < N - 1:
-            cur = cocycle._advance(dyn, cur, rng)
-            coords = cur[:, 0]
-    return out
+    xs = cocycle._phase_batch(dyn, xs)
+    out = np.empty((N, xs.shape[0]))
+    k = 0
+    for block in cocycle._sites(p, dyn, xs, 1, N, first_site, rng):
+        out[k:k + len(block)] = block
+        k += len(block)
+    return out.T
 
 
 def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
@@ -402,10 +393,11 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
         raise AmbiguousEigenvalue(
             f"eigenvalue {j} is {neighbor_gap:.2e} from its neighbor")
     pair = eigenvector(H, E_j)
-    offset = 1 if first_site == "Tx" else 0
+    # (lam V)' is the trigonometric polynomial with coefficients 2 pi i k v(k)
+    slopes = Potential({k: 2j * math.pi * k * v for k, v in p.coeffs}, lam=p.lam)
+    analytic = float(np.sum(_site_values(slopes, dyn, x, 1, N, first_site)
+                            * pair.vector ** 2))
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    sites = dyn_mod.mod1(x0 + (np.arange(N) + offset) * dyn.omega[0])
-    analytic = float(np.sum(derivative_many(p, sites) * pair.vector ** 2))
     # every eigenvalue moves at most sup|(lam V)'| per unit of phase; keep
     # that move within 1% of the neighbour gap so the index-j branch
     # cannot swap inside the difference
@@ -459,27 +451,20 @@ class ConcatenationReport:
 
 def _window_log_norms(p: Potential, dyn: Dynamics, x, Ec, N: int,
                       first_site: str) -> tuple:
-    """(log||M_[1,k]|| for k=0..N, log||M_[k+1,N]|| for k=0..N)."""
-    vs = _site_values(p, dyn, x, 1, N, first_site)
-    prefix = np.empty(N + 1)
-    prefix[0] = 0.0
-    sp = cocycle.ScaledProduct()
-    sp.mat = sp.mat.astype(complex)
-    for k in range(1, N + 1):
-        sp.push_left(np.array([[vs[k - 1] - Ec, -1.0], [1.0, 0.0]]))
-        prefix[k] = sp.log_norm
-    suffix = np.empty(N + 1)
-    suffix[N] = 0.0
-    sp = cocycle.ScaledProduct()
-    sp.mat = sp.mat.astype(complex)
-    for k in range(N - 1, -1, -1):
-        # append the earlier factor on the right: M_[k+1,N] = M_[k+2,N] A_{k+1}
-        factor = np.array([[vs[k] - Ec, -1.0], [1.0, 0.0]])
-        sp.mat = sp.mat @ factor
-        sp.det = sp.det * cocycle.SignedLog.of(complex(factor[0, 0] * factor[1, 1]
-                                                       - factor[0, 1] * factor[1, 0]))
-        sp._renormalize()
-        suffix[k] = sp.log_norm
+    """(log||M_[1,k]|| for k=0..N, log||M_[k+1,N]|| for k=0..N).
+
+    Transfer factors satisfy A^T = P A P with P = diag(1, -1), so
+    ||M_[k+1,N]|| = ||A_{k+1} ... A_N||: the suffix norms are the prefix
+    norms of the reversed site sequence.
+    """
+    vs = _site_values(p, dyn, x, 1, N, first_site)[:, None]
+    prefix = np.zeros(N + 1)
+    suffix = np.zeros(N + 1)
+    sites = range(1, N + 1)
+    cocycle._recur(p, Ec, [vs], 1, 2, sites,
+                   lambda k, logs: prefix.__setitem__(k, logs[0]))
+    cocycle._recur(p, Ec, [vs[::-1]], 1, 2, sites,
+                   lambda k, logs: suffix.__setitem__(N - k, logs[0]))
     return prefix, suffix
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import NEG_INF, SignedLog, _laurent_sweep, complex_det_grid
+from .cocycle import NEG_INF, SignedLog, _laurent_sweep, _op_norms, complex_det_grid
 from .potential import ComplexPhase, Potential
 
 ANNULUS_HALF_WIDTH = 0.05
@@ -556,14 +556,6 @@ def zero_separation(p: Potential, omega: float, E, N: int,
         per_disk_ceiling=2 * p.k0,
         annulus_count=total,
         annulus_ceiling=2 * N * p.k0)
-
-
-def _op_norms(mats: np.ndarray) -> np.ndarray:
-    """op_norm_2x2 over a stack of matrices of shape (2, 2, m)."""
-    fro2 = np.sum(np.abs(mats) ** 2, axis=(0, 1))
-    det = np.abs(mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0])
-    gap = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
-    return np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
 
 
 def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int,

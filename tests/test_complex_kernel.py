@@ -96,6 +96,19 @@ def test_exact_zero_and_output_shape():
     np.testing.assert_allclose(phases, -1.0, atol=1e-15)
 
 
+def test_subnormal_determinant_keeps_a_unit_phase():
+    # f_1 = v(z e(omega)) is subnormal; dividing it by |f_1| as a complex
+    # number overflowed to inf+nanj beside a finite log
+    tiny = pt.Potential({1: 2.2e-311j, -1: -2.2e-311j})
+    zs = np.exp(2j * np.pi * np.array([0.0, 0.1, 0.37, 0.8])) * [1.0, 1.05, 0.97, 1.0]
+    phases, logs = cc.complex_det_grid(tiny, GOLDEN, zs, 0.0, 1)
+    assert np.all(np.isfinite(logs)) and np.all(logs < -700)
+    np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-15)
+    for z, ph in zip(zs, phases):
+        ref_log, ref_phase = mp_det(tiny, GOLDEN, z, 0.0, 1)
+        assert abs(ph - ref_phase) <= 1e-12
+
+
 # ---------------------------------------------------------------- mpmath
 
 @pytest.mark.parametrize("n", [1, 7, 60, 200])
