@@ -28,9 +28,12 @@ Real phases have one site stream, :func:`_sites`, exact to rounding for
 all three maps, and one recurrence core, :func:`_recur`, vectorized over
 starting phases.  The batched kernels (``batched_log_norms``,
 ``batched_log_absdet``, ``batched_sup_rate``), the hot path for Lyapunov
-and large-deviation statistics, are thin wrappers over the two; the core
-rescales only every r = max(1, floor(600 / log(sup|lam V| + |E| + 2)))
-sites and at checkpoints.
+and large-deviation statistics, are thin wrappers over the two; so are
+the single-phase products and determinants (``transfer_product_window``,
+``det_window``, ``det_sequence``) and, through ``det_window``, the Green
+entries.  The core rescales only every
+r = max(1, floor(600 / log(sup|lam V| + |E| + 2))) sites and at
+checkpoints.
 """
 
 from __future__ import annotations
@@ -276,27 +279,24 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
     m = xs.shape[0]
     size = max(1, _BLOCK_ELEMENTS // m)
     if isinstance(dyn, Shift):
-        num, den = dyn.omega[0].as_integer_ratio()
         pos = (p._ks > 0) & (p._vs != 0)
         ks, coef = p._ks[pos], 2.0 * p.lam * p._vs[pos]
         ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
         for start in range(t0, t1, size):
-            frac = np.array([((t * num) % den) / den
-                             for t in range(start, min(start + size, t1))])
+            frac = dyn_mod._fracmuls(range(start, min(start + size, t1)), dyn.omega[0])
             out = np.full((frac.size, m), p.lam * p.coeff(0).real)
             for k, c, u in zip(ks, coef, ux):
                 out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u).real
             yield out
     elif isinstance(dyn, dyn_mod.SkewShift):
-        num, den = dyn.omega.as_integer_ratio()
         # y_hi has at most 27 bits, so j * y_hi is exact for j < size <= 2^14
         y_hi = np.round(xs[:, 1] * 2.0 ** 26) / 2.0 ** 26
         steps = np.arange(min(size, t1 - t0))[:, None]
         for start in range(t0, t1, size):
             j = steps[:t1 - start]
             lin = np.array([dyn_mod.fracmul(start, y) for y in xs[:, 1]])
-            quad = np.array([[((t * (t - 1) // 2 * num) % den) / den]
-                             for t in range(start, start + len(j))])
+            quad = dyn_mod._fracmuls([t * (t - 1) // 2 for t in range(start, start + len(j))],
+                                     dyn.omega)[:, None]
             yield pot_mod.eval_real_many(p, dyn_mod.mod1(
                 xs[:, 0] + lin + dyn_mod.mod1(j * y_hi) + j * (xs[:, 1] - y_hi) + quad))
     elif isinstance(dyn, dyn_mod.Doubling):
@@ -360,7 +360,7 @@ def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
     if b < a:
         return ScaledProduct.identity()
     blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
-    cur, prev, log_scale = _recur(p, E, blocks, 1, 2)
+    cur, prev, log_scale = _recur(p.sup_bound(), E, blocks, 1, 2)
     out = ScaledProduct.identity()
     out.mat = np.array([cur[:, 0], prev[:, 0]])
     out.log_scale = float(log_scale[0])
@@ -377,15 +377,8 @@ def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int,
     """
     if n < 1:
         raise ValueError("det_sequence needs n >= 1")
-    vs = _site_values(p, dyn, x, 1, n, first_site)
-    out = []
-    f_prev2 = SignedLog.zero()   # f_{-1}
-    f_prev = SignedLog.one()     # f_0
-    for v in vs:
-        f = SignedLog.of(v - E) * f_prev - f_prev2
-        out.append(f)
-        f_prev2, f_prev = f_prev, f
-    return out
+    phases, logs = _det_profile(_site_values(p, dyn, x, 1, n, first_site), E)
+    return [SignedLog(complex(ph), float(lg)) for ph, lg in zip(phases[1:], logs[1:])]
 
 
 def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
@@ -397,13 +390,29 @@ def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
         return DetWindow(a, b, SignedLog.zero())
     if b == a - 1:
         return DetWindow(a, b, SignedLog.one())
-    vs = _site_values(p, dyn, x, a, b, first_site)
-    f_prev2 = SignedLog.zero()
-    f_prev = SignedLog.one()
-    for v in vs:
-        f = SignedLog.of(v - E) * f_prev - f_prev2
-        f_prev2, f_prev = f_prev, f
-    return DetWindow(a, b, f_prev)
+    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
+    cur, _, log_scale = _recur(p.sup_bound(), E, blocks, 1, 1)
+    with np.errstate(divide="ignore"):
+        log_mag = float(log_scale[0] + np.log(np.abs(cur[0, 0])))
+    return DetWindow(a, b, SignedLog(complex(_unit_phases(cur[0])[0]), log_mag))
+
+
+def _det_profile(vs: np.ndarray, E) -> tuple:
+    """(phases, log|f_k|) of the determinants f_k over the sites vs, k = 0..n.
+
+    f_0 = 1, and f_k is the determinant over the first k entries of vs.
+    Phases are f_k/|f_k| (signs, for real E), and exact zeros give
+    (0, -inf).  Every site is a stop of :func:`_recur`.
+    """
+    resid, logs = [1.0], [0.0]
+
+    def visit(k, lg, f):
+        logs.append(lg[0])
+        resid.append(f[0])
+
+    _recur(float(np.max(np.abs(vs), initial=0.0)), E, [vs[:, None]], 1, 1,
+           range(1, vs.size + 1), visit)
+    return _unit_phases(np.array(resid)), np.array(logs)
 
 
 def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int,
@@ -493,13 +502,7 @@ def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
     with np.errstate(divide="ignore"):
         log_mags = np.where(mag > 0.0, log_acc + np.log(np.where(mag > 0, mag, 1.0)),
                             NEG_INF)
-    # divide the parts by the larger one first: for subnormal f the complex
-    # division f / |f| overflows
-    big = np.maximum(np.abs(f.real), np.abs(f.imag))
-    big[big == 0.0] = 1.0
-    f = f.real / big + 1j * (f.imag / big)
-    phases = np.where(mag > 0.0, f / np.where(mag > 0, np.abs(f), 1.0), 0j)
-    return phases.reshape(zs.shape), log_mags.reshape(zs.shape)
+    return _unit_phases(f).reshape(zs.shape), log_mags.reshape(zs.shape)
 
 
 def _laurent_sweep(p: Potential, omega: float, zs: np.ndarray, E, a: int, b: int,
@@ -589,29 +592,44 @@ def _one_phase(dyn: Dynamics, x) -> np.ndarray:
     return _phase_batch(dyn, np.reshape(np.asarray(x, dtype=float), (1, -1)))
 
 
-def _recur(p: Potential, E, blocks, m: int, solutions: int, stops=(), visit=None):
+def _unit_phases(f: np.ndarray) -> np.ndarray:
+    """f/|f| entrywise (signs for real f), with 0 at exact zeros."""
+    if not np.iscomplexobj(f):
+        return np.sign(f)
+    # divide the parts by the larger one first: for subnormal f the complex
+    # division f / |f| overflows
+    big = np.maximum(np.abs(f.real), np.abs(f.imag))
+    big[big == 0.0] = 1.0
+    f = f.real / big + 1j * (f.imag / big)
+    mag = np.abs(f)
+    return np.where(mag > 0.0, f / np.where(mag > 0, mag, 1.0), 0j)
+
+
+def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None):
     """Run x_k = (v_k - E) x_{k-1} - x_{k-2} over the site rows of ``blocks``.
 
     This is the one recurrence core of the real phase.  ``blocks`` yields
-    site values of ``p`` in arrays of shape (B, m), one column per phase,
-    as :func:`_sites` does.  ``solutions=1`` carries f_k from
-    (f_0, f_{-1}) = (1, 0); ``solutions=2`` carries M_k, whose rows are
-    (x_k, x_{k-1}) for the two solutions started from the identity.  Each
-    step is an in-place multiply-subtract.  At every site k (counted from
-    1) in ``stops``, ``visit(k, logs)`` receives log|f_k| (exact zeros as
-    -inf) or log||M_k||, one value per phase.  Returns (x_n, x_{n-1},
-    log_scale), arrays of shape (solutions, m) scaled by exp(log_scale).
+    site values in arrays of shape (B, m), one column per phase, as
+    :func:`_sites` does, and ``bound`` is at least their sup|v|.
+    ``solutions=1`` carries f_k from (f_0, f_{-1}) = (1, 0);
+    ``solutions=2`` carries M_k, whose rows are (x_k, x_{k-1}) for the two
+    solutions started from the identity.  Each step is an in-place
+    multiply-subtract.  At every site k (counted from 1) in ``stops``,
+    ``visit(k, logs, resid)`` receives log|f_k| (exact zeros as -inf) and
+    the rescaled residual f_k, or ``visit(k, logs)`` receives log||M_k||,
+    one value per phase.  Returns (x_n, x_{n-1}, log_scale), arrays of
+    shape (solutions, m) scaled by exp(log_scale).
 
     The pair is rescaled by its largest modulus every
     r = max(1, floor(600 / log B)) sites, at every stop and after the
-    last site, with B = sup|lam V| + |E| + 2 bounding every transfer
-    factor's norm.  Between rescalings a solution grows by at most
+    last site, with B = bound + |E| + 2 bounding every transfer factor's
+    norm.  Between rescalings a solution grows by at most
     B^r <= e^600, and since every factor has determinant 1 it shrinks by
     at most as much, so neither overflow nor underflow can occur.  The
     op-norm closed form is taken only after a rescale, where its squares
     cannot overflow.
     """
-    every = max(1, int(600.0 / math.log(p.sup_bound() + abs(E) + 2.0)))
+    every = max(1, int(600.0 / math.log(bound + abs(E) + 2.0)))
     cur = np.zeros((solutions, m), complex if isinstance(E, complex) else float)
     prev = np.zeros_like(cur)
     nxt = np.empty_like(cur)
@@ -633,7 +651,7 @@ def _recur(p: Potential, E, blocks, m: int, solutions: int, stops=(), visit=None
                 continue
             if solutions == 1:
                 with np.errstate(divide="ignore"):
-                    visit(k, log_acc + np.log(np.abs(cur[0])))
+                    visit(k, log_acc + np.log(np.abs(cur[0])), cur[0])
             else:
                 visit(k, log_acc + np.log(_op_norms(np.stack([cur, prev]))))
     _rescale(cur, prev, log_acc)
@@ -648,8 +666,8 @@ def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: 
         raise ValueError("checkpoints must lie in [1, n]")
     xs = _phase_batch(dyn, xs)
     out = {}
-    _recur(p, E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], solutions,
-           want, out.__setitem__)
+    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0],
+           solutions, want, lambda k, logs, *_: out.__setitem__(k, logs))
     return out
 
 
@@ -681,7 +699,7 @@ def batched_sup_rate(p: Potential, dyn: Dynamics, xs, E: float, n: int,
     """
     xs = _phase_batch(dyn, xs)
     best = np.full(xs.shape[0], NEG_INF)
-    _recur(p, E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], 2,
+    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], 2,
            range(1, n + 1), lambda k, logs: np.maximum(best, logs / k, out=best))
     return best
 

@@ -58,6 +58,12 @@ def fracmul(n: int, t: float) -> float:
     return ((int(n) * p) % q) / q
 
 
+def _fracmuls(ns, t: float) -> np.ndarray:
+    """``fracmul(n, t)`` for every integer n in ns, as a float array."""
+    p, q = float(t).as_integer_ratio()
+    return np.array([((int(n) * p) % q) / q for n in ns], dtype=float)
+
+
 def _as_phase(x, d: int) -> Phase:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (d,):
@@ -140,17 +146,18 @@ def orbit_first_coord(dyn: Dynamics, x, n: int) -> np.ndarray:
     """First torus coordinate of T^k x for k = 1..n, as an array.
 
     This is the sequence the potential is sampled along.  Shift and
-    skew-shift orbits are produced by the closed forms (vectorized over
-    k); the doubling orbit is generated sequentially.
+    skew-shift orbits are produced by the closed forms with every
+    fractional part exact, so entry k equals ``iterate(dyn, x, k)[0]``;
+    the doubling orbit is generated sequentially.
     """
     p = _as_phase(x, dyn.d)
-    k = np.arange(1, n + 1, dtype=float)
+    ks = range(1, n + 1)
     if isinstance(dyn, Shift):
-        return mod1(p[0] + k * dyn.omega[0])
+        return mod1(p[0] + _fracmuls(ks, dyn.omega[0]))
     if isinstance(dyn, SkewShift):
         xx, yy = p
-        quad = 0.5 * k * (k - 1.0) * dyn.omega
-        return mod1(xx + k * yy + quad)
+        quad = _fracmuls([k * (k - 1) // 2 for k in ks], dyn.omega)
+        return mod1(xx + _fracmuls(ks, yy) + quad)
     if isinstance(dyn, Doubling):
         out = np.empty(n)
         t = float(p[0])

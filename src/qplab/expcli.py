@@ -56,16 +56,6 @@ class ExperimentConfig:
     threads: int
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """Summary of one executed experiment, echoed into the manifest."""
-
-    experiment: str
-    parameters: dict
-    metrics: dict
-    runtime_ms: float
-
-
 def _load_config(path: Path) -> dict:
     try:
         text = path.read_text()
@@ -273,21 +263,16 @@ def run(config_path, threads=None, out=None, seed=None,
     cfg.out.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out / f"{cfg.experiment}.csv"
     write_csv(csv_path, columns, rows)
-    record = ResultRecord(
-        experiment=cfg.experiment,
-        parameters={k: repr(v) for k, v in sorted(cfg.grid.items())},
-        metrics={"rows": len(rows), "columns": len(columns)},
-        runtime_ms=elapsed * 1e3)
     manifest = {
         "config": _echo_config(cfg, data),
         "version": __version__,
         "wall_clock_seconds": elapsed,
         "results": [{
-            "experiment": record.experiment,
+            "experiment": cfg.experiment,
             "csv": csv_path.name,
-            "parameters": record.parameters,
-            "metrics": record.metrics,
-            "runtime_ms": record.runtime_ms,
+            "parameters": {k: repr(v) for k, v in sorted(cfg.grid.items())},
+            "metrics": {"rows": len(rows), "columns": len(columns)},
+            "runtime_ms": elapsed * 1e3,
         }],
     }
     (cfg.out / "manifest.json").write_text(

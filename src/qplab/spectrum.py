@@ -9,8 +9,9 @@ off-diagonal -1.  Counting is done by Sturm pivots
 
 whose signs reproduce the signs of the determinant ratios f_k/f_{k-1};
 the number of negative pivots equals the number of eigenvalues strictly
-below E.  Everything else (bisection extraction, IDS tables, Wegner
-fractions, spacing statistics) is built on that count.
+below E.  IDS tables, Wegner fractions and window counts are built on
+that count; eigenvalue lists come from LAPACK's Sturm bisection
+(``dstebz``, through :func:`scipy.linalg.eigvalsh_tridiagonal`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from . import cocycle
 from . import dynamics as dyn_mod
@@ -136,11 +137,13 @@ def sturm_count(H: TridiagonalHamiltonian, E: float) -> int:
 
 def eigenvalues(H: TridiagonalHamiltonian, window=None,
                 tol: float = EIG_TOL_DEFAULT) -> np.ndarray:
-    """All eigenvalues in the window, each bracketed to width <= tol.
+    """All eigenvalues in the half-open window (lo, hi], each to within tol.
 
-    Bisection on the Sturm count, run simultaneously for every
-    eigenvalue index in the window.  Default window is the Gershgorin
-    interval, which contains the whole spectrum.
+    LAPACK's Sturm bisection (``dstebz``) brackets every eigenvalue in
+    the window to width <= tol and returns the bracket midpoints.  An
+    eigenvalue exactly at lo is left out and one exactly at hi is kept.
+    The default window is the Gershgorin interval, widened by 1e-9, which
+    contains the whole spectrum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -151,57 +154,22 @@ def eigenvalues(H: TridiagonalHamiltonian, window=None,
         lo, hi = float(window[0]), float(window[1])
         if hi <= lo:
             return np.empty(0)
-    ends = _sturm_counts(H.diag[None, :], np.array([lo, hi]))[0]
-    c_lo, c_hi = int(ends[0]), int(ends[1])
-    k = c_hi - c_lo
-    if k <= 0:
-        return np.empty(0)
-    targets = np.arange(c_lo, c_hi)          # index j: count(E) jumps past j
-    los = np.full(k, lo)
-    his = np.full(k, hi)
-    # each bisection halves every bracket; all indices share one pivot sweep
-    n_iter = max(1, int(math.ceil(math.log2(max((hi - lo) / tol, 2.0)))) + 1)
-    for _ in range(n_iter):
-        mids = 0.5 * (los + his)
-        cnt = _sturm_counts(H.diag[None, :], mids)[0]
-        below = cnt <= targets               # eigenvalue j still above mid
-        los = np.where(below, mids, los)
-        his = np.where(below, his, mids)
-        if np.max(his - los) <= tol:
-            break
-    return 0.5 * (los + his)
+    return eigvalsh_tridiagonal(H.diag, -np.ones(H.N - 1), select="v",
+                                select_range=(lo, hi), tol=tol)
 
 
 def _half_det_profiles(d: np.ndarray, E: float) -> tuple:
     """Log-scale profiles of the two Cramer determinant families.
 
     Returns (sign_l, log_l, sign_r, log_r) where entry k (0-based site
-    k+1) of the left family is f_[1,k] with one fewer site, i.e. the
-    eigenvector candidate f_[1,(k+1)-1], and of the right family is
-    f_[(k+1)+1, N].  Each is accumulated with per-step pair rescaling.
+    k+1) of the left family is f_[1,k], the eigenvector candidate
+    f_[1,(k+1)-1], and of the right family is f_[(k+1)+1, N].  A
+    tridiagonal determinant does not change when its sites are reversed,
+    so the right family is the profile of the reversed diagonal.
     """
-    N = d.size
-    sign_l = np.empty(N)
-    log_l = np.empty(N)
-    f_prev2, f_prev, acc = 0.0, 1.0, 0.0
-    for k in range(N):
-        sign_l[k] = math.copysign(1.0, f_prev) if f_prev != 0.0 else 0.0
-        log_l[k] = (acc + math.log(abs(f_prev))) if f_prev != 0.0 else -math.inf
-        f = (d[k] - E) * f_prev - f_prev2
-        s = max(abs(f), abs(f_prev)) or 1.0
-        f_prev2, f_prev = f_prev / s, f / s
-        acc += math.log(s)
-    sign_r = np.empty(N)
-    log_r = np.empty(N)
-    g_next2, g_next, acc = 0.0, 1.0, 0.0
-    for k in range(N - 1, -1, -1):
-        sign_r[k] = math.copysign(1.0, g_next) if g_next != 0.0 else 0.0
-        log_r[k] = (acc + math.log(abs(g_next))) if g_next != 0.0 else -math.inf
-        g = (d[k] - E) * g_next - g_next2
-        s = max(abs(g), abs(g_next)) or 1.0
-        g_next2, g_next = g_next / s, g / s
-        acc += math.log(s)
-    return sign_l, log_l, sign_r, log_r
+    sign_l, log_l = cocycle._det_profile(d, E)
+    sign_r, log_r = cocycle._det_profile(d[::-1], E)
+    return sign_l[:-1], log_l[:-1], sign_r[-2::-1], log_r[-2::-1]
 
 
 def _det_formula_vector(H: TridiagonalHamiltonian, E: float) -> np.ndarray:
@@ -407,15 +375,8 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
 
     def ej_at(xs: float) -> float:
         Hs = hamiltonian(p, dyn, dyn_mod.phase(xs), N, first_site)
-        glo, ghi = Hs.gershgorin()
-        lo, hi = glo - 1e-9, ghi + 1e-9
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if sturm_count(Hs, mid) <= j:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(eigvalsh_tridiagonal(Hs.diag, -np.ones(N - 1), select="i",
+                                          select_range=(j, j))[0])
 
     fd = (ej_at(x0 + h) - ej_at(x0 - h)) / (2.0 * h)
     return analytic, fd
@@ -461,9 +422,9 @@ def _window_log_norms(p: Potential, dyn: Dynamics, x, Ec, N: int,
     prefix = np.zeros(N + 1)
     suffix = np.zeros(N + 1)
     sites = range(1, N + 1)
-    cocycle._recur(p, Ec, [vs], 1, 2, sites,
+    cocycle._recur(p.sup_bound(), Ec, [vs], 1, 2, sites,
                    lambda k, logs: prefix.__setitem__(k, logs[0]))
-    cocycle._recur(p, Ec, [vs[::-1]], 1, 2, sites,
+    cocycle._recur(p.sup_bound(), Ec, [vs[::-1]], 1, 2, sites,
                    lambda k, logs: suffix.__setitem__(N - k, logs[0]))
     return prefix, suffix
 

@@ -1,12 +1,14 @@
 """The real-phase site stream and the batched recurrence kernel.
 
 Every real-phase path (the blocked stream ``cocycle._sites``,
-``_site_values``, ``hamiltonian().diag`` and ``spectrum._orbit_diags``)
-must read site k as ``eval_real(p, iterate(dyn, x, t)[0])`` for all three
-maps.  The batched kernels, which run one recurrence core rescaled every
-r sites, are pinned against mpmath at 50 digits, against the
-single-phase paths, and on their checkpoint, exact-zero and rng
-contracts.
+``_site_values``, ``hamiltonian().diag``, ``spectrum._orbit_diags`` and
+``dynamics.orbit_first_coord``) must read site k as
+``eval_real(p, iterate(dyn, x, t)[0])`` for all three maps.  The batched
+kernels, which run one recurrence core rescaled every r sites, are
+pinned against mpmath at 50 digits, against the single-phase paths, and
+on their checkpoint, exact-zero and rng contracts; so are the signs and
+phases of the single-phase determinants and the Green entries built
+from them.
 """
 
 import math
@@ -50,8 +52,12 @@ def real_paths(p, dyn, xs, n, first_site):
     diags = sp._orbit_diags(p, dyn, xs, n, first_site)
     single = np.array([cc._site_values(p, dyn, x, 1, n, first_site) for x in xs])
     ham = np.array([sp.hamiltonian(p, dyn, x, n, first_site).diag for x in xs])
+    # orbit_first_coord gives T^1 x .. T^n x; site 1 of first_site="x" is x
+    orbits = [np.concatenate([dy.mod1(x[:1]), dy.orbit_first_coord(dyn, x, n)])
+              for x in xs]
+    first = np.array([pt.eval_real_many(p, o[1 - offset(first_site):][:n]) for o in orbits])
     return {"stream": stream, "orbit_diags": diags, "site_values": single,
-            "hamiltonian": ham}
+            "hamiltonian": ham, "orbit_first_coord": first}
 
 
 # ------------------------------------------------------------- site stream
@@ -135,13 +141,16 @@ def exact_phase(dyn, x, t):
     return (2 ** t * x[0]) % 1
 
 
-def mp_logs(p, dyn, x, E, checkpoints, first_site="Tx"):
-    """{k: (log||M_k||, log|f_k|)} at 50 digits along the exact orbit."""
+def mp_logs(p, dyn, x, E, checkpoints, first_site="Tx", start=1):
+    """{k: (log||M_[start,k]||, log|f_[start,k]|, f_[start,k])} at 50 digits.
+
+    Sites run along the exact orbit; f_[start,k] is an mpmath complex.
+    """
     out = {}
     with mp.workdps(50):
         E = mp.mpc(E)
         a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
-        for k in range(1, max(checkpoints) + 1):
+        for k in range(start, max(checkpoints) + 1):
             th = exact_phase(dyn, x, k - offset(first_site))
             th = mp.mpf(th.numerator) / th.denominator
             v = p.lam * mp.fsum(mp.mpc(vj) * mp.expjpi(2 * j * th) for j, vj in p.coeffs)
@@ -151,8 +160,13 @@ def mp_logs(p, dyn, x, E, checkpoints, first_site="Tx"):
                 fro2 = sum(abs(e) ** 2 for e in (a, b, c, d))
                 det = abs(a * d - b * c)
                 top = mp.sqrt((fro2 + mp.sqrt(fro2 ** 2 - 4 * det ** 2)) / 2)
-                out[k] = (float(mp.log(top)), float(mp.log(abs(a))))
+                out[k] = (float(mp.log(top)), float(mp.log(abs(a))), a)
     return out
+
+
+def mp_phase(f):
+    with mp.workdps(50):
+        return complex(f / abs(f))
 
 
 @pytest.mark.parametrize("name", ["shift", "skew", "doubling"])
@@ -165,11 +179,35 @@ def test_kernels_match_mpmath(name):
     dets = cc.batched_log_absdet(p, dyn, xs, 0.7 + 0.05j, 200, checkpoints=checks)
     assert sorted(norms) == sorted(dets) == list(checks)
     for i, x in enumerate(xs):
-        ref_norm = mp_logs(p, dyn, x, 0.7, checks)
-        ref_det = mp_logs(p, dyn, x, 0.7 + 0.05j, checks)
+        ref_norm = mp_logs(p, dyn, x, 0.7, range(1, 201))
+        ref_det = mp_logs(p, dyn, x, 0.7 + 0.05j, range(1, 201))
         for k in checks:
             assert norms[k][i] == pytest.approx(ref_norm[k][0], abs=1e-10)
             assert dets[k][i] == pytest.approx(ref_det[k][1], abs=1e-10)
+        # signs (real E) and phases (complex E) of det_sequence at every k
+        for E, ref in ((0.7, ref_norm), (0.7 + 0.05j, ref_det)):
+            for k, f in enumerate(cc.det_sequence(p, dyn, x, E, 200), start=1):
+                assert f.log_mag == pytest.approx(ref[k][1], abs=1e-10), k
+                assert abs(f.phase - mp_phase(ref[k][2])) <= 1e-9, k
+
+
+def test_green_entries_match_the_mpmath_cramer_ratio():
+    p = pt.Potential(dict(DEG3.coeffs), lam=2.0)
+    N, E = 200, 0.7 + 0.05j
+    x = np.random.default_rng(11).random(1)
+
+    def f(a, b):
+        """f_[a,b] at 50 digits, with f_[a,a-1] = 1."""
+        return mp.mpf(1) if b < a else mp_logs(p, SHIFT, x, E, (b,), start=a)[b][2]
+
+    full = f(1, N)
+    for j, k in ((1, 1), (1, N), (5, 40), (60, 60), (90, 170), (150, N)):
+        g = cc.green_entry(p, SHIFT, x, E, j, k, N)
+        with mp.workdps(50):
+            ref = f(1, j - 1) * f(k + 1, N) / full
+            log_ref = float(mp.log(abs(ref)))
+        assert g.log_mag == pytest.approx(log_ref, abs=1e-10), (j, k)
+        assert abs(g.phase - mp_phase(ref)) <= 1e-9, (j, k)
 
 
 def test_large_coupling_rescales_often_and_stays_exact():

@@ -79,11 +79,20 @@ def test_eigenvalue_window_restricts_the_list():
     H = sp.hamiltonian(AMO3, SHIFT, dy.phase(0.6), 60)
     ev = oracle_eigs(H)
     got = sp.eigenvalues(H, window=(-1.0, 1.0))
-    want = ev[(ev > -1.0) & (ev < 1.0)]
+    want = ev[(ev > -1.0) & (ev <= 1.0)]
     np.testing.assert_allclose(got, want, atol=1e-9)
     assert sp.eigenvalues(H, window=(2.0, 2.0)).size == 0
     with pytest.raises(ValueError):
         sp.eigenvalues(H, tol=0.0)
+    # the window is half-open, (lo, hi]: V = 0 and N = 1 has the single
+    # eigenvalue 0, left out at lo and kept at hi
+    single = sp.TridiagonalHamiltonian([0.0])
+    assert sp.eigenvalues(single, window=(0.0, 1.0)).size == 0
+    assert sp.eigenvalues(single, window=(-1.0, 0.0)).tolist() == [0.0]
+    # min_gap's tolerance holds across a long window
+    H = sp.hamiltonian(AMO3, SHIFT, dy.phase(0.6), 400)
+    np.testing.assert_allclose(sp.eigenvalues(H, tol=1e-13), oracle_eigs(H),
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------- eigenvectors
