@@ -282,11 +282,15 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
         pos = (p._ks > 0) & (p._vs != 0)
         ks, coef = p._ks[pos], 2.0 * p.lam * p._vs[pos]
         ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
+        # one buffer for the complex terms: a fresh 256 KiB temporary per
+        # harmonic and block can make malloc map and unmap pages each time
+        term = np.empty((min(size, t1 - t0), m), complex)
         for start in range(t0, t1, size):
             frac = dyn_mod._fracmuls(range(start, min(start + size, t1)), dyn.omega[0])
             out = np.full((frac.size, m), p.lam * p.coeff(0).real)
             for k, c, u in zip(ks, coef, ux):
-                out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u).real
+                out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u,
+                                         out=term[:frac.size]).real
             yield out
     elif isinstance(dyn, dyn_mod.SkewShift):
         # y_hi has at most 27 bits, so j * y_hi is exact for j < size <= 2^14

@@ -169,20 +169,6 @@ def orbit_first_coord(dyn: Dynamics, x, n: int) -> np.ndarray:
     raise TypeError(f"unknown dynamics {dyn!r}")
 
 
-def step_batch(dyn: Dynamics, xs: np.ndarray) -> np.ndarray:
-    """Apply T once to a batch of phases, shape (m, d) -> (m, d)."""
-    if isinstance(dyn, Shift):
-        return mod1(xs + np.asarray(dyn.omega))
-    if isinstance(dyn, SkewShift):
-        out = np.empty_like(xs)
-        out[:, 0] = mod1(xs[:, 0] + xs[:, 1])
-        out[:, 1] = mod1(xs[:, 1] + dyn.omega)
-        return out
-    if isinstance(dyn, Doubling):
-        return mod1(2.0 * xs)
-    raise TypeError(f"unknown dynamics {dyn!r}")
-
-
 def torus_distance(t) -> float:
     """Distance ``||t||`` from a real number to the nearest integer.
 

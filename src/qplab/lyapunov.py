@@ -192,18 +192,11 @@ def _norms_and_dets(mats):
         raise ValueError("expected a sequence of 2x2 matrices")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrices must be finite")
-
-    def batch_norm(a):
-        fro2 = np.sum(a * a, axis=(1, 2))
-        det = np.abs(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
-        gap = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
-        return np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
-
-    log_norms = np.log(batch_norm(arr))
+    log_norms = np.log(cocycle._op_norms(arr.transpose(1, 2, 0)))
     with np.errstate(divide="ignore"):
         log_dets = np.log(np.abs(arr[:, 0, 0] * arr[:, 1, 1]
                                  - arr[:, 0, 1] * arr[:, 1, 0]))
-    log_pairs = np.log(batch_norm(np.matmul(arr[1:], arr[:-1])))
+    log_pairs = np.log(cocycle._op_norms(np.matmul(arr[1:], arr[:-1]).transpose(1, 2, 0)))
     total = cocycle.ScaledProduct.identity()
     for a in arr:
         total.push_left(a)

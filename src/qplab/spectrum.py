@@ -12,6 +12,8 @@ the number of negative pivots equals the number of eigenvalues strictly
 below E.  IDS tables, Wegner fractions and window counts are built on
 that count; eigenvalue lists come from LAPACK's Sturm bisection
 (``dstebz``, through :func:`scipy.linalg.eigvalsh_tridiagonal`).
+``scipy.linalg`` is imported inside the three functions that call it,
+since importing it costs more than most experiments' compute.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from . import cocycle
 from . import dynamics as dyn_mod
@@ -154,6 +155,7 @@ def eigenvalues(H: TridiagonalHamiltonian, window=None,
         lo, hi = float(window[0]), float(window[1])
         if hi <= lo:
             return np.empty(0)
+    from scipy.linalg import eigvalsh_tridiagonal
     return eigvalsh_tridiagonal(H.diag, -np.ones(H.N - 1), select="v",
                                 select_range=(lo, hi), tol=tol)
 
@@ -219,6 +221,7 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
             f"{inside} eigenvalues within {gap:g} of E={E_j}")
     if inside == 0:
         raise AmbiguousEigenvalue(f"no eigenvalue within {gap:g} of E={E_j}")
+    from scipy.linalg import solve_banded
     N = H.N
     ab = np.zeros((3, N))
     ab[0, 1:] = -1.0
@@ -372,6 +375,8 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
     slope = abs(p.lam) * 2.0 * math.pi * float(np.sum(np.abs(p._ks * p._vs)))
     if slope > 0.0:
         h = min(h, 1e-2 * neighbor_gap / slope)
+
+    from scipy.linalg import eigvalsh_tridiagonal
 
     def ej_at(xs: float) -> float:
         Hs = hamiltonian(p, dyn, dyn_mod.phase(xs), N, first_site)

@@ -11,6 +11,8 @@ The counting tools are the Jensen circle mean, the nested-disk Jensen
 average J (whose scaled value sandwiches the zero count between the
 counts at radii r1 - r2 and r1 + r2), boundary winding numbers, and a
 quadrisection zero locator cross-checked against the winding count.
+J is computed as one radial integral: circle means of log|f| about the
+centre, weighted by the zero-mass kernel of the double disk average.
 """
 
 from __future__ import annotations
@@ -241,12 +243,7 @@ def jensen_count(f, z0, R: float, M_points: int = M_POINTS_DEFAULT) -> float:
     when the disk is zero-free, and each zero contributes positively,
     growing as it approaches the center.
     """
-    center_val = f(z0) if not hasattr(f, "eval_many") else None
-    if center_val is None:
-        phases, logs = _eval_many(f, np.array([complex(z0)]))
-        center_log = float(logs[0])
-    else:
-        center_log = center_val.log_mag
+    center_log = float(_eval_many(f, np.array([complex(z0)]))[1][0])
     if center_log == NEG_INF or not np.isfinite(center_log):
         raise CenterIsZero(f"f vanishes at the Jensen center {z0}")
     return circle_mean_log(f, z0, R, M_points) - center_log
@@ -254,15 +251,6 @@ def jensen_count(f, z0, R: float, M_points: int = M_POINTS_DEFAULT) -> float:
 
 # ---------------------------------------------------------------------------
 # nested disk averages
-
-
-def _disk_nodes(q: int):
-    """Gauss-Legendre radial nodes (in t = (s/r)^2) and offset angles."""
-    t, w = np.polynomial.legendre.leggauss(q)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    ang = 2.0 * np.pi * (np.arange(2 * q) + 0.5) / (2 * q)
-    return t, w, np.exp(1j * ang)
 
 
 def _u_values(u, zs):
@@ -275,21 +263,23 @@ def _u_values(u, zs):
 
 
 def _jensen_J_once(u, z0: complex, r1: float, r2: float, q: int) -> float:
-    t, w, dirs = _disk_nodes(q)
-    radii = r1 * np.sqrt(t)
-    inner_radii = r2 * np.sqrt(t)
-    total = 0.0
-    # chunk over outer radial shells so the inner tensor stays small
-    for i in range(q):
-        outer = z0 + radii[i] * dirs
-        u_outer = _u_values(u, outer)
-        inner = outer[:, None, None] + inner_radii[None, :, None] * dirs[None, None, :]
-        u_inner = _u_values(u, inner)
-        if not (np.all(np.isfinite(u_outer)) and np.all(np.isfinite(u_inner))):
-            raise ArithmeticError("non-finite subharmonic sample in the disk average")
-        inner_avg = np.mean(u_inner, axis=2) @ w
-        total += w[i] * float(np.mean(inner_avg - u_outer))
-    return total
+    # J = int w(s) M(s) ds over r1 - r2 < s < r1 + r2, with M(s) the circle
+    # mean of u at radius s about z0; q Gauss-Legendre nodes on each side
+    # of the jump of w at s = r1, 32 q trapezoid points per circle
+    t, gw = np.polynomial.legendre.leggauss(q)
+    s = np.concatenate([r1 + 0.5 * r2 * (t - 1.0), r1 + 0.5 * r2 * (t + 1.0)])
+    a1 = np.arccos(np.clip((s * s + r1 * r1 - r2 * r2) / (2.0 * s * r1), -1.0, 1.0))
+    a2 = np.arccos(np.clip((s * s + r2 * r2 - r1 * r1) / (2.0 * s * r2), -1.0, 1.0))
+    heron = np.maximum((r1 + r2 - s) * (s + r1 - r2) * (s - r1 + r2) * (s + r1 + r2), 0.0)
+    lens = r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * np.sqrt(heron)
+    kernel = 2.0 * s * (lens / (math.pi * r1 * r1 * r2 * r2) - (s < r1) / (r1 * r1))
+    wts = 0.5 * r2 * np.concatenate([gw, gw]) * kernel
+    # the kernel has zero mass, so harmonic u averages to exactly zero
+    wts -= wts.mean()
+    vals = _u_values(u, z0 + s[:, None] * _circle_points(0j, 1.0, 32 * q)[None, :])
+    if not np.all(np.isfinite(vals)):
+        raise ArithmeticError("non-finite subharmonic sample in the disk average")
+    return float(wts @ vals.mean(axis=1))
 
 
 def jensen_average_J(u, z0, r1: float, r2: float,
@@ -297,21 +287,24 @@ def jensen_average_J(u, z0, r1: float, r2: float,
                      with_error: bool = False):
     """Nested disk average J(u, z0, r1, r2) of u(zeta) - u(z).
 
-    Outer average over z in D(z0, r1), inner over zeta in D(z, r2), by
-    tensor polar quadrature (Gauss-Legendre radially, trapezoid in
-    angle).  Evaluated at quad_points and 2*quad_points; the finer value
-    is returned, with the doubling gap when ``with_error=True``.  Exactly
-    zero for harmonic u up to quadrature roundoff; for u = log|f| the
-    value scaled by 4 r1^2 / r2^2 counts zeros between radii r1 - r2 and
-    r1 + r2.
+    Outer average over z in D(z0, r1), inner over zeta in D(z, r2).  The
+    double average depends on zeta only through s = |zeta - z0|, so J is
+    one radial integral of the circle means M(s) of u about z0 against
+    the zero-mass kernel w(s) = 2 s [A(s) / (pi r1^2 r2^2) - 1{s < r1} / r1^2],
+    where A(s) is the area of D(z0, r1) cut with a disk of radius r2 at
+    distance s; w vanishes outside r1 - r2 < s < r1 + r2.  Gauss-Legendre
+    in s on both sides of r1, trapezoid on each circle.  Evaluated at
+    2*quad_points nodes per side, which is returned; ``with_error=True``
+    also evaluates quad_points and returns the doubling gap.  Exactly zero
+    for harmonic u up to roundoff; for u = log|f| the value scaled by
+    4 r1^2 / r2^2 counts zeros between radii r1 - r2 and r1 + r2.
     """
     if not 0.0 < r2 < r1:
         raise ValueError("need 0 < r2 < r1")
     z0 = complex(z0)
-    coarse = _jensen_J_once(u, z0, r1, r2, quad_points)
     fine = _jensen_J_once(u, z0, r1, r2, 2 * quad_points)
     if with_error:
-        return fine, abs(fine - coarse)
+        return fine, abs(fine - _jensen_J_once(u, z0, r1, r2, quad_points))
     return fine
 
 
@@ -358,15 +351,10 @@ def _winding_jittered(f, z0: complex, R: float, m_points: int):
     for jig in _JITTERS:
         try:
             r = R * jig
-            return _winding_once_stable(f, z0, r, m_points), r
+            return int(round(boundary_winding(f, z0, r, m_points))), r
         except NearCircleZero as exc:
             last = exc
     raise last
-
-
-def _winding_once_stable(f, z0: complex, R: float, m_points: int) -> int:
-    w = boundary_winding(f, z0, R, m_points)
-    return int(round(w))
 
 
 def _secant_zero(f, z0: complex, r: float, tol: float):
@@ -452,7 +440,7 @@ def locate_zeros(f, disk: Disk, tol: float = 1e-10) -> ZeroSet:
     must add back up to the boundary count or WindingUnstable is raised.
     """
     c, R = complex(disk.center), float(disk.radius)
-    total = _winding_once_stable(f, c, R, M_POINTS_DEFAULT)
+    total = int(round(boundary_winding(f, c, R, M_POINTS_DEFAULT)))
     if total < 0:
         raise WindingUnstable(f"negative winding {total}: handle is not analytic")
     if total == 0:

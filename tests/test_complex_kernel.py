@@ -170,8 +170,10 @@ def test_grid_matches_the_per_site_loop(p, n, x, y, e_re, e_im):
     E = complex(2 * e_re, 2 * e_im)
     ref_log, ref_phase, rel_bound = site_loop(p, GOLDEN, z, E, n)
     # away from numerical cancellations in f_n, where both sides are exact
-    # to about n rounding units and the log and phase are well defined
-    assume(rel_bound * EPS <= 1e-13)
+    # to about n rounding units and the log and phase are well defined; the
+    # bound grows with n, and a cut fixed in n rejected most long windows
+    # (often 50 draws before 10 kept, which fails the filter health check)
+    assume(rel_bound * EPS <= 1e-13 * max(1, n))
     got_log, got_phase = one_point(p, z, E, n)
     assert abs(got_log - ref_log) <= 1e-12 * max(1, n)
     assert abs(got_phase - ref_phase) <= 1e-10

@@ -119,17 +119,6 @@ def test_diophantine_check_rejects_bad_exponent():
         dy.diophantine_check(GOLDEN, a=1.0, n_max=10)
 
 
-def test_step_batch_matches_iterate():
-    rng = np.random.default_rng(3)
-    for dyn in (dy.Shift(omega=(GOLDEN,)), dy.SkewShift(omega=GOLDEN),
-                dy.Doubling()):
-        xs = rng.random((6, dyn.d))
-        batched = dy.step_batch(dyn, xs)
-        for i in range(6):
-            np.testing.assert_allclose(batched[i], dy.iterate(dyn, xs[i], 1),
-                                       atol=1e-14)
-
-
 def test_shift_validates_phase_shape():
     with pytest.raises(ValueError):
         dy.iterate(dy.Shift(omega=(GOLDEN,)), dy.phase(0.1, 0.2), 3)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import qplab.dynamics as dy
 import qplab.potential as pt
@@ -12,6 +13,35 @@ import qplab.zeros as zr
 
 AMO3 = pt.almost_mathieu(3.0)
 GOLDEN = dy.GOLDEN_MEAN
+
+
+def nested_kernel(s, r1, r2):
+    """Radial weight of the nested disk average, from the lens area."""
+    if not r1 - r2 < s < r1 + r2:
+        return 0.0
+    a1 = math.acos(min(1.0, max(-1.0, (s * s + r1 * r1 - r2 * r2) / (2 * s * r1))))
+    a2 = math.acos(min(1.0, max(-1.0, (s * s + r2 * r2 - r1 * r1) / (2 * s * r2))))
+    kite = (r1 + r2 - s) * (s + r1 - r2) * (s - r1 + r2) * (s + r1 + r2)
+    lens = r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(kite, 0.0))
+    return 2 * s * (lens / (math.pi * r1 * r1 * r2 * r2) - (s < r1) / (r1 * r1))
+
+
+def exact_scaled_J(roots, z0, r1, r2):
+    """4 (r1/r2)^2 J for u = log|prod (z - root)|, by adaptive quadrature.
+
+    Harmonic parts average to zero, and the circle mean of log|z - root|
+    at radius s about z0 is log max(s, |root - z0|); so each root adds a
+    1-d integral of that against the kernel, with breaks at its kink and
+    at the kernel's jump s = r1.
+    """
+    total = 0.0
+    for root in roots:
+        d = abs(root - z0)
+        breaks = [r1] + ([d] if r1 - r2 < d < r1 + r2 else [])
+        total += quad(lambda s: nested_kernel(s, r1, r2) * math.log(max(s, d)),
+                      r1 - r2, r1 + r2, points=breaks, epsabs=1e-14,
+                      epsrel=1e-12, limit=200)[0]
+    return 4.0 * (r1 / r2) ** 2 * total
 
 
 def log_dist_sum(roots, z0, R):
@@ -116,6 +146,38 @@ def test_scaled_jensen_average_counts_a_centered_zero():
     f = zr.polynomial_handle([z0])
     J = zr.jensen_average_J(f, z0, 0.1, 0.05, quad_points=24)
     assert 4.0 * (0.1 / 0.05) ** 2 * J == pytest.approx(1.0, rel=2e-2)
+
+
+@pytest.mark.parametrize("quad_points", [8, zr.QUAD_POINTS_DEFAULT])
+def test_jensen_average_matches_the_exact_radial_integral(quad_points):
+    # the first 40 polynomials of criterion 11's stream
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        roots = rng.uniform(-0.3, 0.3, k) + 1j * rng.uniform(-0.3, 0.3, k)
+        f = zr.polynomial_handle(list(roots))
+        est = 4.0 * (0.45 / 0.15) ** 2 * zr.jensen_average_J(f, 0.0, 0.45, 0.15,
+                                                            quad_points)
+        assert est == pytest.approx(exact_scaled_J(roots, 0.0, 0.45, 0.15), abs=1e-3)
+
+
+def test_jensen_average_of_a_plain_callable():
+    # |z|^2 has Laplacian 4, so every inner disk average exceeds the
+    # centre value by r2^2 / 2
+    exact = 0.1 ** 2 / 2
+    J, gap = zr.jensen_average_J(lambda z: abs(z) ** 2, 0.3 + 0.1j, 0.2, 0.1,
+                                 with_error=True)
+    assert abs(J - exact) <= gap <= 1e-6 * exact
+
+
+@pytest.mark.parametrize("x, y", [(0.5731306569475056, -0.025906902795461262),
+                                  (0.8131152013694403, 0.027955644922263333)])
+def test_nu_sandwich_on_determinant_disks_at_quad_points_8(x, y):
+    f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 64)
+    c = cmath.exp(complex(2 * math.pi * y, 2 * math.pi * x))
+    _, est, _ = zr.nu_sandwich(f, c, 0.05, 0.015, quad_points=8)
+    roots = zr.locate_zeros(f, zr.Disk(c, 0.065)).zeros
+    assert est == pytest.approx(exact_scaled_J(roots, c, 0.05, 0.015), abs=1e-2)
 
 
 def test_jensen_average_radius_validation():
