@@ -25,20 +25,20 @@ phase (sign, in the real case) and a log magnitude.  Long products never
 overflow, and log-norms are exact up to accumulated rounding.
 
 Real phases have one site stream, :func:`_sites`, exact to rounding for
-all three maps, and one recurrence core, :func:`_recur`, vectorized over
-starting phases.  The batched kernels (``batched_log_norms``,
-``batched_log_absdet``, ``batched_sup_rate``), the hot path for Lyapunov
-and large-deviation statistics, are thin wrappers over the two; so are
-the single-phase products and determinants (``transfer_product_window``,
-``det_window``, ``det_sequence``) and, through ``det_window``, the Green
-entries.  The core rescales only every
-r = max(1, floor(600 / log(sup|lam V| + |E| + 2))) sites and at
-checkpoints.
+all three maps; complex phases of a shift have :func:`_laurent_sites`,
+which reads the same exact frac(t omega).  Both run through one
+recurrence core, :func:`_recur`, vectorized over starting phases.  The
+batched kernels (``batched_log_norms``, ``batched_log_absdet``,
+``batched_sup_rate``), the single-phase products and determinants, the
+Green entries and rows, and ``complex_det_grid`` under the zeros module
+are thin wrappers over it.  The core rescales only every
+r = max(1, floor(600 / log(sup|v| + |E| + 2))) sites and at checkpoints.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -330,12 +330,47 @@ def _site_values(p: Potential, dyn: Dynamics, x, a: int, b: int,
     need an invertible map; the doubling map only supports windows whose
     sites stay nonnegative in dynamical time.
     """
-    if first_site not in ("Tx", "x"):
-        raise ValueError(f"first_site must be 'Tx' or 'x', got {first_site!r}")
-    if b < a:
-        return np.empty(0)
     blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
-    return np.concatenate([blk[:, 0] for blk in blocks])
+    return np.concatenate([np.empty(0)] + [blk[:, 0] for blk in blocks])
+
+
+def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
+                   first_site: str = "Tx"):
+    """(bound, blocks): v(k, z) at sites a..b for the m complex phases zs of a shift.
+
+    The complex-phase site stream: site k reads lam V at z e(t omega), t as
+    in :func:`_sites`, that is sum_j lam v_j e(j frac(t omega)) z^j with
+    frac exact and z^j formed once per call.  ``blocks`` yields (B, m)
+    complex arrays in one reused buffer, each valid until the next is
+    drawn; ``bound`` = max_z sum_j |lam v_j| |z|^j is at least sup|v|.
+    """
+    if np.any(zs == 0):
+        raise ZeroDivisionError("Laurent evaluation needs z != 0")
+    t0 = a if first_site == "Tx" else a - 1
+    # V = 0 stores no harmonic; one zero term gives the blocks a first row
+    ks, vs = (p._ks, p.lam * p._vs) if p._ks.size else (np.zeros(1, int), np.zeros(1))
+    rows = [zs ** int(j) for j in ks]
+    bound = float(np.max(sum(abs(v) * np.abs(r) for v, r in zip(vs, rows))))
+    # one coefficient table per call, so no block makes a fresh temporary
+    frac = dyn_mod._fracmuls(range(t0, t0 + b - a + 1), omega)
+    coef = vs * np.exp(2j * math.pi * frac[:, None] * ks)
+
+    def blocks():
+        # 64 KiB complex buffers, here and in _recur: malloc maps larger ones afresh per call
+        size = max(1, _BLOCK_ELEMENTS // 4 // zs.size)
+        out = np.empty((min(size, len(coef)), zs.size), complex)
+        term = np.empty_like(out)
+        for start in range(0, len(coef), size):
+            c = coef[start:start + size]
+            blk, tmp = out[:len(c)], term[:len(c)]
+            # elementwise sums, not a BLAS product: a threaded BLAS stalls
+            # badly on small products when other threads compete for cores
+            np.multiply(c[:, :1], rows[0], out=blk)
+            for i in range(1, len(rows)):
+                blk += np.multiply(c[:, i:i + 1], rows[i], out=tmp)
+            yield blk
+
+    return bound, blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +431,8 @@ def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
         return DetWindow(a, b, SignedLog.one())
     blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
     cur, _, log_scale = _recur(p.sup_bound(), E, blocks, 1, 1)
-    with np.errstate(divide="ignore"):
-        log_mag = float(log_scale[0] + np.log(np.abs(cur[0, 0])))
-    return DetWindow(a, b, SignedLog(complex(_unit_phases(cur[0])[0]), log_mag))
+    phase, log_mag = _read_det(cur[0], log_scale)
+    return DetWindow(a, b, SignedLog(complex(phase[0]), float(log_mag[0])))
 
 
 def _det_profile(vs: np.ndarray, E) -> tuple:
@@ -416,7 +450,7 @@ def _det_profile(vs: np.ndarray, E) -> tuple:
 
     _recur(float(np.max(np.abs(vs), initial=0.0)), E, [vs[:, None]], 1, 1,
            range(1, vs.size + 1), visit)
-    return _unit_phases(np.array(resid)), np.array(logs)
+    return _read_det(np.array(resid), 0.0)[0], np.array(logs)
 
 
 def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int,
@@ -467,6 +501,27 @@ def green_entry(p: Potential, dyn: Dynamics, x, E, j: int, k: int, N: int,
     return (top_left * top_right) / bottom
 
 
+def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int,
+              first_site: str = "Tx") -> tuple:
+    """(H_[1,N] - E)^{-1}(j, k) for k = j..N as (phases, log_mags) arrays.
+
+    The Cramer ratios of :func:`green_entry` in O(N) sites: one profile of
+    sites 1..N gives f_[1,j-1] and f_[1,N], one of the reversed sites every
+    f_[k+1,N].  Exact zeros give (0, -inf); f_[1,N] = 0 raises SingularEnergy.
+    """
+    if not 1 <= j <= N:
+        raise ValueError("green_row needs 1 <= j <= N")
+    vs = _site_values(p, dyn, x, 1, N, first_site)
+    ph_left, log_left = _det_profile(vs, E)
+    ph_right, log_right = _det_profile(vs[::-1], E)
+    if log_left[N] == NEG_INF:
+        raise SingularEnergy("E is an eigenvalue of the finite window")
+    # entry i of the reversed profile is f_[N-i+1,N]: k = j..N reads i = N-j..0
+    right = slice(N - j, None, -1)
+    return (ph_left[j - 1] * ph_right[right] / ph_left[N],
+            log_left[j - 1] + log_right[right] - log_left[N])
+
+
 def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,
                 rho0: float = pot_mod.RHO0_DEFAULT,
                 first_site: str = "Tx") -> SignedLog:
@@ -479,8 +534,7 @@ def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,
         raise ValueError(f"complex phase leaves the strip: |y|={abs(z.y)} > {rho0}")
     phases, logs = complex_det_grid(p, omega, np.array([z.to_z()]), E, n,
                                     first_site=first_site)
-    return SignedLog(complex(phases[0]), float(logs[0])) if logs[0] != NEG_INF \
-        else SignedLog.zero()
+    return SignedLog(complex(phases[0]), float(logs[0]))
 
 
 def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
@@ -490,76 +544,16 @@ def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
     Returns (phases, log_mags) arrays; exact zeros give (0, -inf).  This
     is the vectorized backbone for boundary quadrature in the zeros
     module and is restricted to shift dynamics, where f_n is analytic in z.
-    The pair (f_k, f_{k-1}) is renormalized every r sites and after site
-    n, with r = max(1, floor(600 / log B)) and B the bound on the
-    transfer factors' norms given in :func:`_laurent_sweep`.
+    Sites come from :func:`_laurent_sites` and run through :func:`_recur`.
     """
     if n < 1:
         raise ValueError("complex_det_grid needs n >= 1")
     zs = np.asarray(zs, dtype=complex)
     pts = zs.ravel()
-    f, _, log_acc = _laurent_sweep(p, omega, pts, E, 1, n,
-                                   np.ones((1, pts.size), complex),
-                                   np.zeros((1, pts.size), complex), first_site)
-    f = f[0]
-    mag = np.abs(f)
-    with np.errstate(divide="ignore"):
-        log_mags = np.where(mag > 0.0, log_acc + np.log(np.where(mag > 0, mag, 1.0)),
-                            NEG_INF)
-    return _unit_phases(f).reshape(zs.shape), log_mags.reshape(zs.shape)
-
-
-def _laurent_sweep(p: Potential, omega: float, zs: np.ndarray, E, a: int, b: int,
-                   cur: np.ndarray, prev: np.ndarray, first_site: str = "Tx"):
-    """Run x_k = (v(k, z) - E) x_{k-1} - x_{k-2} over sites a..b at complex phases.
-
-    This is the one site stream of the complex phase (shift dynamics).
-    Site k reads lam * V at z e((k-1+offset) omega), so
-    v(k, z) = sum_j c_kj z^j with c_kj = lam v_j e(j (k-1+offset) omega):
-    the powers z^j are formed once per point and the c_kj once per call.
-    ``zs`` is a 1-d array of m points; ``cur`` and ``prev`` hold x_{a-1}
-    and x_{a-2} with shape (s, m), s independent solutions per point
-    (s = 2 carries the two columns of a transfer product).  Returns
-    (x_b, x_{b-1}, log_scale): the true values are exp(log_scale) times
-    the arrays, with one log_scale per point.
-
-    The pair is rescaled every r = max(1, floor(600 / log B)) sites and
-    after site b, safe by the argument of :func:`_recur`, where
-    B = max_z sum_j |lam v_j| |z|^j + |E| + 2 bounds every factor's norm.
-    """
-    if np.any(zs == 0):
-        raise ZeroDivisionError("Laurent evaluation needs z != 0")
-    offset = 1 if first_site == "Tx" else 0
-    nonzero = p._ks != 0
-    ks = p._ks[nonzero]
-    vs = p.lam * p._vs[nonzero]
-    v0 = p.lam * p.coeff(0)
-    rows = [zs ** int(j) for j in ks]
-    frac = (np.arange(a - 1 + offset, b + offset) * omega) % 1.0
-    coef = (vs * np.exp(2j * math.pi * frac[:, None] * ks)).tolist()
-    bound = abs(v0) + abs(E) + 2.0 + float(np.max(
-        sum(abs(v) * np.abs(r) for v, r in zip(vs, rows)), initial=0.0))
-    every = max(1, int(600.0 / math.log(bound)))
-    cur = np.array(cur, dtype=complex)
-    prev = np.array(prev, dtype=complex)
-    nxt = np.empty_like(cur)
-    t = np.empty(zs.size, dtype=complex)
-    term = np.empty(zs.size, dtype=complex)
-    log_acc = np.zeros(zs.size)
-    c0 = v0 - E
-    # elementwise sums, not a BLAS matrix-vector product: a threaded BLAS
-    # stalls badly on small products when other threads compete for cores
-    for i, c in enumerate(coef):
-        t.fill(c0)
-        for row, cj in zip(rows, c):
-            np.multiply(row, cj, out=term)
-            t += term
-        np.multiply(t, cur, out=nxt)
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-        if (i + 1) % every == 0 or i == b - a:
-            _rescale(cur, prev, log_acc)
-    return cur, prev, log_acc
+    bound, blocks = _laurent_sites(p, omega, pts, 1, n, first_site)
+    f, _, log_acc = _recur(bound, E, blocks, pts.size, 1)
+    phases, log_mags = _read_det(f[0], log_acc)
+    return phases.reshape(zs.shape), log_mags.reshape(zs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -596,25 +590,29 @@ def _one_phase(dyn: Dynamics, x) -> np.ndarray:
     return _phase_batch(dyn, np.reshape(np.asarray(x, dtype=float), (1, -1)))
 
 
-def _unit_phases(f: np.ndarray) -> np.ndarray:
-    """f/|f| entrywise (signs for real f), with 0 at exact zeros."""
+def _read_det(f: np.ndarray, log_scale) -> tuple:
+    """(f/|f|, log_scale + log|f|) entrywise: signs for real f, (0, -inf) at zeros."""
+    with np.errstate(divide="ignore"):
+        logs = log_scale + np.log(np.abs(f))
     if not np.iscomplexobj(f):
-        return np.sign(f)
+        return np.sign(f), logs
     # divide the parts by the larger one first: for subnormal f the complex
     # division f / |f| overflows
     big = np.maximum(np.abs(f.real), np.abs(f.imag))
     big[big == 0.0] = 1.0
     f = f.real / big + 1j * (f.imag / big)
     mag = np.abs(f)
-    return np.where(mag > 0.0, f / np.where(mag > 0, mag, 1.0), 0j)
+    return np.where(mag > 0.0, f / np.where(mag > 0, mag, 1.0), 0j), logs
 
 
 def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None):
     """Run x_k = (v_k - E) x_{k-1} - x_{k-2} over the site rows of ``blocks``.
 
-    This is the one recurrence core of the real phase.  ``blocks`` yields
-    site values in arrays of shape (B, m), one column per phase, as
-    :func:`_sites` does, and ``bound`` is at least their sup|v|.
+    This is the one recurrence core of both phases.  ``blocks`` yields
+    site values in arrays of shape (B, m), one column per phase, none
+    longer than the first, as :func:`_sites` and :func:`_laurent_sites`
+    do; ``bound`` is at least their sup|v|, and the dtype follows E and
+    the blocks.
     ``solutions=1`` carries f_k from (f_0, f_{-1}) = (1, 0);
     ``solutions=2`` carries M_k, whose rows are (x_k, x_{k-1}) for the two
     solutions started from the identity.  Each step is an in-place
@@ -634,16 +632,19 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     cannot overflow.
     """
     every = max(1, int(600.0 / math.log(bound + abs(E) + 2.0)))
-    cur = np.zeros((solutions, m), complex if isinstance(E, complex) else float)
+    blocks = iter(blocks)
+    first = next(blocks, np.empty((0, m)))
+    cur = np.zeros((solutions, m), np.result_type(first, E))
     prev = np.zeros_like(cur)
     nxt = np.empty_like(cur)
+    shifted = np.empty(first.shape, cur.dtype)
     log_acc = np.zeros(m)
     cur[0] = 1.0
     if solutions == 2:
         prev[1] = 1.0
     k = 0
-    for block in blocks:
-        for t in block - E:
+    for block in itertools.chain([first], blocks):
+        for t in np.subtract(block, E, out=shifted[:len(block)]):
             np.multiply(t, cur, out=nxt)
             nxt -= prev
             prev, cur, nxt = cur, nxt, prev

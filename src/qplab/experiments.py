@@ -404,12 +404,8 @@ def _prep_green_decay(p, dyn, grid, seed):
 
         def task():
             x = np.random.default_rng(s).random(dyn.d)
-            Ec = complex(E, eta)
-            rows = []
-            for k in range(j_site, N + 1):
-                g = cocycle.green_entry(p, dyn, x, Ec, j_site, k, N)
-                rows.append((E, eta, N, k, g.log_mag))
-            return rows
+            _, logs = cocycle.green_row(p, dyn, x, complex(E, eta), j_site, N)
+            return [(E, eta, N, k, float(g)) for k, g in enumerate(logs, start=j_site)]
         return task
 
     return [make(i, float(E)) for i, E in enumerate(energies)]

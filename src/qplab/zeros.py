@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import NEG_INF, SignedLog, _laurent_sweep, _op_norms, complex_det_grid
+from .cocycle import NEG_INF, SignedLog, _laurent_sites, _op_norms, _recur, complex_det_grid
 from .potential import ComplexPhase, Potential
 
 ANNULUS_HALF_WIDTH = 0.05
@@ -552,17 +552,14 @@ def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int,
 
     Sites n+1..2n at z are exactly sites 1..n at z e(n omega), so the
     two half-window products come from the complex site stream over
-    1..n and n+1..2n, and M_2n is their product.  Each product is carried
-    as its two columns, solutions of the determinant recurrence started
-    from (1, 0) and (0, 1).
+    1..n and n+1..2n, run through the recurrence core with both
+    solutions, and M_2n is their product.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    m = zs.size
 
     def run(a: int, b: int):
-        eye = np.eye(2, dtype=complex)[:, :, None].repeat(m, axis=2)
-        top, bottom, acc = _laurent_sweep(p, omega, zs, E, a, b, eye[0], eye[1],
-                                          first_site)
+        bound, blocks = _laurent_sites(p, omega, zs, a, b, first_site)
+        top, bottom, acc = _recur(bound, E, blocks, zs.size, 2)
         return np.stack([top, bottom]), acc
 
     first, acc1 = run(1, n)

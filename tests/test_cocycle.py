@@ -153,6 +153,8 @@ def test_green_entry_singular_at_exact_eigenvalue():
     free = pt.from_triples([], 1.0)
     with pytest.raises(cc.SingularEnergy):
         cc.green_entry(free, SHIFT, dy.phase(0.0), 0.0, 1, 1, 1)
+    with pytest.raises(cc.SingularEnergy):
+        cc.green_row(free, SHIFT, dy.phase(0.0), 0.0, 1, 1)
 
 
 def test_batched_log_norms_checkpoints_match_scalar_path():

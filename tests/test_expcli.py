@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,18 @@ def test_main_list_prints_the_catalogue(capsys):
     out = capsys.readouterr().out
     names = [line.split()[0] for line in out.strip().splitlines()]
     assert names == sorted(ex.EXPERIMENTS)
+
+
+def test_python_m_qplab_lists_the_catalogue_without_warnings():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "qplab", "list"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = [line.split()[0] for line in done.stdout.strip().splitlines()]
+    assert names == sorted(ex.EXPERIMENTS) and len(names) == 16
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_main_run_passes_overrides(tmp_path, capsys):

@@ -118,6 +118,36 @@ def test_windows_reaching_negative_time_use_the_exact_orbit(name):
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("first_site", ["Tx", "x"])
+def test_complex_stream_reads_the_exact_orbit_on_the_circle(first_site):
+    # at z = e(x) the complex stream is the real potential sequence, and it
+    # meets the same gate: frac(t omega) must be exact, not a float product
+    rng = np.random.default_rng(3)
+    xs = rng.random(3)
+    ks = np.unique(np.concatenate([np.arange(1, 70), rng.integers(1, N_LONG, 300),
+                                   [N_LONG]]))
+    bound, blocks = cc._laurent_sites(DEG3, GOLDEN, np.exp(2j * np.pi * xs), 1, N_LONG,
+                                      first_site)
+    # each block is a reused buffer, so it is copied before the next is drawn
+    vals = np.concatenate([blk.copy() for blk in blocks])
+    assert vals.shape == (N_LONG, 3) and bound >= np.max(np.abs(vals))
+    for i, x in enumerate(xs):
+        ref = oracle(DEG3, SHIFT, [x], ks, first_site)
+        assert np.max(np.abs(vals[ks - 1, i].real - ref)) <= 1e-12
+        assert np.max(np.abs(vals[ks - 1, i].imag)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 64, 2000])
+def test_complex_grid_on_the_circle_is_det_window(n):
+    p = pt.Potential(dict(DEG3.coeffs), lam=2.0)
+    xs = np.random.default_rng(8).random(6)
+    phases, logs = cc.complex_det_grid(p, GOLDEN, np.exp(2j * np.pi * xs), 0.7, n)
+    for x, ph, lg in zip(xs, phases, logs):
+        f = cc.det_window(p, SHIFT, [x], 0.7, 1, n).value
+        assert abs(lg - f.log_mag) <= 1e-12 * max(1, n)
+        assert np.sign(ph.real) == f.phase.real and abs(ph.imag) <= 1e-9
+
+
 def test_stream_blocks_are_capped_and_checked():
     xs = np.random.default_rng(6).random((700, 1))
     blocks = list(cc._sites(AMO3, SHIFT, xs, 1, 500))
@@ -208,6 +238,37 @@ def test_green_entries_match_the_mpmath_cramer_ratio():
             log_ref = float(mp.log(abs(ref)))
         assert g.log_mag == pytest.approx(log_ref, abs=1e-10), (j, k)
         assert abs(g.phase - mp_phase(ref)) <= 1e-9, (j, k)
+
+
+def test_green_row_matches_its_entries_and_the_mpmath_cramer_ratio():
+    p = pt.Potential(dict(DEG3.coeffs), lam=2.0)
+    N, E = 200, 0.7 + 0.05j
+    x = np.random.default_rng(11).random(1)
+    # v_k - E at 50 digits; left[k] = f_[1,k] and right[k] = f_[k+1,N], k = 0..N
+    with mp.workdps(50):
+        ts = [p.lam * mp.fsum(mp.mpc(vj) * mp.expjpi(2 * j * mp.mpf(th.numerator) / th.denominator)
+                              for j, vj in p.coeffs).real - mp.mpc(E)
+              for th in (exact_phase(SHIFT, x, k) for k in range(1, N + 1))]
+        left, right = [mp.mpf(0), mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]
+        for t in ts:
+            left.append(t * left[-1] - left[-2])
+        for t in reversed(ts):
+            right.append(t * right[-1] - right[-2])
+        left, right = left[1:], right[:0:-1]
+    for j in (1, 5, 90, N):
+        phases, logs = cc.green_row(p, SHIFT, x, E, j, N)
+        assert phases.shape == logs.shape == (N - j + 1,)
+        for k in range(j, N + 1):
+            g = cc.green_entry(p, SHIFT, x, E, j, k, N)
+            assert logs[k - j] == pytest.approx(g.log_mag, abs=1e-12 * N), (j, k)
+            assert abs(phases[k - j] - g.phase) <= 1e-10, (j, k)
+            with mp.workdps(50):
+                ref = left[j - 1] * right[k] / left[N]
+                log_ref = float(mp.log(abs(ref)))
+            assert logs[k - j] == pytest.approx(log_ref, abs=1e-10), (j, k)
+            assert abs(phases[k - j] - mp_phase(ref)) <= 1e-9, (j, k)
+    with pytest.raises(ValueError):
+        cc.green_row(p, SHIFT, x, E, 0, N)
 
 
 def test_large_coupling_rescales_often_and_stays_exact():
