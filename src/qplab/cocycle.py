@@ -18,11 +18,12 @@ and the two are linked entrywise:
     M_[a,N] = [[ f_[a,N],   -f_[a+1,N]   ],
                [ f_[a,N-1], -f_[a+1,N-1] ]].
 
-Everything here is carried in log scale.  A :class:`ScaledProduct` keeps
-a residual 2x2 matrix with operator norm in [1/2, 2] plus the
-accumulated log of factored-out norms; a :class:`SignedLog` keeps a
-phase (sign, in the real case) and a log magnitude.  Long products never
-overflow, and log-norms are exact up to accumulated rounding.
+Everything here is carried in log scale.  A :class:`ScaledProduct` is
+the record of one transfer product from the recurrence core, a residual
+2x2 matrix and the log of the scale factored out of it; a
+:class:`SignedLog` keeps a phase (sign, in the real case) and a log
+magnitude.  Long products never overflow, and log-norms are exact up to
+accumulated rounding.
 
 Real phases have one site stream, :func:`_sites`, exact to rounding for
 all three maps; complex phases of a shift have :func:`_laurent_sites`,
@@ -49,18 +50,11 @@ from . import potential as pot_mod
 from .dynamics import Dynamics, Shift
 from .potential import ComplexPhase, Potential
 
-NORM_LO = 0.5   # renormalize when the residual norm leaves [NORM_LO, NORM_HI]
-NORM_HI = 2.0
-
 NEG_INF = float("-inf")
 
 
 class SingularEnergy(ZeroDivisionError):
     """A determinant in a denominator is exactly zero (E hit an eigenvalue)."""
-
-
-class NumericOverflow(FloatingPointError):
-    """A matrix entry became non-finite despite renormalization."""
 
 
 def op_norm_2x2(m) -> float:
@@ -133,22 +127,6 @@ class SignedLog:
             return self
         return SignedLog(-self.phase, self.log_mag)
 
-    def __add__(self, other: "SignedLog") -> "SignedLog":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        m = max(self.log_mag, other.log_mag)
-        s = self.phase * math.exp(self.log_mag - m) \
-            + other.phase * math.exp(other.log_mag - m)
-        if s == 0:
-            return SignedLog.zero()
-        mag = abs(s)
-        return SignedLog(s / mag, m + math.log(mag))
-
-    def __sub__(self, other: "SignedLog") -> "SignedLog":
-        return self + (-other)
-
     def __truediv__(self, other: "SignedLog") -> "SignedLog":
         if other.is_zero:
             raise SingularEnergy("division by an exactly-zero determinant")
@@ -172,50 +150,17 @@ class DetWindow:
 # scaled 2x2 products
 
 
+@dataclass(frozen=True, eq=False)
 class ScaledProduct:
-    """A 2x2 product carried as exp(log_scale) * mat with ||mat|| in [1/2, 2].
+    """A 2x2 transfer product M = exp(log_scale) * mat, as :func:`_recur` leaves it."""
 
-    ``det`` tracks the determinant of the reconstructed product in
-    signed-log form, updated from each pushed factor's determinant (the
-    factor is small and well conditioned, so its determinant is computed
-    reliably from its entries; the determinant of the long product itself
-    is far below float resolution once the top singular value dominates).
-    """
+    mat: np.ndarray
+    log_scale: float
 
-    __slots__ = ("log_scale", "mat", "det")
-
-    def __init__(self, mat=None, log_scale: float = 0.0, det: SignedLog = None):
-        if mat is None:
-            mat = np.eye(2)
-            det = SignedLog.one()
-        self.mat = np.array(mat, copy=True)
-        self.log_scale = float(log_scale)
-        self.det = det if det is not None else SignedLog.of(
-            mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-        self._renormalize()
-
-    @staticmethod
-    def identity() -> "ScaledProduct":
-        return ScaledProduct()
-
-    def _renormalize(self):
-        nrm = op_norm_2x2(self.mat)
-        if not math.isfinite(nrm):
-            raise NumericOverflow("non-finite entries in scaled product")
-        if nrm == 0.0:
-            return
-        if nrm < NORM_LO or nrm > NORM_HI:
-            self.log_scale += math.log(nrm)
-            self.mat = self.mat / nrm
-
-    def push_left(self, factor) -> "ScaledProduct":
-        """Multiply by one more factor on the left: M <- factor @ M."""
-        factor = np.asarray(factor)
-        fdet = factor[0, 0] * factor[1, 1] - factor[0, 1] * factor[1, 0]
-        self.mat = factor @ self.mat
-        self.det = self.det * SignedLog.of(fdet)
-        self._renormalize()
-        return self
+    @property
+    def det(self) -> SignedLog:
+        """det M, which is 1: every transfer factor has determinant 1 exactly."""
+        return SignedLog.one()
 
     @property
     def log_norm(self) -> float:
@@ -227,7 +172,7 @@ class ScaledProduct:
         return math.exp(self.log_scale) * self.mat
 
     def det_value(self) -> complex:
-        """Determinant of the reconstructed product (tracked, scaled form)."""
+        """det M as a complex number."""
         return self.det.value()
 
     def residual_det_scaled(self) -> SignedLog:
@@ -235,8 +180,8 @@ class ScaledProduct:
 
         Meaningful only while 2*log_scale stays within float resolution of
         the residual entries (roughly log_scale < 17); beyond that the
-        small singular value is lost to rounding and ``det`` (the tracked
-        form) is the honest quantity.
+        small singular value is lost to rounding and ``det`` is the honest
+        quantity.
         """
         d = self.mat[0, 0] * self.mat[1, 1] - self.mat[0, 1] * self.mat[1, 0]
         entry = SignedLog.of(d)
@@ -249,6 +194,13 @@ class ScaledProduct:
 # sites x phases per block of the site stream: 128 KiB of float64, so the
 # evaluation temporaries of a block stay in cache
 _BLOCK_ELEMENTS = 1 << 14
+
+
+def _start_time(first_site: str, k: int) -> int:
+    """The dynamical time that site k reads under the ``first_site`` convention."""
+    if first_site not in ("Tx", "x"):
+        raise ValueError(f"first_site must be 'Tx' or 'x', got {first_site!r}")
+    return k if first_site == "Tx" else k - 1
 
 
 def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
@@ -270,11 +222,9 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
       adds one ``rng.random((m, d))`` draw scaled by 2^-52.  Negative
       times raise ValueError.
     """
-    if first_site not in ("Tx", "x"):
-        raise ValueError(f"first_site must be 'Tx' or 'x', got {first_site!r}")
+    t0 = _start_time(first_site, k0)
     if k1 < k0:
         return
-    t0 = k0 if first_site == "Tx" else k0 - 1
     t1 = t0 + (k1 - k0) + 1
     m = xs.shape[0]
     size = max(1, _BLOCK_ELEMENTS // m)
@@ -346,7 +296,7 @@ def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
     """
     if np.any(zs == 0):
         raise ZeroDivisionError("Laurent evaluation needs z != 0")
-    t0 = a if first_site == "Tx" else a - 1
+    t0 = _start_time(first_site, a)
     # V = 0 stores no harmonic; one zero term gives the blocks a first row
     ks, vs = (p._ks, p.lam * p._vs) if p._ks.size else (np.zeros(1, int), np.zeros(1))
     rows = [zs ** int(j) for j in ks]
@@ -397,14 +347,10 @@ def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
     if b < a - 1:
         raise ValueError("window must satisfy b >= a-1")
     if b < a:
-        return ScaledProduct.identity()
+        return ScaledProduct(np.eye(2), 0.0)
     blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
     cur, prev, log_scale = _recur(p.sup_bound(), E, blocks, 1, 2)
-    out = ScaledProduct.identity()
-    out.mat = np.array([cur[:, 0], prev[:, 0]])
-    out.log_scale = float(log_scale[0])
-    out.det = SignedLog.one()  # every transfer factor has determinant 1 exactly
-    return out
+    return ScaledProduct(np.array([cur[:, 0], prev[:, 0]]), float(log_scale[0]))
 
 
 def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int,
@@ -467,19 +413,6 @@ def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int,
     f_a_m = det_window(p, dyn, x, E, a, n_prime - 1, first_site).value
     f_a1_m = det_window(p, dyn, x, E, a + 1, n_prime - 1, first_site).value
     return [[f_a, -f_a1], [f_a_m, -f_a1_m]]
-
-
-def log_norm_signedlog_matrix(rows) -> float:
-    """log of the operator norm of a 2x2 matrix given as SignedLog entries."""
-    logs = [rows[i][j].log_mag for i in range(2) for j in range(2)]
-    m = max(logs)
-    if m == NEG_INF:
-        return NEG_INF
-    resid = np.array(
-        [[rows[i][j].phase * math.exp(rows[i][j].log_mag - m)
-          if not rows[i][j].is_zero else 0j
-          for j in range(2)] for i in range(2)])
-    return m + math.log(op_norm_2x2(resid))
 
 
 def green_entry(p: Potential, dyn: Dynamics, x, E, j: int, k: int, N: int,

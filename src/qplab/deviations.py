@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cocycle
-from .dynamics import Doubling, Dynamics, mod1
-from .lyapunov import sample_phases
+from .dynamics import Dynamics, mod1
+from .lyapunov import _doubling_rng, sample_phases
 from .potential import Potential
 
 C_RHO_DEFAULT = 10.0
@@ -86,7 +86,7 @@ def _statistic_samples(p: Potential, dyn: Dynamics, E, n: int,
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     xs = sample_phases(dyn, "random", x_samples, seed)
-    noise = np.random.default_rng(seed ^ 0x9E3779B9) if isinstance(dyn, Doubling) else None
+    noise = _doubling_rng(seed)
     if statistic == "transfer_norm":
         out = cocycle.batched_log_norms(p, dyn, xs, E, n, (n,), first_site, rng=noise)
     else:

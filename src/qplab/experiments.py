@@ -24,7 +24,6 @@ import numpy as np
 
 from . import cocycle
 from . import deviations as dv
-from . import dynamics as dyn_mod
 from . import lyapunov as ly
 from . import spectrum as sp
 from . import zeros as zr
@@ -106,9 +105,7 @@ def _grid_statistic(p: Potential, dyn: Dynamics, E: float, n: int, m: int,
                     statistic: str, seed: int) -> np.ndarray:
     """log|f_n| or log||M_n|| over the uniform phase grid of size m."""
     xs = _phase_line(dyn, m)
-    rng = None
-    if isinstance(dyn, dyn_mod.Doubling):
-        rng = np.random.default_rng(seed ^ 0x9E3779B9)
+    rng = ly._doubling_rng(seed)
     if statistic == "det":
         return cocycle.batched_log_absdet(p, dyn, xs, E, n, rng=rng)[n]
     if statistic == "transfer_norm":
@@ -373,12 +370,8 @@ def _prep_thouless_check(p, dyn, grid, seed):
             xs = ly.sample_phases(dyn, "random", x_samples, seed=s)
             # both statistics over the same phases, so the gap is free of
             # independent sampling noise; doubling gets twin rng streams
-            def noise():
-                if isinstance(dyn, dyn_mod.Doubling):
-                    return np.random.default_rng(s ^ 0x9E3779B9)
-                return None
-            logdet = cocycle.batched_log_absdet(p, dyn, xs, E, N, rng=noise())[N]
-            lognorm = cocycle.batched_log_norms(p, dyn, xs, E, N, rng=noise())[N]
+            logdet = cocycle.batched_log_absdet(p, dyn, xs, E, N, rng=ly._doubling_rng(s))[N]
+            lognorm = cocycle.batched_log_norms(p, dyn, xs, E, N, rng=ly._doubling_rng(s))[N]
             finite = np.isfinite(logdet)
             mean_det = float(np.mean(logdet[finite])) / N if finite.any() else float("nan")
             mean_norm = float(np.mean(lognorm)) / N

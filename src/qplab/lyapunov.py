@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cocycle
 from . import dynamics as dyn_mod
-from .dynamics import GOLDEN_MEAN, Doubling, Dynamics, Shift, SkewShift
+from .dynamics import GOLDEN_MEAN, Doubling, Dynamics
 from .potential import Potential
 
 C_GATE_DEFAULT = 100.0   # avalanche-principle gate constant
@@ -139,11 +139,12 @@ def sample_phases(dyn: Dynamics, sampler: str, m: int, seed: int = 0,
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _doubling_rng(dyn: Dynamics, seed: int):
-    # replenish low-order bits of doubling orbits inside the kernels
-    if isinstance(dyn, Doubling):
-        return np.random.default_rng(seed ^ 0x9E3779B9)
-    return None
+def _doubling_rng(seed: int):
+    """The rng that replenishes low-order bits of doubling orbits in the kernels.
+
+    The shift and the skew shift ignore it.
+    """
+    return np.random.default_rng(seed ^ 0x9E3779B9)
 
 
 def finite_lyapunov(p: Potential, dyn: Dynamics, E: float, n: int,
@@ -159,7 +160,7 @@ def finite_lyapunov(p: Potential, dyn: Dynamics, E: float, n: int,
         raise ValueError("finite_lyapunov needs n >= 1 and m_samples >= 1")
     xs = sample_phases(dyn, sampler, m_samples, seed=seed, block=n)
     logs = cocycle.batched_log_norms(p, dyn, xs, E, n, first_site=first_site,
-                                     rng=_doubling_rng(dyn, seed))[n]
+                                     rng=_doubling_rng(seed))[n]
     per = logs / n
     m = per.size
     mean = float(np.mean(per))
@@ -169,43 +170,47 @@ def finite_lyapunov(p: Potential, dyn: Dynamics, E: float, n: int,
 
 
 def _norms_and_dets(mats):
-    """(log norms, log pair-product norms, log |dets|, full log norm, det slack)."""
-    if len(mats) and isinstance(mats[0], cocycle.ScaledProduct):
-        log_norms = np.array([sp.log_norm for sp in mats])
-        log_dets = np.array([sp.det.log_mag for sp in mats])
-        log_pairs = np.empty(len(mats) - 1)
-        for j in range(len(mats) - 1):
-            prod = mats[j + 1].mat @ mats[j].mat
-            log_pairs[j] = (mats[j + 1].log_scale + mats[j].log_scale
-                            + math.log(cocycle.op_norm_2x2(prod)))
-        total = cocycle.ScaledProduct.identity()
-        extra = 0.0
-        for sp in mats:
-            total.push_left(sp.mat)
-            extra += sp.log_scale
-        # dets tracked in log form keep relative accuracy; a flat slack
-        # covers families built to sit exactly on the |det| = 1 boundary
-        det_slack = np.full(len(mats), 1e-9)
-        return log_norms, log_pairs, log_dets, total.log_norm + extra, det_slack
-    arr = np.asarray(mats, dtype=float)
-    if arr.ndim != 3 or arr.shape[1:] != (2, 2):
-        raise ValueError("expected a sequence of 2x2 matrices")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrices must be finite")
-    log_norms = np.log(cocycle._op_norms(arr.transpose(1, 2, 0)))
+    """(log norms, log pair-product norms, log |dets|, full log norm, det slack).
+
+    Dense matrices and ScaledProduct records run one path, as residuals
+    with log scales (zero for dense input).
+    """
+    n = len(mats)
+    scaled = n > 0 and isinstance(mats[0], cocycle.ScaledProduct)
+    if scaled:
+        arr = np.array([sp.mat for sp in mats])
+        scales = np.array([sp.log_scale for sp in mats])
+    else:
+        arr = np.asarray(mats, dtype=float)
+        if arr.ndim != 3 or arr.shape[1:] != (2, 2):
+            raise ValueError("expected a sequence of 2x2 matrices")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrices must be finite")
+        scales = np.zeros(n)
+    log_norms = scales + np.log(cocycle._op_norms(arr.transpose(1, 2, 0)))
+    log_pairs = scales[1:] + scales[:-1] + np.log(
+        cocycle._op_norms(np.matmul(arr[1:], arr[:-1]).transpose(1, 2, 0)))
+    # the full product, rescaled whenever its norm leaves [1/2, 2]
+    total, log_total, log_extra = np.eye(2), 0.0, 0.0
+    for a, s in zip(arr, scales.tolist()):
+        total = a @ total
+        log_extra += s
+        nrm = cocycle.op_norm_2x2(total)
+        if nrm > 0.0 and not 0.5 <= nrm <= 2.0:
+            log_total += math.log(nrm)
+            total = total / nrm
+    log_full = log_total + math.log(cocycle.op_norm_2x2(total)) + log_extra
+    if scaled:
+        # transfer products have determinant 1 exactly; a flat slack covers
+        # families built to sit exactly on the |det| = 1 boundary
+        return log_norms, log_pairs, np.zeros(n), log_full, np.full(n, 1e-9)
     with np.errstate(divide="ignore"):
-        log_dets = np.log(np.abs(arr[:, 0, 0] * arr[:, 1, 1]
-                                 - arr[:, 0, 1] * arr[:, 1, 0]))
-    log_pairs = np.log(cocycle._op_norms(np.matmul(arr[1:], arr[:-1]).transpose(1, 2, 0)))
-    total = cocycle.ScaledProduct.identity()
-    for a in arr:
-        total.push_left(a)
+        log_dets = np.log(np.abs(arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]))
     # ad - bc read off a dense matrix cancels down to eps * ||A||^2 in
     # absolute terms, so a unit det is only resolvable to that scale
-    eps = float(np.finfo(float).eps)
-    resolution = 2.0 * log_norms + math.log(64.0 * eps)
+    resolution = 2.0 * log_norms + math.log(64.0 * float(np.finfo(float).eps))
     det_slack = np.maximum(np.log1p(np.exp(np.minimum(resolution, 0.7))), 1e-9)
-    return log_norms, log_pairs, log_dets, total.log_norm, det_slack
+    return log_norms, log_pairs, log_dets, log_full, det_slack
 
 
 def avalanche_check(mats, mu: float, C_gate: float = C_GATE_DEFAULT) -> ApReport:
@@ -259,7 +264,7 @@ def convergence_scan(p: Potential, dyn: Dynamics, E: float, n_list,
     xs = sample_phases(dyn, sampler, m_samples, seed=seed, block=scales[-1])
     logs = cocycle.batched_log_norms(p, dyn, xs, E, scales[-1],
                                      checkpoints=scales, first_site=first_site,
-                                     rng=_doubling_rng(dyn, seed))
+                                     rng=_doubling_rng(seed))
     m = xs.shape[0]
     means = {k: float(np.mean(v / k)) for k, v in logs.items()}
     errs = {k: (float(np.std(v / k, ddof=1) / math.sqrt(m)) if m > 1 else 0.0)
@@ -284,7 +289,7 @@ def sup_growth_rate(p: Potential, dyn: Dynamics, E: float, ell: int,
     """
     xs = sample_phases(dyn, "grid", grid)
     best = cocycle.batched_sup_rate(p, dyn, xs, E, ell, first_site=first_site,
-                                    rng=_doubling_rng(dyn, seed))
+                                    rng=_doubling_rng(seed))
     return float(np.max(best))
 
 

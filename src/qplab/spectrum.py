@@ -278,8 +278,7 @@ def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
         raise ValueError("E_grid must be a sorted 1d grid")
     rng = np.random.default_rng(seed)
     xs = rng.random((x_samples, dyn.d))
-    diags = _orbit_diags(p, dyn, xs, N, first_site,
-                         rng=rng if isinstance(dyn, dyn_mod.Doubling) else None)
+    diags = _orbit_diags(p, dyn, xs, N, first_site, rng=rng)
     counts = _sturm_counts(diags, energies)
     values = counts.mean(axis=0) / N
     return IdsTable(energies=energies, values=values, N=N, x_samples=x_samples)
@@ -297,8 +296,7 @@ def window_count(p: Potential, dyn: Dynamics, E: float, eta: float, N: int,
         raise ValueError("eta must be positive")
     rng = np.random.default_rng(seed)
     xs = rng.random((x_samples, dyn.d))
-    diags = _orbit_diags(p, dyn, xs, N, first_site,
-                         rng=rng if isinstance(dyn, dyn_mod.Doubling) else None)
+    diags = _orbit_diags(p, dyn, xs, N, first_site, rng=rng)
     counts = _sturm_counts(diags, np.array([E - eta, E + eta]))
     return float(np.mean(counts[:, 1] - counts[:, 0]))
 
@@ -318,8 +316,7 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param: float,
     h = math.exp(-H_param)
     rng = np.random.default_rng(seed)
     xs = rng.random((x_samples, dyn.d))
-    diags = _orbit_diags(p, dyn, xs, N, first_site,
-                         rng=rng if isinstance(dyn, dyn_mod.Doubling) else None)
+    diags = _orbit_diags(p, dyn, xs, N, first_site, rng=rng)
     counts = _sturm_counts(diags, np.array([E - h, E + h]))
     return float(np.mean((counts[:, 1] - counts[:, 0]) > 0))
 

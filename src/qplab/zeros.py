@@ -3,9 +3,9 @@
 Everything works through log-evaluable handles: a handle maps a complex
 point z to a :class:`~qplab.cocycle.SignedLog`, so quadrature on log|f|
 and winding numbers on the phase never touch raw magnitudes that would
-overflow for long windows.  Handles built by :func:`determinant_handle`
-and :func:`polynomial_handle` also expose a vectorized ``eval_many``,
-which the boundary quadratures use when present.
+overflow for long windows.  Handles, as built by :func:`determinant_handle`,
+:func:`polynomial_handle` and :func:`rotated_handle`, also expose the
+vectorized ``eval_many`` that every handle evaluation here goes through.
 
 The counting tools are the Jensen circle mean, the nested-disk Jensen
 average J (whose scaled value sandwiches the zero count between the
@@ -166,20 +166,8 @@ def determinant_handle(p: Potential, omega: float, E, n: int,
 def rotated_handle(f, rot: complex) -> _Handle:
     """The handle z -> f(z * rot)."""
     def fn(zs):
-        return _eval_many(f, np.asarray(zs, dtype=complex) * rot)
+        return f.eval_many(zs * rot)
     return _Handle(fn)
-
-
-def _eval_many(f, zs):
-    if hasattr(f, "eval_many"):
-        return f.eval_many(zs)
-    phases = np.empty(len(zs), dtype=complex)
-    logs = np.empty(len(zs), dtype=float)
-    for i, z in enumerate(np.asarray(zs, dtype=complex)):
-        sl = f(z)
-        phases[i] = sl.phase
-        logs[i] = sl.log_mag
-    return phases, logs
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +181,7 @@ def _circle_points(z0: complex, R: float, m: int) -> np.ndarray:
 
 def _scan_circle(f, z0: complex, R: float, m: int):
     """Evaluate on the circle and flag a zero sitting (nearly) on it."""
-    phases, logs = _eval_many(f, _circle_points(z0, R, m))
+    phases, logs = f.eval_many(_circle_points(z0, R, m))
     finite = np.isfinite(logs)
     if not np.all(finite):
         raise NearCircleZero(
@@ -243,7 +231,7 @@ def jensen_count(f, z0, R: float, M_points: int = M_POINTS_DEFAULT) -> float:
     when the disk is zero-free, and each zero contributes positively,
     growing as it approaches the center.
     """
-    center_log = float(_eval_many(f, np.array([complex(z0)]))[1][0])
+    center_log = float(f.eval_many(np.array([complex(z0)]))[1][0])
     if center_log == NEG_INF or not np.isfinite(center_log):
         raise CenterIsZero(f"f vanishes at the Jensen center {z0}")
     return circle_mean_log(f, z0, R, M_points) - center_log
@@ -256,7 +244,7 @@ def jensen_count(f, z0, R: float, M_points: int = M_POINTS_DEFAULT) -> float:
 def _u_values(u, zs):
     flat = np.asarray(zs, dtype=complex).ravel()
     if hasattr(u, "eval_many"):
-        vals = _eval_many(u, flat)[1]
+        vals = u.eval_many(flat)[1]
     else:
         vals = np.fromiter((float(u(z)) for z in flat), dtype=float, count=flat.size)
     return vals.reshape(np.shape(zs))
@@ -365,8 +353,8 @@ def _secant_zero(f, z0: complex, r: float, tol: float):
     """
     za = z0
     zb = z0 + 0.25 * r
-    pa, la = _eval_many(f, np.array([za]))
-    pb, lb = _eval_many(f, np.array([zb]))
+    pa, la = f.eval_many(np.array([za]))
+    pb, lb = f.eval_many(np.array([zb]))
     ref = max(la[0], lb[0])
     if not np.isfinite(ref):
         ref = 0.0
@@ -386,11 +374,11 @@ def _secant_zero(f, z0: complex, r: float, tol: float):
             break
         if abs(zc - z0) > 4.0 * r:
             break
-        pc, lc = _eval_many(f, np.array([zc]))
+        pc, lc = f.eval_many(np.array([zc]))
         za, wa = zb, wb
         zb, wb = zc, val(pc[0], lc[0])
         if abs(step) <= 0.5 * tol or wb == 0j:
-            logs = _eval_many(f, np.array([zb]))[1]
+            logs = f.eval_many(np.array([zb]))[1]
             return zb, float(logs[0])
     return None
 
@@ -459,7 +447,7 @@ def locate_zeros(f, disk: Disk, tol: float = 1e-10) -> ZeroSet:
     if len(zeros) != total:
         raise WindingUnstable(
             f"located {len(zeros)} zeros but the boundary winding says {total}")
-    logs = _eval_many(f, np.array(zeros))[1] if zeros else np.array([NEG_INF])
+    logs = f.eval_many(np.array(zeros))[1] if zeros else np.array([NEG_INF])
     zeros.sort(key=lambda p: (p.real, p.imag))
     return ZeroSet(zeros=tuple(zeros), residual=float(np.max(logs)), disk=disk)
 

@@ -83,6 +83,15 @@ def test_kernel_keeps_its_input_contracts():
         cc.complex_det_grid(DEG3, GOLDEN, np.array([0.5, 0.0]), 0.0, 4)
 
 
+def test_complex_stream_rejects_an_unknown_first_site():
+    # the real stream _sites raises for the same value
+    zs = np.array([1.0 + 0j])
+    with pytest.raises(ValueError, match="first_site"):
+        cc.complex_det_grid(DEG3, GOLDEN, zs, 0.0, 4, first_site="bogus")
+    with pytest.raises(ValueError, match="first_site"):
+        zr.concatenation_w_grid(DEG3, GOLDEN, zs, 0.0, 4, first_site="bogus")
+
+
 def test_exact_zero_and_output_shape():
     # free model at E = 0: f_1 = -E = 0 and f_3 = -f_1 = 0 exactly
     free = pt.from_triples([], 1.0)

@@ -128,6 +128,24 @@ def test_avalanche_on_transfer_windows():
     assert rep.passes is True
     assert rep.lhs_discrepancy <= rep.bound
     assert rep.bound == pytest.approx(100.0 * 12 / 1e4)
+    # the records and their dense matrices give the same report
+    dense = ly.avalanche_check([m.reconstruct() for m in mats], mu=1e4)
+    assert rep.lhs_discrepancy == pytest.approx(dense.lhs_discrepancy, abs=1e-9)
+    flags = ("hyp_det_ok", "hyp_large_ok", "hyp_diff_ok")
+    assert [getattr(rep, f) for f in flags] == [getattr(dense, f) for f in flags]
+
+
+def test_avalanche_telescopes_where_the_dense_product_overflows():
+    # 100 aligned factors of norm about 1e4: the product's norm is near
+    # 1e400, past the float range, so only a rescaled product can read it
+    rng = np.random.default_rng(4)
+    fam = [np.diag([1e4 * math.exp(u), 1.0 / (1e4 * math.exp(u))])
+           for u in rng.uniform(0.0, 0.1, size=100)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.multi_dot(fam)).all()
+    rep = ly.avalanche_check(fam, mu=1e4)
+    assert rep.hypotheses_ok
+    assert rep.lhs_discrepancy <= 1e-9
 
 
 def test_avalanche_rejects_large_determinants():

@@ -290,11 +290,14 @@ def test_large_coupling_rescales_often_and_stays_exact():
 # ------------------------------------------------- single-phase references
 
 def sup_loop(p, dyn, x, E, n, first_site):
-    """sup_k (1/k) log||M_k||, renormalizing after every site."""
-    prod, best = cc.ScaledProduct(), -math.inf
+    """sup_k (1/k) log||M_k||: dense 2x2 products, divided by their norm at every site."""
+    prod, log_scale, best = np.eye(2), 0.0, -math.inf
     for k, v in enumerate(cc._site_values(p, dyn, x, 1, n, first_site), start=1):
-        prod.push_left(np.array([[v - E, -1.0], [1.0, 0.0]]))
-        best = max(best, prod.log_norm / k)
+        prod = np.array([[v - E, -1.0], [1.0, 0.0]]) @ prod
+        norm = np.linalg.norm(prod, 2)
+        prod /= norm
+        log_scale += math.log(norm)
+        best = max(best, log_scale / k)
     return best
 
 
