@@ -27,12 +27,13 @@ accumulated rounding.
 
 Real phases have one site stream, :func:`_sites`, exact to rounding for
 all three maps; complex phases of a shift have :func:`_laurent_sites`,
-which reads the same exact frac(t omega).  Both run through one
-recurrence core, :func:`_recur`, vectorized over starting phases.  The
-batched kernels (``batched_log_norms``, ``batched_log_absdet``,
-``batched_sup_rate``), the single-phase products and determinants, the
-Green entries and rows, and ``complex_det_grid`` under the zeros module
-are thin wrappers over it.  The core rescales only every
+which reads the same exact frac(t omega) from :func:`_laurent_table`.
+Both run through one recurrence core, :func:`_recur`, vectorized over
+starting phases.  The batched kernels (``batched_log_norms``,
+``batched_log_absdet``, ``batched_sup_rate``), the single-phase products
+and determinants, the Green entries and rows, and ``complex_det_grid``
+under the zeros module are thin wrappers over it.  The zeros module's
+block-companion matrix reads the same table.  The core rescales only every
 r = max(1, floor(600 / log(sup|v| + |E| + 2))) sites and at checkpoints.
 """
 
@@ -284,26 +285,35 @@ def _site_values(p: Potential, dyn: Dynamics, x, a: int, b: int,
     return np.concatenate([np.empty(0)] + [blk[:, 0] for blk in blocks])
 
 
+def _laurent_table(p: Potential, omega: float, a: int, b: int, first_site: str = "Tx"):
+    """(ks, vs, coef): the Laurent coefficients of v(k, z) at sites a..b of a shift.
+
+    Site k reads lam V at z e(t omega), t as in :func:`_sites`, so
+    v(k, z) = sum_j coef[k - a, i] z^ks[i] with coef[:, i] = lam v_j
+    e(j frac(t omega)), j = ks[i], and vs = lam v_j; frac is exact.
+    """
+    t0 = _start_time(first_site, a)
+    # V = 0 stores no harmonic; one zero term gives the table a first column
+    ks, vs = (p._ks, p.lam * p._vs) if p._ks.size else (np.zeros(1, int), np.zeros(1))
+    frac = dyn_mod._fracmuls(range(t0, t0 + b - a + 1), omega)
+    return ks, vs, vs * np.exp(2j * math.pi * frac[:, None] * ks)
+
+
 def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
                    first_site: str = "Tx"):
     """(bound, blocks): v(k, z) at sites a..b for the m complex phases zs of a shift.
 
-    The complex-phase site stream: site k reads lam V at z e(t omega), t as
-    in :func:`_sites`, that is sum_j lam v_j e(j frac(t omega)) z^j with
-    frac exact and z^j formed once per call.  ``blocks`` yields (B, m)
+    The complex-phase site stream: the rows of :func:`_laurent_table`
+    summed against z^j, formed once per call.  ``blocks`` yields (B, m)
     complex arrays in one reused buffer, each valid until the next is
     drawn; ``bound`` = max_z sum_j |lam v_j| |z|^j is at least sup|v|.
     """
     if np.any(zs == 0):
         raise ZeroDivisionError("Laurent evaluation needs z != 0")
-    t0 = _start_time(first_site, a)
-    # V = 0 stores no harmonic; one zero term gives the blocks a first row
-    ks, vs = (p._ks, p.lam * p._vs) if p._ks.size else (np.zeros(1, int), np.zeros(1))
+    # one coefficient table per call, so no block makes a fresh temporary
+    ks, vs, coef = _laurent_table(p, omega, a, b, first_site)
     rows = [zs ** int(j) for j in ks]
     bound = float(np.max(sum(abs(v) * np.abs(r) for v, r in zip(vs, rows))))
-    # one coefficient table per call, so no block makes a fresh temporary
-    frac = dyn_mod._fracmuls(range(t0, t0 + b - a + 1), omega)
-    coef = vs * np.exp(2j * math.pi * frac[:, None] * ks)
 
     def blocks():
         # 64 KiB complex buffers, here and in _recur: malloc maps larger ones afresh per call

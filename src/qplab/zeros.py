@@ -5,12 +5,14 @@ point z to a :class:`~qplab.cocycle.SignedLog`, so quadrature on log|f|
 and winding numbers on the phase never touch raw magnitudes that would
 overflow for long windows.  Handles, as built by :func:`determinant_handle`,
 :func:`polynomial_handle` and :func:`rotated_handle`, also expose the
-vectorized ``eval_many`` that every handle evaluation here goes through.
+vectorized ``eval_many`` that every handle evaluation here goes through,
+and ``zeros()``, all their zeros at once, computed on first use and kept.
+A determinant's zeros are the eigenvalues of one block-companion matrix.
 
 The counting tools are the Jensen circle mean, the nested-disk Jensen
 average J (whose scaled value sandwiches the zero count between the
 counts at radii r1 - r2 and r1 + r2), boundary winding numbers, and a
-quadrisection zero locator cross-checked against the winding count.
+zero locator that certifies the handle's zeros in a disk by windings.
 J is computed as one radial integral: circle means of log|f| about the
 centre, weighted by the zero-mass kernel of the double disk average.
 """
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import NEG_INF, SignedLog, _laurent_sites, _op_norms, _recur, complex_det_grid
+from .cocycle import (NEG_INF, SignedLog, _laurent_sites, _laurent_table, _op_norms, _recur,
+                      complex_det_grid)
+from .dynamics import fracmul
 from .potential import ComplexPhase, Potential
 
 ANNULUS_HALF_WIDTH = 0.05
@@ -32,7 +36,6 @@ QUAD_POINTS_DEFAULT = 16
 WINDING_AGREE = 0.05
 WINDING_INT_TOL = 0.1
 SANDWICH_SLACK = 0.1
-SUBDISK_FACTOR = 1.0 / math.sqrt(2.0) + 0.1
 DIP_THRESHOLD = 25.0
 NEAR_CIRCLE_GAP = 1e-4
 MAX_M_POINTS = 1 << 17
@@ -114,12 +117,23 @@ class AdditivityReport:
 
 
 class _Handle:
-    """Wrap a vectorized (phases, log_mags) evaluator as a scalar handle."""
+    """Wrap a vectorized (phases, log_mags) evaluator as a scalar handle.
 
-    __slots__ = ("_fn",)
+    ``zeros_of()`` lists every zero of the function in C minus {0}, with
+    multiplicity; :meth:`zeros` calls it once and keeps the array.
+    """
 
-    def __init__(self, fn):
+    __slots__ = ("_fn", "_zeros_of", "_zeros")
+
+    def __init__(self, fn, zeros_of):
         self._fn = fn
+        self._zeros_of = zeros_of
+        self._zeros = None
+
+    def zeros(self) -> np.ndarray:
+        if self._zeros is None:
+            self._zeros = np.asarray(self._zeros_of(), dtype=complex)
+        return self._zeros
 
     def eval_many(self, zs):
         return self._fn(np.asarray(zs, dtype=complex))
@@ -132,7 +146,7 @@ class _Handle:
 
 
 def polynomial_handle(roots, leading=1.0) -> _Handle:
-    """Log-evaluable handle for leading * prod (z - root)."""
+    """Log-evaluable handle for leading * prod (z - root); its zeros are the roots."""
     rts = np.asarray(list(roots), dtype=complex)
     lead = complex(leading)
     if lead == 0:
@@ -152,22 +166,57 @@ def polynomial_handle(roots, leading=1.0) -> _Handle:
         phases = np.where(zero_hit, 0j, phases)
         return phases, logs
 
-    return _Handle(fn)
+    return _Handle(fn, lambda: rts)
+
+
+def _companion_zeros(p: Potential, omega: float, E, a: int, b: int,
+                     first_site: str = "Tx") -> np.ndarray:
+    """The zeros of f_[a,b](z) in C minus {0}: eigenvalues of one matrix.
+
+    With v(k, z) = sum_{|j| <= d} c_kj z^j from :func:`_laurent_table`,
+    z^d (H(z) - E) = sum_{i <= 2d} z^i A_i is a matrix polynomial with
+    determinant z^(n d) f(z): A_i = diag(c_k,i-d), plus -E and the unit
+    off-diagonals in A_d.  Its 2 d n roots are the eigenvalues of the
+    monic block-companion matrix, whose first block row is -A_i / A_2d
+    in block 2d-1-i (Tisseur and Meerbergen, SIAM Review 43, 2001).
+    """
+    ks, vs, coef = _laurent_table(p, omega, a, b, first_site)
+    live = vs != 0
+    d = int(np.max(np.abs(ks[live]), initial=0))
+    if d == 0:
+        return np.empty(0, complex)
+    n, size = len(coef), 2 * d * len(coef)
+    table = np.zeros((n, 2 * d + 1), complex)
+    table[:, ks[live] + d] = coef[:, live]
+    table[:, d] -= E
+    lead = table[:, 2 * d]
+    rows = np.arange(n)
+    comp = np.zeros((size, size), complex)
+    comp[rows[:, None], rows[:, None] + n * np.arange(2 * d)] = \
+        -table[:, 2 * d - 1::-1] / lead[:, None]
+    comp[rows[:-1], n * (d - 1) + rows[1:]] = -1.0 / lead[:-1]
+    comp[rows[1:], n * (d - 1) + rows[:-1]] = -1.0 / lead[1:]
+    comp[np.arange(n, size), np.arange(size - n)] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 def determinant_handle(p: Potential, omega: float, E, n: int,
                        first_site: str = "Tx") -> _Handle:
-    """Log-evaluable handle for z -> f_n(z, omega, E) (shift dynamics)."""
+    """Log-evaluable handle for z -> f_n(z, omega, E) (shift dynamics).
+
+    Its zeros are the eigenvalues of the block-companion matrix of
+    z^k0 (H_n(z) - E), the z at which E is an eigenvalue of H_n(z).
+    """
     def fn(zs):
         return complex_det_grid(p, omega, zs, E, n, first_site=first_site)
-    return _Handle(fn)
+    return _Handle(fn, lambda: _companion_zeros(p, omega, E, 1, n, first_site))
 
 
 def rotated_handle(f, rot: complex) -> _Handle:
-    """The handle z -> f(z * rot)."""
+    """The handle z -> f(z * rot); its zeros are those of f divided by rot."""
     def fn(zs):
         return f.eval_many(zs * rot)
-    return _Handle(fn)
+    return _Handle(fn, lambda: f.zeros() / rot)
 
 
 # ---------------------------------------------------------------------------
@@ -345,87 +394,15 @@ def _winding_jittered(f, z0: complex, R: float, m_points: int):
     raise last
 
 
-def _secant_zero(f, z0: complex, r: float, tol: float):
-    """Refine the single zero in D(z0, r) by secant iteration.
-
-    Works on the determinant rescaled by its value at the start point,
-    so the iteration sees O(1) numbers regardless of the window length.
-    """
-    za = z0
-    zb = z0 + 0.25 * r
-    pa, la = f.eval_many(np.array([za]))
-    pb, lb = f.eval_many(np.array([zb]))
-    ref = max(la[0], lb[0])
-    if not np.isfinite(ref):
-        ref = 0.0
-
-    def val(ph, lg):
-        if lg == NEG_INF:
-            return 0j
-        return ph * cmath.exp(min(lg - ref, 50.0))
-
-    wa, wb = val(pa[0], la[0]), val(pb[0], lb[0])
-    for _ in range(80):
-        if wb == wa:
-            break
-        step = -wb * (zb - za) / (wb - wa)
-        zc = zb + step
-        if not (np.isfinite(zc.real) and np.isfinite(zc.imag)):
-            break
-        if abs(zc - z0) > 4.0 * r:
-            break
-        pc, lc = f.eval_many(np.array([zc]))
-        za, wa = zb, wb
-        zb, wb = zc, val(pc[0], lc[0])
-        if abs(step) <= 0.5 * tol or wb == 0j:
-            logs = f.eval_many(np.array([zb]))[1]
-            return zb, float(logs[0])
-    return None
-
-
-def _collect_zeros(f, c: complex, r: float, tol: float, depth: int, found: list):
-    """Append zeros of f in D(c, r) to found, which doubles as the claim list.
-
-    Child disks of the quadrisection overlap, so a zero can lie in two of
-    them; counting zeros already claimed by an earlier branch keeps each
-    one from being located twice (and keeps the recursion linear).
-    """
-    w, r_used = _winding_jittered(f, c, r, M_POINTS_DEFAULT)
-    w -= sum(1 for z in found if abs(z - c) < r_used)
-    if w <= 0:
-        return
-    if r_used < tol or depth > 60:
-        found.extend([c] * w)
-        return
-    if w == 1:
-        hit = _secant_zero(f, c, r_used, tol)
-        # the secant can escape to a different zero just outside the
-        # winding circle; such a hit must not claim this disk's count
-        if hit is not None and abs(hit[0] - c) <= r_used * (1.0 + 1e-9) \
-                and all(abs(hit[0] - z) > 5.0 * tol for z in found):
-            found.append(hit[0])
-            return
-    sub_r = SUBDISK_FACTOR * r_used
-    for dx, dy in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)):
-        _collect_zeros(f, c + r_used * complex(dx, dy), sub_r, tol, depth + 1, found)
-
-
-def _dedupe(points, tol: float):
-    uniq = []
-    for z in sorted(points, key=lambda p: (p.real, p.imag)):
-        if all(abs(z - u) > tol for u in uniq):
-            uniq.append(z)
-    return uniq
-
-
 def locate_zeros(f, disk: Disk, tol: float = 1e-10) -> ZeroSet:
-    """All zeros of f inside the disk, located to tol, with multiplicity.
+    """All zeros of f inside the disk, with multiplicity.
 
-    The top-level boundary winding fixes the total count; quadrisection
-    splits the disk until each piece holds at most one zero, which a
-    secant iteration then refines.  Every located zero is assigned its
-    own multiplicity by a small-circle winding, and the multiplicities
-    must add back up to the boundary count or WindingUnstable is raised.
+    The candidates are the handle's own ``zeros()`` in the disk, and they
+    are certified, not trusted: their number must equal the boundary
+    winding, candidates closer than sqrt(tol) (eigenvalues split a double
+    zero by about sqrt(eps)) merge into one zero at their mean, and each
+    merged zero's small-circle winding must equal its candidate count.
+    Any disagreement raises WindingUnstable.
     """
     c, R = complex(disk.center), float(disk.radius)
     total = int(round(boundary_winding(f, c, R, M_POINTS_DEFAULT)))
@@ -433,21 +410,29 @@ def locate_zeros(f, disk: Disk, tol: float = 1e-10) -> ZeroSet:
         raise WindingUnstable(f"negative winding {total}: handle is not analytic")
     if total == 0:
         return ZeroSet(zeros=(), residual=NEG_INF, disk=disk)
-    raw: list = []
-    _collect_zeros(f, c, R, tol, 0, raw)
-    inside = [z for z in raw if abs(z - c) <= R * (1.0 + 1e-12)]
-    uniq = _dedupe(inside, tol)
+    inside = [complex(z) for z in f.zeros() if abs(z - c) <= R]
+    if len(inside) != total:
+        raise WindingUnstable(
+            f"{len(inside)} candidate zeros in the disk but the boundary winding says {total}")
+    clusters: list = []
+    for z in inside:
+        near = next((cl for cl in clusters if abs(z - cl[0]) < math.sqrt(tol)), None)
+        if near is None:
+            clusters.append([z])
+        else:
+            near.append(z)
+    centres = [sum(cl) / len(cl) for cl in clusters]
     zeros: list = []
-    for z in uniq:
-        others = [abs(z - u) for u in uniq if u is not z]
+    for z, cl in zip(centres, clusters):
+        others = [abs(z - u) for u in centres if u is not z]
         r_t = 0.5 * min(others) if others else 0.05 * R
         r_t = min(max(r_t, 25.0 * tol), 0.05 * R, 0.9 * (R - abs(z - c)) + 25.0 * tol)
         mult, _ = _winding_jittered(f, z, r_t, 512)
-        zeros.extend([z] * max(mult, 0))
-    if len(zeros) != total:
-        raise WindingUnstable(
-            f"located {len(zeros)} zeros but the boundary winding says {total}")
-    logs = f.eval_many(np.array(zeros))[1] if zeros else np.array([NEG_INF])
+        if mult != len(cl):
+            raise WindingUnstable(
+                f"winding {mult} about the zero at {z} but {len(cl)} candidates there")
+        zeros.extend([z] * mult)
+    logs = f.eval_many(np.array(zeros))[1]
     zeros.sort(key=lambda p: (p.real, p.imag))
     return ZeroSet(zeros=tuple(zeros), residual=float(np.max(logs)), disk=disk)
 
@@ -588,7 +573,7 @@ def zero_count_additivity(p: Potential, omega: float, E, m: int, disk: Disk,
     bound's constant is instance-dependent.
     """
     f_left = determinant_handle(p, omega, E, m, first_site)
-    rot = cmath.exp(2j * math.pi * ((m * omega) % 1.0))
+    rot = cmath.exp(2j * math.pi * fracmul(m, omega))
     f_shift = rotated_handle(f_left, rot)
     f_double = determinant_handle(p, omega, E, 2 * m, first_site)
     k0 = locate_zeros(f_left, disk, tol).count

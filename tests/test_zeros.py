@@ -220,6 +220,26 @@ def test_locate_zeros_splits_a_tight_pair():
     assert abs(zs.zeros[0] - zs.zeros[1]) == pytest.approx(3e-3, rel=1e-4)
 
 
+def test_locate_zeros_refuses_a_wrong_candidate_list():
+    roots = [0.15 + 0.1j, -0.25, 0.05 - 0.3j]
+    good = zr.polynomial_handle(roots)
+    missing = zr._Handle(good.eval_many, lambda: roots[:2])
+    moved = zr._Handle(good.eval_many, lambda: roots[:2] + [0.9])
+    for bad in (missing, moved):
+        with pytest.raises(zr.WindingUnstable):
+            zr.locate_zeros(bad, zr.Disk(0j, 0.45))
+
+
+def test_locate_zeros_merges_a_split_double_root():
+    # eigenvalues split a double zero into a pair about sqrt(eps) apart
+    w = 0.1 + 0.1j
+    pair = [w - 5e-9, w + 5e-9]
+    f = zr._Handle(zr.polynomial_handle([w, w]).eval_many, lambda: pair)
+    zs = zr.locate_zeros(f, zr.Disk(0j, 0.5))
+    assert zs.count == 2
+    assert zs.zeros[0] == zs.zeros[1] == pytest.approx((pair[0] + pair[1]) / 2, abs=1e-16)
+
+
 def test_locate_zeros_on_an_empty_disk():
     f = zr.polynomial_handle([2.0])
     zs = zr.locate_zeros(f, zr.Disk(0j, 0.3))
@@ -297,3 +317,46 @@ def test_zero_separation_statistics():
     assert stats.annulus_count <= stats.annulus_ceiling
     if stats.max_per_disk == 0:
         assert stats.min_pairwise_distance == math.inf
+
+
+# ----------------------------------- determinant zeros from the companion matrix
+
+DEG3 = pt.Potential({1: 0.5, 2: 0.3 - 0.1j, 3: 0.2}, lam=2.0)
+
+
+def annulus_zeros(f, y_half):
+    y = np.log(np.abs(f.zeros())) / (2 * math.pi)
+    return int(np.sum(np.abs(y) < y_half))
+
+
+@pytest.mark.parametrize("first_site", ["Tx", "x"])
+def test_annulus_count_matches_the_companion_zeros(first_site):
+    f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 16, first_site)
+    assert zr.annulus_zero_count(f, 0.05, 4096) == annulus_zeros(f, 0.05) == 32
+
+
+def test_degree3_annulus_counts_match_the_companion_zeros():
+    f = zr.determinant_handle(DEG3, GOLDEN, 0.3, 48)
+    assert f.zeros().size == 2 * 48 * 3
+    for y_half, want in ((0.02, 4), (0.05, 100), (0.1, 192), (0.2, 288)):
+        assert zr.annulus_zero_count(f, y_half, 4096) == annulus_zeros(f, y_half) == want
+
+
+def test_companion_zeros_are_deep_dips_of_the_determinant():
+    f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 32)
+    zs = f.zeros()
+    assert zs.size == 64
+    at_zero = f.eval_many(zs)[1]
+    aside = f.eval_many(zs * cmath.exp(0.01j))[1]
+    assert np.all(at_zero <= aside - 20.0)
+
+
+def test_rotated_zeros_are_the_shifted_window_zeros():
+    # sites m+1..2m at z are sites 1..m at z e(m omega)
+    m = 12
+    rot = cmath.exp(2j * math.pi * dy.fracmul(m, GOLDEN))
+    got = zr.rotated_handle(zr.determinant_handle(AMO3, GOLDEN, 0.5, m), rot).zeros()
+    want = zr._companion_zeros(AMO3, GOLDEN, 0.5, m + 1, 2 * m)
+    assert got.size == want.size == 2 * m
+    gaps = np.abs(got[:, None] - want[None, :])
+    assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) < 1e-12
