@@ -34,7 +34,12 @@ starting phases.  The batched kernels (``batched_log_norms``,
 and determinants, the Green entries and rows, and ``complex_det_grid``
 under the zeros module are thin wrappers over it.  The zeros module's
 block-companion matrix reads the same table.  The core rescales only every
-r = max(1, floor(600 / log(sup|v| + |E| + 2))) sites and at checkpoints.
+r = max(1, floor(600 / log(sup|v| + |E| + 2))) sites and at checkpoints,
+and each column on its own.  So a window and its reversal run as two
+columns of one pass: :func:`_det_profile` gives both Cramer families
+f_[1,k] and f_[k+1,N] of the Green rows and the eigenvector's determinant
+formula, and the eigenvalue-count bound reads its prefix and suffix norms
+the same way.
 """
 
 from __future__ import annotations
@@ -373,7 +378,7 @@ def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int,
     if n < 1:
         raise ValueError("det_sequence needs n >= 1")
     phases, logs = _det_profile(_site_values(p, dyn, x, 1, n, first_site), E)
-    return [SignedLog(complex(ph), float(lg)) for ph, lg in zip(phases[1:], logs[1:])]
+    return [SignedLog(complex(ph), float(lg)) for ph, lg in zip(phases[1:, 0], logs[1:, 0])]
 
 
 def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
@@ -392,21 +397,27 @@ def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
 
 
 def _det_profile(vs: np.ndarray, E) -> tuple:
-    """(phases, log|f_k|) of the determinants f_k over the sites vs, k = 0..n.
+    """(phases, log|f|) of both Cramer determinant families over the sites vs.
 
-    f_0 = 1, and f_k is the determinant over the first k entries of vs.
-    Phases are f_k/|f_k| (signs, for real E), and exact zeros give
-    (0, -inf).  Every site is a stop of :func:`_recur`.
+    Arrays of shape (n+1, 2): row k of column 0 is f_[1,k], the
+    determinant over the first k sites, and row i of column 1 is
+    f_[n-i+1,n], over the last i; row 0 is 1 in both.  A tridiagonal
+    determinant does not change when its sites are reversed, so the two
+    columns are one :func:`_recur` pass over vs and vs[::-1], every site
+    a stop.  Phases are f/|f| (signs, for real E); exact zeros give
+    (0, -inf).
     """
-    resid, logs = [1.0], [0.0]
+    n = vs.size
+    resid = np.ones((n + 1, 2), np.result_type(vs, E))
+    logs = np.zeros((n + 1, 2))
 
     def visit(k, lg, f):
-        logs.append(lg[0])
-        resid.append(f[0])
+        logs[k] = lg
+        resid[k] = f
 
-    _recur(float(np.max(np.abs(vs), initial=0.0)), E, [vs[:, None]], 1, 1,
-           range(1, vs.size + 1), visit)
-    return _read_det(np.array(resid), 0.0)[0], np.array(logs)
+    _recur(float(np.max(np.abs(vs), initial=0.0)), E, [np.stack([vs, vs[::-1]], axis=1)],
+           2, 1, range(1, n + 1), visit)
+    return _read_det(resid, 0.0)[0], logs
 
 
 def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int,
@@ -448,21 +459,20 @@ def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int,
               first_site: str = "Tx") -> tuple:
     """(H_[1,N] - E)^{-1}(j, k) for k = j..N as (phases, log_mags) arrays.
 
-    The Cramer ratios of :func:`green_entry` in O(N) sites: one profile of
-    sites 1..N gives f_[1,j-1] and f_[1,N], one of the reversed sites every
-    f_[k+1,N].  Exact zeros give (0, -inf); f_[1,N] = 0 raises SingularEnergy.
+    The Cramer ratios of :func:`green_entry` in O(N) sites: one two-sided
+    :func:`_det_profile` of sites 1..N gives f_[1,j-1] and f_[1,N] from its
+    first column and every f_[k+1,N] from its second.  Exact zeros give
+    (0, -inf); f_[1,N] = 0 raises SingularEnergy.
     """
     if not 1 <= j <= N:
         raise ValueError("green_row needs 1 <= j <= N")
-    vs = _site_values(p, dyn, x, 1, N, first_site)
-    ph_left, log_left = _det_profile(vs, E)
-    ph_right, log_right = _det_profile(vs[::-1], E)
-    if log_left[N] == NEG_INF:
+    ph, logs = _det_profile(_site_values(p, dyn, x, 1, N, first_site), E)
+    if logs[N, 0] == NEG_INF:
         raise SingularEnergy("E is an eigenvalue of the finite window")
-    # entry i of the reversed profile is f_[N-i+1,N]: k = j..N reads i = N-j..0
+    # row i of the second column is f_[N-i+1,N]: k = j..N reads i = N-j..0
     right = slice(N - j, None, -1)
-    return (ph_left[j - 1] * ph_right[right] / ph_left[N],
-            log_left[j - 1] + log_right[right] - log_left[N])
+    return (ph[j - 1, 0] * ph[right, 1] / ph[N, 0],
+            logs[j - 1, 0] + logs[right, 1] - logs[N, 0])
 
 
 def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,

@@ -120,11 +120,9 @@ def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
     m, N = diags.shape
     pivmin = (float(np.max(np.abs(diags), initial=0.0)) + 2.0) * 2.0 ** -52
     counts = np.zeros((m, energies.size), dtype=np.int64)
-    p = np.broadcast_to(diags[:, 0][:, None] - energies[None, :],
-                        (m, energies.size)).copy()
-    p[p == 0.0] = pivmin
-    counts += p < 0.0
-    for k in range(1, N):
+    # p_0 = inf makes the first pivot d_1 - E exactly; an empty window counts 0
+    p = np.full((m, energies.size), np.inf)
+    for k in range(N):
         p = diags[:, k][:, None] - energies[None, :] - 1.0 / p
         p[p == 0.0] = pivmin
         counts += p < 0.0
@@ -160,20 +158,6 @@ def eigenvalues(H: TridiagonalHamiltonian, window=None,
                                 select_range=(lo, hi), tol=tol)
 
 
-def _half_det_profiles(d: np.ndarray, E: float) -> tuple:
-    """Log-scale profiles of the two Cramer determinant families.
-
-    Returns (sign_l, log_l, sign_r, log_r) where entry k (0-based site
-    k+1) of the left family is f_[1,k], the eigenvector candidate
-    f_[1,(k+1)-1], and of the right family is f_[(k+1)+1, N].  A
-    tridiagonal determinant does not change when its sites are reversed,
-    so the right family is the profile of the reversed diagonal.
-    """
-    sign_l, log_l = cocycle._det_profile(d, E)
-    sign_r, log_r = cocycle._det_profile(d[::-1], E)
-    return sign_l[:-1], log_l[:-1], sign_r[-2::-1], log_r[-2::-1]
-
-
 def _det_formula_vector(H: TridiagonalHamiltonian, E: float) -> np.ndarray:
     """Unit vector assembled from the two Cramer determinant pieces.
 
@@ -184,7 +168,10 @@ def _det_formula_vector(H: TridiagonalHamiltonian, E: float) -> np.ndarray:
     in E).  The pieces are therefore joined at the site where their
     product, which tracks the eigenvector profile itself, is largest.
     """
-    sign_l, log_l, sign_r, log_r = _half_det_profiles(H.diag, E)
+    # site k reads f_[1,k-1] from the first column and f_[k+1,N] from the second
+    phases, profile = cocycle._det_profile(H.diag, E)
+    sign_l, log_l = phases[:-1, 0], profile[:-1, 0]
+    sign_r, log_r = phases[-2::-1, 1], profile[-2::-1, 1]
     joint = log_l + log_r
     if not np.any(np.isfinite(joint)):
         raise ArithmeticError("determinant-formula vector vanished")
@@ -265,6 +252,17 @@ def _orbit_diags(p: Potential, dyn: Dynamics, xs: np.ndarray, N: int,
     return out.T
 
 
+def _sampled_counts(p: Potential, dyn: Dynamics, energies: np.ndarray, N: int,
+                    x_samples: int, seed: int, first_site: str) -> np.ndarray:
+    """Sturm counts (x_samples, g) of H_[1,N](x) at the energies, x drawn by the seed.
+
+    One rng draws the phases and then supplies the doubling noise.
+    """
+    rng = np.random.default_rng(seed)
+    xs = rng.random((x_samples, dyn.d))
+    return _sturm_counts(_orbit_diags(p, dyn, xs, N, first_site, rng=rng), energies)
+
+
 def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
         seed: int = 0, first_site: str = "Tx") -> IdsTable:
     """Integrated density of states: x-averaged count/N per grid energy.
@@ -276,10 +274,7 @@ def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
     energies = np.asarray(E_grid, dtype=float)
     if energies.ndim != 1 or np.any(np.diff(energies) < 0):
         raise ValueError("E_grid must be a sorted 1d grid")
-    rng = np.random.default_rng(seed)
-    xs = rng.random((x_samples, dyn.d))
-    diags = _orbit_diags(p, dyn, xs, N, first_site, rng=rng)
-    counts = _sturm_counts(diags, energies)
+    counts = _sampled_counts(p, dyn, energies, N, x_samples, seed, first_site)
     values = counts.mean(axis=0) / N
     return IdsTable(energies=energies, values=values, N=N, x_samples=x_samples)
 
@@ -294,10 +289,7 @@ def window_count(p: Potential, dyn: Dynamics, E: float, eta: float, N: int,
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    rng = np.random.default_rng(seed)
-    xs = rng.random((x_samples, dyn.d))
-    diags = _orbit_diags(p, dyn, xs, N, first_site, rng=rng)
-    counts = _sturm_counts(diags, np.array([E - eta, E + eta]))
+    counts = _sampled_counts(p, dyn, np.array([E - eta, E + eta]), N, x_samples, seed, first_site)
     return float(np.mean(counts[:, 1] - counts[:, 0]))
 
 
@@ -314,10 +306,7 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param: float,
     if H_param < 1:
         raise ValueError("H_param must be >= 1")
     h = math.exp(-H_param)
-    rng = np.random.default_rng(seed)
-    xs = rng.random((x_samples, dyn.d))
-    diags = _orbit_diags(p, dyn, xs, N, first_site, rng=rng)
-    counts = _sturm_counts(diags, np.array([E - h, E + h]))
+    counts = _sampled_counts(p, dyn, np.array([E - h, E + h]), N, x_samples, seed, first_site)
     return float(np.mean((counts[:, 1] - counts[:, 0]) > 0))
 
 
@@ -412,25 +401,6 @@ class ConcatenationReport:
     ok_trace: bool | None
 
 
-def _window_log_norms(p: Potential, dyn: Dynamics, x, Ec, N: int,
-                      first_site: str) -> tuple:
-    """(log||M_[1,k]|| for k=0..N, log||M_[k+1,N]|| for k=0..N).
-
-    Transfer factors satisfy A^T = P A P with P = diag(1, -1), so
-    ||M_[k+1,N]|| = ||A_{k+1} ... A_N||: the suffix norms are the prefix
-    norms of the reversed site sequence.
-    """
-    vs = _site_values(p, dyn, x, 1, N, first_site)[:, None]
-    prefix = np.zeros(N + 1)
-    suffix = np.zeros(N + 1)
-    sites = range(1, N + 1)
-    cocycle._recur(p.sup_bound(), Ec, [vs], 1, 2, sites,
-                   lambda k, logs: prefix.__setitem__(k, logs[0]))
-    cocycle._recur(p.sup_bound(), Ec, [vs[::-1]], 1, 2, sites,
-                   lambda k, logs: suffix.__setitem__(N - k, logs[0]))
-    return prefix, suffix
-
-
 def trace_moment_lower_bound(A: np.ndarray, E: float, eta: float,
                              basis: np.ndarray | None = None) -> tuple:
     """Both sides of the diagonal-Green moment inequality.
@@ -462,27 +432,39 @@ def concatenation_bound_check(p: Potential, dyn: Dynamics, x, E: float,
                               first_site: str = "Tx") -> ConcatenationReport:
     """Check the eigenvalue-count bound 4*eta*sum W_k on one instance.
 
-    The determinant window [a, N-b+1] with a, b in {1, 2} maximizing
-    |f| at E+i*eta is located first; the count of its eigenvalues in
-    (E-eta, E+eta) must be at most the W-sum bound with no slack, and
-    the full-window count at most bound + 2.  For N <= 200 the dense
-    trace inequality is evaluated as well.
+    One two-column :func:`cocycle._recur` pass at E+i*eta, over the sites
+    and their reversal, gives every prefix norm ||M_[1,k]|| and suffix
+    norm ||M_[k+1,N]||: transfer factors satisfy A^T = P A P with
+    P = diag(1, -1), so ||M_[k+1,N]|| = ||A_{k+1} ... A_N|| is a prefix
+    norm of the reversed sites.  Its final product
+    M_[1,N] = [[f_[1,N], -f_[2,N]], [f_[1,N-1], -f_[2,N-1]]] holds the
+    four candidate determinant windows [a, N-b+1], a, b in {1, 2}; the one
+    maximizing |f| is chosen (ties to the larger (a, b)).  The count of
+    its eigenvalues in (E-eta, E+eta) must be at most the W-sum bound
+    with no slack, and the full-window count at most bound + 2.  For
+    N <= 200 the dense trace inequality is evaluated as well.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    Ec = complex(E, eta)
-    prefix, suffix = _window_log_norms(p, dyn, x, Ec, N, first_site)
+    diag_full = _site_values(p, dyn, x, 1, N, first_site)
+    prefix = np.zeros(N + 1)
+    suffix = np.zeros(N + 1)
+
+    def visit(k, logs):
+        prefix[k], suffix[N - k] = logs
+
+    cur, prev, log_acc = cocycle._recur(
+        p.sup_bound(), complex(E, eta), [np.stack([diag_full, diag_full[::-1]], axis=1)],
+        2, 2, range(1, N + 1), visit)
     log_w = prefix[1:] + suffix[1:] - prefix[N]         # k = 1..N
     top = float(np.max(log_w))
     bound = 4.0 * eta * math.exp(top) * float(np.sum(np.exp(log_w - top)))
 
-    candidates = []
-    for a in (1, 2):
-        for b in (1, 2):
-            f = cocycle.det_window(p, dyn, x, Ec, a, N - b + 1, first_site)
-            candidates.append((f.value.log_mag, a, b))
-    _, a_best, b_best = max(candidates)
-    diag_full = _site_values(p, dyn, x, 1, N, first_site)
+    # f_[a,N-b+1] for (a, b) = (1, 1), (2, 1), (1, 2), (2, 2), from column 0
+    dets = [cur[0, 0], -cur[1, 0], prev[0, 0], -prev[1, 0]]
+    with np.errstate(divide="ignore"):
+        log_f = log_acc[0] + np.log(np.abs(dets))
+    _, a_best, b_best = max(zip(log_f, (1, 2, 1, 2), (1, 1, 2, 2)))
     sub = diag_full[a_best - 1: N - b_best + 1]
     cw = _sturm_counts(sub[None, :], np.array([E - eta, E + eta]))[0]
     count_window = int(cw[1] - cw[0])

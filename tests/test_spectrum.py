@@ -11,7 +11,9 @@ import qplab.potential as pt
 import qplab.spectrum as sp
 
 SHIFT = dy.Shift((dy.GOLDEN_MEAN,))
+SKEW = dy.SkewShift(dy.GOLDEN_MEAN)
 AMO3 = pt.almost_mathieu(3.0)
+DEG3 = pt.Potential({0: 0.4, 1: 0.3 + 0.2j, 2: -0.1j, 3: 0.25}, lam=2.0)
 AMO5 = pt.almost_mathieu(5.0)
 FREE = pt.from_triples([], 1.0)
 
@@ -236,3 +238,39 @@ def test_concatenation_bound_on_one_instance():
     assert a in (1, 2) and b in (49, 50)
     with pytest.raises(ValueError):
         sp.concatenation_bound_check(AMO3, SHIFT, dy.phase(0.1), 0.0, 0.0, 20)
+
+
+@pytest.mark.parametrize("p", [AMO3, DEG3], ids=["amo", "deg3"])
+@pytest.mark.parametrize("dyn, x", [(SHIFT, dy.phase(0.37)), (SKEW, dy.phase(0.37, 0.81))],
+                         ids=["shift", "skew"])
+def test_concatenation_windows_are_read_off_the_final_product(p, dyn, x, monkeypatch):
+    # the check's one recurrence pass ends on M_[1,N] in its first column:
+    # [[f_[1,N], -f_[2,N]], [f_[1,N-1], -f_[2,N-1]]], the four candidate windows
+    finals, recur = [], sp.cocycle._recur
+
+    def recording(*args):
+        finals.append(recur(*args))
+        return finals[-1]
+
+    monkeypatch.setattr(sp.cocycle, "_recur", recording)
+    E, eta = 0.3, 0.02
+    for N in (1, 2, 3, 40, 200):
+        finals.clear()
+        rep = sp.concatenation_bound_check(p, dyn, x, E, eta, N)
+        cur, prev, log_acc = finals[0]
+        mat = np.array([[cur[0, 0], cur[1, 0]], [prev[0, 0], prev[1, 0]]])
+        with np.errstate(divide="ignore"):     # f_[2,0] = 0 exactly at N = 1
+            logs = log_acc[0] + np.log(np.abs(mat))
+        ref = sp.cocycle.monodromy_from_dets(p, dyn, x, complex(E, eta), 1, N)
+        for i in range(2):
+            for j in range(2):
+                if ref[i][j].is_zero:
+                    assert N == 1 and (i, j) == (1, 1) and mat[i, j] == 0.0
+                    continue
+                assert abs(logs[i, j] - ref[i][j].log_mag) <= 1e-12 * N
+                assert abs(mat[i, j] / abs(mat[i, j]) - ref[i][j].phase) <= 1e-9
+        # (log|f_[a,N-b+1]|, a, b): ties go to the larger (a, b)
+        best = max((logs[0, 0], 1, 1), (logs[0, 1], 2, 1), (logs[1, 0], 1, 2), (logs[1, 1], 2, 2))
+        assert rep.window == (best[1], N - best[2] + 1)
+        if rep.window[1] < rep.window[0]:     # an empty window wins at N = 1
+            assert rep.count_window == 0
