@@ -203,26 +203,22 @@ def _prep_avalanche_fuzz(p, dyn, grid, seed):
 
 
 def _prep_ids(p, dyn, grid, seed):
+    """One task: one pivot sweep over the whole grid.  ``chunk`` (>= 1) is
+    accepted but no longer splits the grid, which only repeated the sweep."""
     _check_keys(grid, {"E", "N", "x_samples", "chunk"})
     energies = _energy_grid(_param(grid, "E"))
     N = int(_param(grid, "N", 1000))
     x_samples = int(_param(grid, "x_samples", 8))
-    chunk = int(_param(grid, "chunk", 64))
-    if chunk < 1:
+    if int(_param(grid, "chunk", 64)) < 1:
         raise ValueError("chunk must be >= 1")
-    # every chunk reuses the same seed, hence the same sampled phases,
-    # so the table is identical to one unchunked call
     s = task_seed(seed, "ids", 0)
 
-    def make(block):
-        def task():
-            table = sp.ids(p, dyn, block, N, x_samples, seed=s)
-            return [(float(E), N, float(v), x_samples)
-                    for E, v in zip(table.energies, table.values)]
-        return task
+    def task():
+        table = sp.ids(p, dyn, energies, N, x_samples, seed=s)
+        return [(float(E), N, float(v), x_samples)
+                for E, v in zip(table.energies, table.values)]
 
-    blocks = [energies[i:i + chunk] for i in range(0, energies.size, chunk)]
-    return [make(b) for b in blocks]
+    return [task]
 
 
 def _prep_holder_scan(p, dyn, grid, seed):
@@ -236,44 +232,42 @@ def _prep_holder_scan(p, dyn, grid, seed):
     x_samples = int(_param(grid, "x_samples", 8))
     s = task_seed(seed, "holder_scan", 0)
 
-    def make(E):
-        def task():
-            probe = np.sort(np.concatenate(
-                [[E - h, E + h] for h in h_list]))
-            table = sp.ids(p, dyn, probe, N, x_samples, seed=s)
-            rows = []
+    def task():
+        # every E +- h probe in one sweep; all energies share the seed's phases
+        probe = np.unique([E + d for E in energies.tolist() for h in h_list for d in (-h, h)])
+        values = sp.ids(p, dyn, probe, N, x_samples, seed=s).values
+        rows = []
+        for E in energies.tolist():
             for h in h_list:
-                lo = float(table.values[np.searchsorted(table.energies, E - h)])
-                hi = float(table.values[np.searchsorted(table.energies, E + h)])
+                lo = float(values[np.searchsorted(probe, E - h)])
+                hi = float(values[np.searchsorted(probe, E + h)])
                 inc = hi - lo
                 ratio = math.log(inc) / math.log(h) if inc > 0 else float("nan")
                 rows.append((E, h, lo, hi, inc, ratio))
-            return rows
-        return task
+        return rows
 
-    return [make(float(E)) for E in energies]
+    return [task]
 
 
 def _prep_wegner(p, dyn, grid, seed):
     _check_keys(grid, {"E", "H_list", "N", "x_samples"})
     energies = _energy_grid(_param(grid, "E"))
+    # wegner_measure rejects H < 1
     H_list = [float(h) for h in np.atleast_1d(_param(grid, "H_list", [5.0, 10.0]))]
-    if any(h < 1 for h in H_list):
-        raise ValueError("resolution parameters H must be >= 1")
     N = int(_param(grid, "N", 200))
     x_samples = int(_param(grid, "x_samples", 2000))
 
-    # one seed per energy, shared by all H: the phase set is then common
-    # and the measure is monotone in H by construction
-    def make(i, E, H):
+    # one task per energy, all H from one sweep over one phase set: the
+    # measure is then monotone in H by construction
+    def make(i, E):
         s = task_seed(seed, "wegner", i)
 
         def task():
-            measure = sp.wegner_measure(p, dyn, E, H, N, x_samples, seed=s)
-            return [(E, H, N, measure, x_samples)]
+            measures = sp.wegner_measure(p, dyn, E, H_list, N, x_samples, seed=s)
+            return [(E, H, N, float(m), x_samples) for H, m in zip(H_list, measures)]
         return task
 
-    return [make(i, float(E), H) for i, E in enumerate(energies) for H in H_list]
+    return [make(i, float(E)) for i, E in enumerate(energies)]
 
 
 def _prep_min_gap(p, dyn, grid, seed):

@@ -9,9 +9,9 @@ off-diagonal -1.  Counting is done by Sturm pivots
 
 whose signs reproduce the signs of the determinant ratios f_k/f_{k-1};
 the number of negative pivots equals the number of eigenvalues strictly
-below E.  IDS tables, Wegner fractions and window counts are built on
-that count; eigenvalue lists come from LAPACK's Sturm bisection
-(``dstebz``, through :func:`scipy.linalg.eigvalsh_tridiagonal`).
+below E.  IDS tables, Wegner fractions and window counts take one sweep
+over all sampled phases and energies of a call.  Eigenvalues come from
+LAPACK (``stemr`` for all, ``dstebz`` bisection for a window).
 ``scipy.linalg`` is imported inside the three functions that call it,
 since importing it costs more than most experiments' compute.
 """
@@ -136,24 +136,22 @@ def sturm_count(H: TridiagonalHamiltonian, E: float) -> int:
 
 def eigenvalues(H: TridiagonalHamiltonian, window=None,
                 tol: float = EIG_TOL_DEFAULT) -> np.ndarray:
-    """All eigenvalues in the half-open window (lo, hi], each to within tol.
+    """Eigenvalues of H in ascending order: all of them, or those in (lo, hi].
 
-    LAPACK's Sturm bisection (``dstebz``) brackets every eigenvalue in
-    the window to width <= tol and returns the bracket midpoints.  An
-    eigenvalue exactly at lo is left out and one exactly at hi is kept.
-    The default window is the Gershgorin interval, widened by 1e-9, which
-    contains the whole spectrum.
+    Without a window, LAPACK's MRRR driver (``stemr``) returns the whole
+    spectrum to working accuracy in one call, and tol is not used.  With
+    a window, LAPACK's Sturm bisection (``dstebz``) brackets every
+    eigenvalue in it to width <= tol and returns the bracket midpoints;
+    an eigenvalue exactly at lo is left out and one exactly at hi is kept.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    glo, ghi = H.gershgorin()
-    if window is None:
-        lo, hi = glo - 1e-9, ghi + 1e-9
-    else:
-        lo, hi = float(window[0]), float(window[1])
-        if hi <= lo:
-            return np.empty(0)
     from scipy.linalg import eigvalsh_tridiagonal
+    if window is None:
+        return eigvalsh_tridiagonal(H.diag, -np.ones(H.N - 1), select="a")
+    lo, hi = float(window[0]), float(window[1])
+    if hi <= lo:
+        return np.empty(0)
     return eigvalsh_tridiagonal(H.diag, -np.ones(H.N - 1), select="v",
                                 select_range=(lo, hi), tol=tol)
 
@@ -217,7 +215,8 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(N)
     v /= np.linalg.norm(v)
-    for _ in range(3):
+    # N = 1: v = +-1 already; solve_banded would divide by the zero pivot
+    for _ in range(3 if N > 1 else 0):
         try:
             v = solve_banded((1, 1), ab, v)
         except np.linalg.LinAlgError:
@@ -258,6 +257,8 @@ def _sampled_counts(p: Potential, dyn: Dynamics, energies: np.ndarray, N: int,
 
     One rng draws the phases and then supplies the doubling noise.
     """
+    if N < 1 or x_samples < 1:
+        raise ValueError("sampled counts need N >= 1 and x_samples >= 1")
     rng = np.random.default_rng(seed)
     xs = rng.random((x_samples, dyn.d))
     return _sturm_counts(_orbit_diags(p, dyn, xs, N, first_site, rng=rng), energies)
@@ -269,7 +270,7 @@ def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
 
     Counts for all sampled phases and all energies come from one
     vectorized pivot sweep, so the table is monotone in E exactly
-    (each per-sample count is).
+    (each per-sample count is) and no value depends on the other energies.
     """
     energies = np.asarray(E_grid, dtype=float)
     if energies.ndim != 1 or np.any(np.diff(energies) < 0):
@@ -293,21 +294,25 @@ def window_count(p: Potential, dyn: Dynamics, E: float, eta: float, N: int,
     return float(np.mean(counts[:, 1] - counts[:, 0]))
 
 
-def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param: float,
+def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
                    N: int, x_samples: int, seed: int = 0,
-                   first_site: str = "Tx") -> float:
+                   first_site: str = "Tx"):
     """Fraction of phases whose spectrum comes within exp(-H_param) of E.
 
     The indicator "dist(sp H(x), E) < h" is decided by two pivot counts
     at E-h and E+h; this resolves the distance to one ulp, sharper than
     any fixed bisection depth, and differs only on the measure-zero
-    event of an eigenvalue landing exactly at E+-h.
+    event of an eigenvalue landing exactly at E+-h.  A 1d sequence of
+    H_param gives an array of measures over one phase set, in one sweep.
     """
-    if H_param < 1:
-        raise ValueError("H_param must be >= 1")
-    h = math.exp(-H_param)
-    counts = _sampled_counts(p, dyn, np.array([E - h, E + h]), N, x_samples, seed, first_site)
-    return float(np.mean((counts[:, 1] - counts[:, 0]) > 0))
+    params = np.asarray(H_param, dtype=float)
+    if params.ndim > 1 or np.any(params < 1):
+        raise ValueError("H_param must be >= 1, or a 1d sequence of such")
+    hs = np.array([math.exp(-H) for H in params.ravel()])
+    counts = _sampled_counts(p, dyn, np.stack([E - hs, E + hs], axis=1).ravel(),
+                             N, x_samples, seed, first_site)
+    measures = np.mean((counts[:, 1::2] - counts[:, ::2]) > 0, axis=0)
+    return float(measures[0]) if params.ndim == 0 else measures
 
 
 def min_gap(p: Potential, dyn: Dynamics, x, N: int, window=None,

@@ -178,6 +178,22 @@ def test_run_flags_bad_grid_as_config_error(tmp_path):
     assert "beans" in stream.getvalue()
 
 
+@pytest.mark.parametrize("experiment, grid", [
+    ("ids", {"E": [0.0], "N": 0}),
+    ("ids", {"E": [0.0], "N": 50, "x_samples": 0}),
+    ("holder_scan", {"E": [0.0], "N": 0}),
+    ("wegner", {"E": [0.0], "N": 50, "x_samples": 0}),
+])
+def test_run_flags_empty_samples_as_config_error(tmp_path, experiment, grid):
+    # N = 0 used to write a NaN ids row, x_samples = 0 to divide by zero
+    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
+                                  "grid": grid})
+    stream = io.StringIO()
+    assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
+    assert "N >= 1 and x_samples >= 1" in stream.getvalue()
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_maps_numeric_failures_to_exit_3(tmp_path, monkeypatch):
     def prepare(p, dyn, grid, seed):
         def task():

@@ -1,6 +1,7 @@
 """The experiment registry: smoke runs, determinism, task seeding."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,14 @@ import pytest
 import qplab.dynamics as dy
 import qplab.experiments as ex
 import qplab.potential as pt
+import qplab.spectrum as sp
 
 AMO3 = pt.almost_mathieu(3.0)
 SHIFT = dy.Shift((dy.GOLDEN_MEAN,))
+# the doubling map draws rng noise after the phases: a merged sweep must
+# consume the same stream as the per-task calls it replaces
+MAPS = pytest.mark.parametrize("dyn", [SHIFT, dy.Doubling()],
+                               ids=["shift", "doubling"])
 
 ALL_NAMES = [
     "avalanche_fuzz", "bmo_trend", "concatenation_bound", "fourier_decay",
@@ -82,7 +88,8 @@ def test_missing_required_parameter_is_rejected():
         ex.run_experiment("green_decay", AMO3, SHIFT, {"N": 30, "eta": 1e-3})
 
 
-@pytest.mark.parametrize("name", ["ids", "wegner", "lyapunov_scan"])
+@pytest.mark.parametrize("name", ["ids", "holder_scan", "wegner",
+                                  "lyapunov_scan"])
 def test_thread_count_does_not_change_rows(name):
     one = ex.run_experiment(name, AMO3, SHIFT, SMOKE_GRIDS[name], seed=7,
                             threads=1)
@@ -116,6 +123,63 @@ def test_wegner_rows_shrink_with_sharper_resolution():
         by_energy.setdefault(r[iE], {})[r[iH]] = r[im]
     for pair in by_energy.values():
         assert pair[10.0] <= pair[5.0]
+
+
+# ------------------------------------ one sweep per phase set, same rows
+# Each experiment below now runs one sweep where it used to run one library
+# call per chunk, per energy or per (energy, H); the rows must equal those
+# calls exactly.
+
+@MAPS
+def test_ids_rows_equal_the_per_chunk_calls(dyn):
+    grid = {"E": {"start": -3.0, "stop": 3.0, "count": 7}, "N": 60,
+            "x_samples": 4, "chunk": 3}
+    _, rows = ex.run_experiment("ids", AMO3, dyn, grid, seed=5)
+    energies = np.linspace(-3.0, 3.0, 7)
+    want = []
+    for lo in range(0, energies.size, 3):
+        table = sp.ids(AMO3, dyn, energies[lo:lo + 3], 60, 4,
+                       seed=ex.task_seed(5, "ids", 0))
+        want += [(float(E), 60, float(v), 4)
+                 for E, v in zip(table.energies, table.values)]
+    assert rows == want
+
+
+@MAPS
+@pytest.mark.parametrize("energies, h_list", [
+    ([-0.5, 0.0, 0.5], [0.1, 0.03, 0.01]),
+    ([0.0, 0.2], [0.1]),        # 0.0 + 0.1 and 0.2 - 0.1 are one probe
+], ids=["bundled", "colliding"])
+def test_holder_scan_rows_equal_one_ids_call_per_energy(dyn, energies, h_list):
+    grid = {"E": energies, "h_list": h_list, "N": 60, "x_samples": 4}
+    _, rows = ex.run_experiment("holder_scan", AMO3, dyn, grid, seed=5)
+    want = []
+    for E in energies:
+        probe = np.sort([E + d for h in h_list for d in (-h, h)])
+        table = sp.ids(AMO3, dyn, probe, 60, 4,
+                       seed=ex.task_seed(5, "holder_scan", 0))
+        for h in h_list:
+            lo = float(table.values[np.searchsorted(probe, E - h)])
+            hi = float(table.values[np.searchsorted(probe, E + h)])
+            inc = hi - lo
+            ratio = math.log(inc) / math.log(h) if inc > 0 else float("nan")
+            want.append((E, h, lo, hi, inc, ratio))
+    # NaN ratios (no increment) compare equal under assert_array_equal
+    np.testing.assert_array_equal(np.array(rows), np.array(want))
+    assert any(r[4] > 0 for r in rows)
+
+
+@MAPS
+def test_wegner_rows_equal_scalar_calls_per_energy_and_resolution(dyn):
+    H_list = [5.0, 10.0, 2.0]
+    grid = {"E": {"start": -1.0, "stop": 1.0, "count": 3}, "H_list": H_list,
+            "N": 40, "x_samples": 300}
+    _, rows = ex.run_experiment("wegner", AMO3, dyn, grid, seed=5)
+    want = [(E, H, 40, sp.wegner_measure(AMO3, dyn, E, H, 40, 300,
+                                         seed=ex.task_seed(5, "wegner", i)), 300)
+            for i, E in enumerate([-1.0, 0.0, 1.0]) for H in H_list]
+    assert rows == want
+    assert any(0.0 < r[3] < 1.0 for r in rows)
 
 
 def test_avalanche_rows_report_the_verdict():

@@ -91,10 +91,16 @@ def test_eigenvalue_window_restricts_the_list():
     single = sp.TridiagonalHamiltonian([0.0])
     assert sp.eigenvalues(single, window=(0.0, 1.0)).size == 0
     assert sp.eigenvalues(single, window=(-1.0, 0.0)).tolist() == [0.0]
-    # min_gap's tolerance holds across a long window
+    # min_gap's tolerance holds across a long window, on the whole-spectrum
+    # path (MRRR) and on bisection over a window that holds every eigenvalue
     H = sp.hamiltonian(AMO3, SHIFT, dy.phase(0.6), 400)
-    np.testing.assert_allclose(sp.eigenvalues(H, tol=1e-13), oracle_eigs(H),
-                               rtol=0, atol=1e-12)
+    whole = sp.eigenvalues(H, tol=1e-13)
+    lo, hi = H.gershgorin()
+    windowed = sp.eigenvalues(H, window=(lo - 1e-9, hi + 1e-9), tol=1e-13)
+    for evs in (whole, windowed):
+        np.testing.assert_allclose(evs, oracle_eigs(H), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.diff(whole), np.diff(windowed), rtol=0,
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------- eigenvectors
@@ -131,6 +137,17 @@ def test_eigenvector_rejects_empty_and_crowded_targets():
         sp.eigenvector(H, mid, tol=0.01)
 
 
+def test_one_site_eigenvector_is_the_unit_vector():
+    # at the exact eigenvalue of a 1x1 H the shifted matrix is 0; the
+    # suite's error::RuntimeWarning filter fails any division by it
+    H = sp.TridiagonalHamiltonian([0.7])
+    pair = sp.eigenvector(H, float(sp.eigenvalues(H)[0]))
+    assert pair.vector.tolist() == [1.0]
+    assert pair.residual == 0.0 and pair.collinearity == 0.0
+    an, fd = sp.hellmann_feynman(AMO3, SHIFT, dy.phase(0.3), 0, 1)
+    assert an == pytest.approx(fd, rel=1e-6)
+
+
 # ------------------------------------------------------------------- ids
 
 def test_free_ids_matches_the_arcsine_law():
@@ -165,6 +182,23 @@ def test_wegner_measure_shrinks_with_sharper_resolution():
     assert 0.0 <= m10 <= m5 <= 1.0
     with pytest.raises(ValueError):
         sp.wegner_measure(AMO3, SHIFT, 0.0, 0.5, N=10, x_samples=4)
+
+
+@pytest.mark.parametrize("dyn", [SHIFT, dy.Doubling()],
+                         ids=["shift", "doubling"])
+def test_wegner_measure_over_a_sequence_equals_scalar_calls(dyn):
+    kw = dict(N=80, x_samples=300, seed=9)
+    H_params = [1.0, 5.0, 8.0, 5.0]
+    got = sp.wegner_measure(AMO3, dyn, 0.3, H_params, **kw)
+    assert isinstance(got, np.ndarray) and got.shape == (4,)
+    want = [sp.wegner_measure(AMO3, dyn, 0.3, H, **kw) for H in H_params]
+    assert all(isinstance(m, float) for m in want)
+    assert got.tolist() == want
+    assert 0.0 < want[2] < want[1] < 1.0
+    with pytest.raises(ValueError):
+        sp.wegner_measure(AMO3, dyn, 0.3, [2.0, 0.5], **kw)
+    with pytest.raises(ValueError):
+        sp.wegner_measure(AMO3, dyn, 0.3, [[2.0, 3.0]], **kw)
 
 
 # --------------------------------------------------------------- min gap
