@@ -40,6 +40,17 @@ columns of one pass: :func:`_det_profile` gives both Cramer families
 f_[1,k] and f_[k+1,N] of the Green rows and the eigenvector's determinant
 formula, and the eigenvalue-count bound reads its prefix and suffix norms
 the same way.
+
+The same move makes few phases cheap.  A step costs numpy's per-call
+overhead whatever the number of columns m, so with m <= 128 the core
+cuts each stop-free run of R >= 64 sites into g consecutive column
+segments: at most 256 / m of them, and fewer where that would leave a
+segment shorter than sqrt(3 R) sites.  Their 2x2 products, each started
+from the identity, run as 2 g m columns of one multiply-subtract loop,
+and are then applied to the carried pair in site order, vectorized over
+the m phases.  With m > 128 (the phase sweeps), or a stop at every site
+(the determinant profiles, ``batched_sup_rate``, the eigenvalue-count
+bound), g = 1 and each site is one step, as before.
 """
 
 from __future__ import annotations
@@ -201,6 +212,11 @@ class ScaledProduct:
 # evaluation temporaries of a block stay in cache
 _BLOCK_ELEMENTS = 1 << 14
 
+# width of a folded _recur pass: with m phases, a stop-free run of at least
+# _MIN_FOLD sites runs as at most _SEGMENT_COLUMNS / m segments (see _recur)
+_SEGMENT_COLUMNS = 256
+_MIN_FOLD = 64
+
 
 def _start_time(first_site: str, k: int) -> int:
     """The dynamical time that site k reads under the ``first_site`` convention."""
@@ -255,8 +271,8 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
         for start in range(t0, t1, size):
             j = steps[:t1 - start]
             lin = np.array([dyn_mod.fracmul(start, y) for y in xs[:, 1]])
-            quad = dyn_mod._fracmuls([t * (t - 1) // 2 for t in range(start, start + len(j))],
-                                     dyn.omega)[:, None]
+            quad = dyn_mod._fracmuls(range(start, start + len(j)), dyn.omega,
+                                     triangular=True)[:, None]
             yield pot_mod.eval_real_many(p, dyn_mod.mod1(
                 xs[:, 0] + lin + dyn_mod.mod1(j * y_hi) + j * (xs[:, 1] - y_hi) + quad))
     elif isinstance(dyn, dyn_mod.Doubling):
@@ -583,6 +599,24 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     at most as much, so neither overflow nor underflow can occur.  The
     op-norm closed form is taken only after a rescale, where its squares
     cannot overflow.
+
+    Few phases leave each step to numpy's per-call cost, so with
+    m <= ``_SEGMENT_COLUMNS`` / 2 a stop-free run of R >= ``_MIN_FOLD``
+    sites within a block is folded (:func:`_fold`).  It is cut into g
+    consecutive segments of at most
+
+        L = min(r, max(ceil(R / floor(_SEGMENT_COLUMNS / m)), sqrt(3 R)))
+
+    sites, whose 2x2 products, each from the identity, run as 2 g m
+    columns of one multiply-subtract loop.  So g m stays within
+    ``_SEGMENT_COLUMNS`` unless r caps L, and no product grows past
+    e^600.  The sqrt(3 R) floor balances the loop's L steps against the g
+    products, each of which costs about three steps to apply: they are
+    applied to the carried pair in site order, vectorized over the m
+    phases, with a rescale before any product that would take the pair
+    more than r sites past its last rescale, and after the run.  With
+    m > ``_SEGMENT_COLUMNS`` / 2, or where stops leave no such run (a stop
+    at every site), g = 1: each site is one step of the pair, as above.
     """
     every = max(1, int(600.0 / math.log(bound + abs(E) + 2.0)))
     blocks = iter(blocks)
@@ -595,25 +629,110 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     cur[0] = 1.0
     if solutions == 2:
         prev[1] = 1.0
+    width = _SEGMENT_COLUMNS // m
+    marks = np.array(sorted(stops), int) if width > 1 else None
     k = 0
     for block in itertools.chain([first], blocks):
-        for t in np.subtract(block, E, out=shifted[:len(block)]):
-            np.multiply(t, cur, out=nxt)
-            nxt -= prev
-            prev, cur, nxt = cur, nxt, prev
-            k += 1
-            if k % every and k not in stops:
+        ts = np.subtract(block, E, out=shifted[:len(block)])
+        for a, b, length in _runs(marks, k, len(ts), width, every):
+            if length:
+                _fold(ts[a:b], length, cur, prev, log_acc, every)
+                k += b - a
+                if k in stops:
+                    _read(k, cur, prev, log_acc, visit)
                 continue
-            _rescale(cur, prev, log_acc)
-            if k not in stops:
-                continue
-            if solutions == 1:
-                with np.errstate(divide="ignore"):
-                    visit(k, log_acc + np.log(np.abs(cur[0])), cur[0])
-            else:
-                visit(k, log_acc + np.log(_op_norms(np.stack([cur, prev]))))
+            for t in ts[a:b]:
+                np.multiply(t, cur, out=nxt)
+                nxt -= prev
+                prev, cur, nxt = cur, nxt, prev
+                k += 1
+                if k % every and k not in stops:
+                    continue
+                _rescale(cur, prev, log_acc)
+                if k in stops:
+                    _read(k, cur, prev, log_acc, visit)
     _rescale(cur, prev, log_acc)
     return cur, prev, log_acc
+
+
+def _read(k: int, cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray, visit) -> None:
+    """Hand the rescaled pair at stop k to ``visit``, as :func:`_recur` describes."""
+    if len(cur) == 1:
+        with np.errstate(divide="ignore"):
+            visit(k, log_acc + np.log(np.abs(cur[0])), cur[0])
+    else:
+        visit(k, log_acc + np.log(_op_norms(np.stack([cur, prev]))))
+
+
+def _runs(marks, k: int, n: int, width: int, every: int) -> list:
+    """(a, b, L) row ranges of a block of n sites after site k, in order.
+
+    A stop-free run (the stops are ``marks``) of at least ``_MIN_FOLD``
+    sites is folded into segments of L sites, as :func:`_recur` sets
+    out; the rows between such runs, and the whole block when ``marks``
+    is None, step site by site (L = 0).
+    """
+    if marks is None:
+        return [(0, n, 0)]
+    inner = marks[np.searchsorted(marks, k, "right"):np.searchsorted(marks, k + n)] - k
+    ends = np.concatenate([[0], inner, [n]]).tolist()
+    out, a = [], 0
+    for s, e in zip(ends[:-1], ends[1:]):
+        if e - s >= _MIN_FOLD:
+            length = min(every, max(-(-(e - s) // width), math.isqrt(3 * (e - s))))
+            out += [(a, s, 0), (s, e, length)]
+            a = e
+    return out + [(a, n, 0)]
+
+
+def _fold(ts: np.ndarray, L: int, cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray,
+          every: int) -> None:
+    """Advance the pair (cur, prev) in place over the site rows ts, in segments.
+
+    ts holds t = v - E for a stop-free run, shape (R, m).  The run is
+    cut into g = ceil(R / L) consecutive segments of ceil(R / g) <= L
+    sites or one fewer.  Each segment's 2x2 product, from the identity,
+    is one set of 2 m columns of a single multiply-subtract loop; a short
+    segment gets one step with t = 0 in front and starts from that step's
+    inverse factor, so the step brings it to the identity exactly.  The
+    products are then applied to the pair in site order, rescaling it
+    before any product that would take it more than ``every`` sites past
+    its last rescale, and after the run.
+    """
+    R, m = ts.shape
+    g = -(-R // L)
+    L = -(-R // g)
+    short = g * L - R
+    seg = np.zeros((L, g, m), ts.dtype)
+    cut = short * (L - 1)
+    seg[1:, :short] = ts[:cut].reshape(short, L - 1, m).transpose(1, 0, 2)
+    seg[:, short:] = ts[cut:].reshape(g - short, L, m).transpose(1, 0, 2)
+    top = np.zeros((2, g, m), ts.dtype)
+    bottom = np.zeros_like(top)
+    top[0, short:] = bottom[1, short:] = 1.0
+    top[1, :short], bottom[0, :short] = 1.0, -1.0
+    top, bottom = top.reshape(2, g * m), bottom.reshape(2, g * m)
+    nxt = np.empty_like(top)
+    for t in seg.reshape(L, g * m):
+        np.multiply(t, top, out=nxt)
+        nxt -= bottom
+        bottom, top, nxt = top, nxt, bottom
+    # cols[j][s] is column j of segment s's product, shape (2, 1, m)
+    cols = np.stack([top, bottom]).reshape(2, 2, g, 1, m).transpose(1, 2, 0, 3, 4)
+    pair = np.stack([cur, prev])
+    now, before = pair
+    left, right = np.empty_like(pair), np.empty_like(pair)
+    since = every
+    for c0, c1 in zip(*cols):
+        if since + L > every:
+            _rescale(now, before, log_acc)
+            since = 0
+        np.multiply(c0, now, out=left)
+        np.multiply(c1, before, out=right)
+        np.add(left, right, out=pair)
+        since += L
+    _rescale(now, before, log_acc)
+    cur[...], prev[...] = pair
 
 
 def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: str,

@@ -58,10 +58,29 @@ def fracmul(n: int, t: float) -> float:
     return ((int(n) * p) % q) / q
 
 
-def _fracmuls(ns, t: float) -> np.ndarray:
-    """``fracmul(n, t)`` for every integer n in ns, as a float array."""
+def _fracmuls(ns, t: float, triangular: bool = False) -> np.ndarray:
+    """``fracmul(n, t)`` for every integer n in ns, as a float array.
+
+    With ``triangular`` the multiplier is n(n-1)/2 instead of n.  As in
+    ``fracmul``, t = p/q with q a power of two.  For q <= 2^64 the numerator
+    (n p) mod q is the low bits of n p in wrapping uint64 arithmetic, which
+    holds for negative n too, and n(n-1)/2 is formed mod 2^64 as its even
+    factor halved times the other; so the result equals ``fracmul`` bit for
+    bit.  A larger q (t < 2^-12), or an n that int64 cannot hold, takes
+    exact Python integers.
+    """
     p, q = float(t).as_integer_ratio()
-    return np.array([((int(n) * p) % q) / q for n in ns], dtype=float)
+    arr = np.arange(ns.start, ns.stop, ns.step) if isinstance(ns, range) else np.asarray(ns)
+    if q > 1 << 64 or arr.dtype != np.int64:
+        ints = [int(n) for n in ns]
+        if triangular:
+            ints = [n * (n - 1) // 2 for n in ints]
+        return np.array([((n * p) % q) / q for n in ints], dtype=float)
+    words = arr.view(np.uint64)
+    if triangular:
+        # (n >> 1) * (n - 1) for even n, n * ((n - 1) >> 1) for odd n
+        words = (arr >> 1).view(np.uint64) * (arr - 1 + (arr & 1)).view(np.uint64)
+    return ((words * np.uint64(p % q)) & np.uint64(q - 1)) / float(q)
 
 
 def _as_phase(x, d: int) -> Phase:
@@ -156,7 +175,7 @@ def orbit_first_coord(dyn: Dynamics, x, n: int) -> np.ndarray:
         return mod1(p[0] + _fracmuls(ks, dyn.omega[0]))
     if isinstance(dyn, SkewShift):
         xx, yy = p
-        quad = _fracmuls([k * (k - 1) // 2 for k in ks], dyn.omega)
+        quad = _fracmuls(ks, dyn.omega, triangular=True)
         return mod1(xx + _fracmuls(ks, yy) + quad)
     if isinstance(dyn, Doubling):
         out = np.empty(n)

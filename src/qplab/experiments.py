@@ -89,6 +89,12 @@ def _int_list(spec, name: str) -> list:
     return values
 
 
+def _require_positive(experiment: str, **counts) -> None:
+    """Reject a count below 1, which would leave a grid or a sample set empty."""
+    if any(v < 1 for v in counts.values()):
+        raise ValueError(f"{experiment} needs " + " and ".join(f"{k} >= 1" for k in counts))
+
+
 def _require_shift1(dyn: Dynamics, experiment: str) -> float:
     if not isinstance(dyn, Shift) or dyn.d != 1:
         raise ValueError(f"{experiment} needs one-dimensional shift dynamics")
@@ -274,6 +280,7 @@ def _prep_min_gap(p, dyn, grid, seed):
     _check_keys(grid, {"N_list", "x_samples", "window"})
     N_list = _int_list(_param(grid, "N_list", [100, 200]), "N_list")
     x_samples = int(_param(grid, "x_samples", 5))
+    _require_positive("min_gap", x_samples=x_samples)
     window = _param(grid, "window", None)
     if window is not None:
         window = (float(window[0]), float(window[1]))
@@ -319,6 +326,7 @@ def _prep_bmo_trend(p, dyn, grid, seed):
     E = float(_param(grid, "E"))
     n_list = _int_list(_param(grid, "n_list", [100, 400, 1600]), "n_list")
     m = int(_param(grid, "grid_size", 1024))
+    _require_positive("bmo_trend", grid_size=m)
     statistic = str(_param(grid, "statistic", "det"))
 
     def make(i, n):
@@ -339,6 +347,7 @@ def _prep_fourier_decay(p, dyn, grid, seed):
     E = float(_param(grid, "E"))
     n = int(_param(grid, "n", 200))
     m = int(_param(grid, "grid_size", 1024))
+    _require_positive("fourier_decay", grid_size=m)
     K = int(_param(grid, "modes", 64))
     statistic = str(_param(grid, "statistic", "det"))
     s = task_seed(seed, "fourier_decay", 0)
@@ -436,6 +445,7 @@ def _prep_concatenation_bound(p, dyn, grid, seed):
     if any(h <= 0 for h in eta_list):
         raise ValueError("eta_list must contain positive half-widths")
     x_samples = int(_param(grid, "x_samples", 4))
+    _require_positive("concatenation_bound", N=N, x_samples=x_samples)
 
     def make(i, xi, eta):
         s = task_seed(seed, "concatenation_bound", i)

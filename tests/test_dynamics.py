@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplab import dynamics as dy
 
@@ -35,6 +37,45 @@ def test_fracmul_beats_naive_float_product_at_large_n():
     exact = float((n * Fraction(GOLDEN)) % 1)
     assert careful == pytest.approx(exact, abs=1e-15)
     assert abs(naive - exact) > 1e-6
+
+
+# frequencies t = p/q on both sides of the uint64 cut: q = 2^64 and q = 2^65
+# for (2^52 + 1) 2^-64 and 2^-65; besides, t >= 1, integers, short dyadics,
+# and small t whose q runs from 2^61 up to 2^1049
+FRACMUL_OMEGAS = (GOLDEN, 0.31, 1.0 / 3.0, 1.0 + GOLDEN, 12345.678, 2.0 ** 70 / 3.0,
+                  2.0, 0.0, 0.375, (2 ** 52 + 1) / 2 ** 64, (2 ** 52 + 1) / 2 ** 65,
+                  2.0 ** -12 * (1.0 + GOLDEN), 2.0 ** -13 * (1.0 + GOLDEN), 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=st.sampled_from(FRACMUL_OMEGAS) | st.floats(0.0, 1e6),
+       ns=st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1)
+                   | st.integers(-(2 ** 66), 2 ** 66) | st.integers(-10 ** 4, 10 ** 4),
+                   max_size=20),
+       start=st.integers(-(2 ** 40), 2 ** 40), size=st.integers(0, 50))
+def test_vector_fracmul_is_bit_identical_to_fracmul(omega, ns, start, size):
+    # lists (int64 when every n fits, exact integers when one does not) and
+    # ranges, for n and for the skew shift's n(n-1)/2
+    for seq in (ns, range(start, start + size)):
+        ref = np.array([dy.fracmul(n, omega) for n in seq], dtype=float)
+        assert np.array_equal(dy._fracmuls(seq, omega), ref)
+        tri = np.array([dy.fracmul(n * (n - 1) // 2, omega) for n in seq], dtype=float)
+        assert np.array_equal(dy._fracmuls(seq, omega, triangular=True), tri)
+
+
+def test_vector_fracmul_wraps_at_the_int64_edges():
+    edges = [-(2 ** 63), -(2 ** 63) + 1, -(2 ** 62) - 1, -1, 0, 1, 2 ** 62 + 1, 2 ** 63 - 1]
+    arr = np.array(edges, dtype=np.int64)
+    for omega in FRACMUL_OMEGAS:
+        for triangular in (False, True):
+            ref = np.array([dy.fracmul(n * (n - 1) // 2 if triangular else n, omega)
+                            for n in edges])
+            assert np.array_equal(dy._fracmuls(arr, omega, triangular), ref)
+    # |n| >= 2^63 cannot be int64, alone or next to a negative n
+    for ns in ([2 ** 63], [2 ** 63, -1], [-(2 ** 63) - 1], [2 ** 64 + 5, 3]):
+        for triangular in (False, True):
+            ref = [dy.fracmul(n * (n - 1) // 2 if triangular else n, GOLDEN) for n in ns]
+            assert np.array_equal(dy._fracmuls(ns, GOLDEN, triangular), ref)
 
 
 def test_shift_orbit_matches_direct_formula():

@@ -183,14 +183,22 @@ def test_run_flags_bad_grid_as_config_error(tmp_path):
     ("ids", {"E": [0.0], "N": 50, "x_samples": 0}),
     ("holder_scan", {"E": [0.0], "N": 0}),
     ("wegner", {"E": [0.0], "N": 50, "x_samples": 0}),
+    ("bmo_trend", {"E": 0.0, "n_list": [20], "grid_size": 0}),
+    ("fourier_decay", {"E": 0.0, "n": 20, "grid_size": 0, "modes": 4}),
+    ("min_gap", {"N_list": [20], "x_samples": 0}),
+    ("concatenation_bound", {"E": 0.0, "N": 0, "x_samples": 1}),
 ])
 def test_run_flags_empty_samples_as_config_error(tmp_path, experiment, grid):
-    # N = 0 used to write a NaN ids row, x_samples = 0 to divide by zero
+    # N = 0 used to write a NaN ids row, x_samples = 0 to divide by zero; a
+    # zero grid_size divided by zero, a min_gap without samples wrote a bare
+    # header, and concatenation_bound at N = 0 failed inside numpy
+    message = {"bmo_trend": "grid_size >= 1", "fourier_decay": "grid_size >= 1",
+               "min_gap": "x_samples >= 1"}.get(experiment, "N >= 1 and x_samples >= 1")
     cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
                                   "grid": grid})
     stream = io.StringIO()
     assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
-    assert "N >= 1 and x_samples >= 1" in stream.getvalue()
+    assert message in stream.getvalue()
     assert not (tmp_path / "x").exists()
 
 

@@ -13,6 +13,7 @@ from them.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -287,6 +288,40 @@ def test_large_coupling_rescales_often_and_stays_exact():
             assert dets[k][i] == pytest.approx(ref[k][1], abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["shift", "skew"])
+@pytest.mark.parametrize("E", [0.7, 0.7 + 0.05j])
+def test_long_single_phase_windows_match_mpmath(name, E):
+    # one phase over 5000 sites: the run is folded into column segments;
+    # the measured gap is below 1e-11 (skew, real E), the same as site by site
+    dyn = MAPS[name]
+    x = np.random.default_rng(12).random(dyn.d)
+    n = 5000
+    ref = mp_logs(AMO3, dyn, x, E, (n,))[n]
+    prod = cc.transfer_product_window(AMO3, dyn, x, E, 1, n)
+    f = cc.det_window(AMO3, dyn, x, E, 1, n).value
+    assert prod.log_norm == pytest.approx(ref[0], abs=1e-10)
+    assert f.log_mag == pytest.approx(ref[1], abs=1e-10)
+    assert abs(f.phase - mp_phase(ref[2])) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["shift", "skew"])
+def test_folded_batched_kernels_match_mpmath_at_split_checkpoints(name):
+    # m = 20 phases fold 12 segments wide; blocks hold 819 sites, so the
+    # checkpoints cut runs short of a fold (1 -> 20, 819 -> 820), inside
+    # a block (100, 333) and at its end (819)
+    dyn = MAPS[name]
+    xs = np.random.default_rng(13).random((20, dyn.d))
+    n, checks = 1200, (1, 20, 100, 333, 819, 820, 1200)
+    norms = cc.batched_log_norms(AMO3, dyn, xs, 0.7, n, checkpoints=checks)
+    dets = cc.batched_log_absdet(AMO3, dyn, xs, 0.7 + 0.05j, n, checkpoints=checks)
+    for i in (0, 19):
+        ref_norm = mp_logs(AMO3, dyn, xs[i], 0.7, checks)
+        ref_det = mp_logs(AMO3, dyn, xs[i], 0.7 + 0.05j, checks)
+        for k in checks:
+            assert norms[k][i] == pytest.approx(ref_norm[k][0], abs=1e-10), k
+            assert dets[k][i] == pytest.approx(ref_det[k][1], abs=1e-10), k
+
+
 # ------------------------------------------------- single-phase references
 
 def sup_loop(p, dyn, x, E, n, first_site):
@@ -319,6 +354,56 @@ def test_batched_kernels_match_single_phase_paths(name, seeds, E, lam, n, first_
         assert abs(norms[i] - prod.log_norm) <= 1e-9
         assert abs(dets[i] - f.log_mag) <= 1e-9
         assert abs(sups[i] - sup_loop(p, dyn, x, E, n, first_site)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["shift", "skew", "free", "doubling"]),
+       seed=st.integers(0, 2 ** 32 - 1), E=st.floats(-4.0, 4.0), lam=st.floats(0.1, 8.0),
+       n=st.integers(1, 3) | st.integers(64, 3000), cuts=st.lists(st.integers(1, 3000), max_size=4))
+def test_folded_runs_match_the_site_by_site_pass(case, seed, E, lam, n, cuts):
+    # 300 copies of one phase are too wide to fold, so every site is one
+    # step; one phase folds each stop-free run of _MIN_FOLD or more sites.
+    # "free" is V = 0 at E = 0, whose determinants vanish exactly at odd k
+    p = pt.Potential(dict(DEG3.coeffs), lam=lam)
+    dyn = SHIFT if case == "free" else MAPS[case]
+    if case == "free":
+        p, E = pt.from_triples([], 1.0), 0.0
+    x = np.random.default_rng(seed).random(dyn.d)
+    checks = sorted({n} | {c for c in cuts if c <= n})
+
+    def kernels(xs, rng_seed=None):
+        rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in range(2)]
+        norms = cc.batched_log_norms(p, dyn, xs, E, n, checks, rng=rngs[0])
+        dets = cc.batched_log_absdet(p, dyn, xs, E, n, checks, rng=rngs[1])
+        states = [r.bit_generator.state for r in rngs if r is not None]
+        return [norms[k] for k in checks], [dets[k] for k in checks], states
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+    if case == "doubling":
+        # the rng adds a draw per phase and step, so copies of a phase part
+        # ways: the unfolded pass is the same call with folding switched off,
+        # and it must leave each rng where the folded one does
+        folded = kernels(x[None], seed)
+        with mock.patch.object(cc, "_SEGMENT_COLUMNS", 1):
+            stepped = kernels(x[None], seed)
+        close(folded[0], stepped[0])
+        close(folded[1], stepped[1])
+        assert folded[2] == stepped[2]
+        return
+    wide_norms, wide_dets, _ = kernels(np.repeat(x[None], 300, axis=0))
+    norms, dets, _ = kernels(x[None])
+    for wide, one in ((wide_norms, norms), (wide_dets, dets)):
+        for w, o in zip(wide, one):
+            assert np.all(w == w[0])
+            close(o, w[:1])
+    prod = cc.transfer_product_window(p, dyn, x, E, 1, n)
+    f = cc.det_window(p, dyn, x, E, 1, n).value
+    close(prod.log_norm, wide_norms[-1][0])
+    close(f.log_mag, wide_dets[-1][0])
+    if case == "free":
+        assert (f.log_mag == -math.inf) == (n % 2 == 1)
 
 
 # ------------------------------------------------------------- contracts
