@@ -43,14 +43,17 @@ the same way.
 
 The same move makes few phases cheap.  A step costs numpy's per-call
 overhead whatever the number of columns m, so with m <= 128 the core
-cuts each stop-free run of R >= 64 sites into g consecutive column
-segments: at most 256 / m of them, and fewer where that would leave a
-segment shorter than sqrt(3 R) sites.  Their 2x2 products, each started
-from the identity, run as 2 g m columns of one multiply-subtract loop,
-and are then applied to the carried pair in site order, vectorized over
-the m phases.  With m > 128 (the phase sweeps), or a stop at every site
-(the determinant profiles, ``batched_sup_rate``, the eigenvalue-count
-bound), g = 1 and each site is one step, as before.
+cuts each block of R >= 64 sites into g consecutive column segments: at
+most 256 / m of them, and fewer where that would leave a segment shorter
+than sqrt(3 R) sites.  Their 2x2 products, each started from the
+identity, run as 2 g m columns of one multiply-subtract loop that keeps
+every partial product, and are then applied to the carried pair in site
+order, vectorized over the m phases.  A stop is the partial product up
+to it times the pair carried into its segment, so the stops of a block,
+a stop at every site included (the determinant profiles,
+``batched_sup_rate``, the eigenvalue-count bound), are read in one batch
+without a rescale.  With m > 128 (the phase sweeps), or a block of fewer
+than 64 sites, each site is one step, rescaled and read at each stop.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ class ScaledProduct:
 # evaluation temporaries of a block stay in cache
 _BLOCK_ELEMENTS = 1 << 14
 
-# width of a folded _recur pass: with m phases, a stop-free run of at least
+# width of a folded _recur pass: with m phases, a block of at least
 # _MIN_FOLD sites runs as at most _SEGMENT_COLUMNS / m segments (see _recur)
 _SEGMENT_COLUMNS = 256
 _MIN_FOLD = 64
@@ -420,16 +423,16 @@ def _det_profile(vs: np.ndarray, E) -> tuple:
     f_[n-i+1,n], over the last i; row 0 is 1 in both.  A tridiagonal
     determinant does not change when its sites are reversed, so the two
     columns are one :func:`_recur` pass over vs and vs[::-1], every site
-    a stop.  Phases are f/|f| (signs, for real E); exact zeros give
-    (0, -inf).
+    a stop, read in batches.  Phases are f/|f| (signs, for real E); exact
+    zeros give (0, -inf).
     """
     n = vs.size
     resid = np.ones((n + 1, 2), np.result_type(vs, E))
     logs = np.zeros((n + 1, 2))
 
-    def visit(k, lg, f):
-        logs[k] = lg
-        resid[k] = f
+    def visit(ks, lg, f):
+        logs[ks] = lg
+        resid[ks] = f
 
     _recur(float(np.max(np.abs(vs), initial=0.0)), E, [np.stack([vs, vs[::-1]], axis=1)],
            2, 1, range(1, n + 1), visit)
@@ -585,38 +588,41 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     ``solutions=1`` carries f_k from (f_0, f_{-1}) = (1, 0);
     ``solutions=2`` carries M_k, whose rows are (x_k, x_{k-1}) for the two
     solutions started from the identity.  Each step is an in-place
-    multiply-subtract.  At every site k (counted from 1) in ``stops``,
-    ``visit(k, logs, resid)`` receives log|f_k| (exact zeros as -inf) and
-    the rescaled residual f_k, or ``visit(k, logs)`` receives log||M_k||,
-    one value per phase.  Returns (x_n, x_{n-1}, log_scale), arrays of
-    shape (solutions, m) scaled by exp(log_scale).
+    multiply-subtract.  The sites k (counted from 1) in ``stops`` are
+    handed to ``visit`` in batches, in site order: ``visit(ks, logs,
+    resid)`` receives an int array ks, log|f_k| (exact zeros as -inf) and
+    f_k times a positive factor, or ``visit(ks, logs)`` receives
+    log||M_k||, each of shape (len(ks), m) and valid during the call.
+    Returns (x_n, x_{n-1}, log_scale), arrays of shape (solutions, m)
+    scaled by exp(log_scale).
 
     The pair is rescaled by its largest modulus every
-    r = max(1, floor(600 / log B)) sites, at every stop and after the
-    last site, with B = bound + |E| + 2 bounding every transfer factor's
-    norm.  Between rescalings a solution grows by at most
-    B^r <= e^600, and since every factor has determinant 1 it shrinks by
-    at most as much, so neither overflow nor underflow can occur.  The
-    op-norm closed form is taken only after a rescale, where its squares
-    cannot overflow.
+    r = max(1, floor(600 / log B)) sites and after the last site, with
+    B = bound + |E| + 2 bounding every transfer factor's norm.  Between
+    rescalings a solution grows by at most B^r <= e^600, and since every
+    factor has determinant 1 it shrinks by at most as much, so neither
+    overflow nor underflow can occur.
 
     Few phases leave each step to numpy's per-call cost, so with
-    m <= ``_SEGMENT_COLUMNS`` / 2 a stop-free run of R >= ``_MIN_FOLD``
-    sites within a block is folded (:func:`_fold`).  It is cut into g
-    consecutive segments of at most
+    m <= ``_SEGMENT_COLUMNS`` / 2 a block of R >= ``_MIN_FOLD`` sites is
+    folded (:func:`_fold`), stops or not.  It is cut into g consecutive
+    segments of at most
 
         L = min(r, max(ceil(R / floor(_SEGMENT_COLUMNS / m)), sqrt(3 R)))
 
-    sites, whose 2x2 products, each from the identity, run as 2 g m
-    columns of one multiply-subtract loop.  So g m stays within
+    sites, whose 2x2 partial products, each from the identity, run as
+    2 g m columns of one multiply-subtract loop.  So g m stays within
     ``_SEGMENT_COLUMNS`` unless r caps L, and no product grows past
     e^600.  The sqrt(3 R) floor balances the loop's L steps against the g
     products, each of which costs about three steps to apply: they are
     applied to the carried pair in site order, vectorized over the m
     phases, with a rescale before any product that would take the pair
-    more than r sites past its last rescale, and after the run.  With
-    m > ``_SEGMENT_COLUMNS`` / 2, or where stops leave no such run (a stop
-    at every site), g = 1: each site is one step of the pair, as above.
+    more than r sites past its last rescale, and after the block.  A stop
+    inside segment s is its partial product times the pair carried into
+    s, read for all of the block's stops at once and without a rescale.
+    With m > ``_SEGMENT_COLUMNS`` / 2, or a block of fewer than
+    ``_MIN_FOLD`` sites, each site is one step of the pair, which is also
+    rescaled at every stop and read there.
     """
     every = max(1, int(600.0 / math.log(bound + abs(E) + 2.0)))
     blocks = iter(blocks)
@@ -634,70 +640,59 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     k = 0
     for block in itertools.chain([first], blocks):
         ts = np.subtract(block, E, out=shifted[:len(block)])
-        for a, b, length in _runs(marks, k, len(ts), width, every):
-            if length:
-                _fold(ts[a:b], length, cur, prev, log_acc, every)
-                k += b - a
-                if k in stops:
-                    _read(k, cur, prev, log_acc, visit)
+        n = len(ts)
+        if width > 1 and n >= _MIN_FOLD:
+            ks = marks[np.searchsorted(marks, k, "right"):np.searchsorted(marks, k + n, "right")]
+            length = min(every, max(-(-n // width), math.isqrt(3 * n)))
+            reads = _fold(ts, length, cur, prev, log_acc, every, ks - k - 1)
+            if ks.size:
+                visit(ks, *reads)
+            k += n
+            continue
+        got = []
+        for t in ts:
+            np.multiply(t, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+            k += 1
+            if k % every and k not in stops:
                 continue
-            for t in ts[a:b]:
-                np.multiply(t, cur, out=nxt)
-                nxt -= prev
-                prev, cur, nxt = cur, nxt, prev
-                k += 1
-                if k % every and k not in stops:
-                    continue
-                _rescale(cur, prev, log_acc)
-                if k in stops:
-                    _read(k, cur, prev, log_acc, visit)
+            _rescale(cur, prev, log_acc)
+            if k in stops:
+                got.append((k,) + _read(cur, prev, log_acc))
+        if got:
+            ks, *reads = zip(*got)
+            visit(np.array(ks), *map(np.stack, reads))
     _rescale(cur, prev, log_acc)
     return cur, prev, log_acc
 
 
-def _read(k: int, cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray, visit) -> None:
-    """Hand the rescaled pair at stop k to ``visit``, as :func:`_recur` describes."""
+def _read(cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray) -> tuple:
+    """The reads of :func:`_recur` at one stop, from the just-rescaled pair."""
     if len(cur) == 1:
         with np.errstate(divide="ignore"):
-            visit(k, log_acc + np.log(np.abs(cur[0])), cur[0])
-    else:
-        visit(k, log_acc + np.log(_op_norms(np.stack([cur, prev]))))
-
-
-def _runs(marks, k: int, n: int, width: int, every: int) -> list:
-    """(a, b, L) row ranges of a block of n sites after site k, in order.
-
-    A stop-free run (the stops are ``marks``) of at least ``_MIN_FOLD``
-    sites is folded into segments of L sites, as :func:`_recur` sets
-    out; the rows between such runs, and the whole block when ``marks``
-    is None, step site by site (L = 0).
-    """
-    if marks is None:
-        return [(0, n, 0)]
-    inner = marks[np.searchsorted(marks, k, "right"):np.searchsorted(marks, k + n)] - k
-    ends = np.concatenate([[0], inner, [n]]).tolist()
-    out, a = [], 0
-    for s, e in zip(ends[:-1], ends[1:]):
-        if e - s >= _MIN_FOLD:
-            length = min(every, max(-(-(e - s) // width), math.isqrt(3 * (e - s))))
-            out += [(a, s, 0), (s, e, length)]
-            a = e
-    return out + [(a, n, 0)]
+            return log_acc + np.log(np.abs(cur[0])), cur[0].copy()
+    return log_acc + np.log(_op_norms(np.stack([cur, prev]))),
 
 
 def _fold(ts: np.ndarray, L: int, cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray,
-          every: int) -> None:
+          every: int, at: np.ndarray) -> tuple:
     """Advance the pair (cur, prev) in place over the site rows ts, in segments.
 
-    ts holds t = v - E for a stop-free run, shape (R, m).  The run is
-    cut into g = ceil(R / L) consecutive segments of ceil(R / g) <= L
-    sites or one fewer.  Each segment's 2x2 product, from the identity,
-    is one set of 2 m columns of a single multiply-subtract loop; a short
+    ts holds t = v - E for a block, shape (R, m).  The block is cut into
+    g = ceil(R / L) consecutive segments of ceil(R / g) <= L sites or one
+    fewer.  Each segment's 2x2 product, from the identity, is one set of
+    2 m columns of a single multiply-subtract loop, which keeps every
+    partial product in one record if the block has stops; a short
     segment gets one step with t = 0 in front and starts from that step's
     inverse factor, so the step brings it to the identity exactly.  The
     products are then applied to the pair in site order, rescaling it
     before any product that would take it more than ``every`` sites past
-    its last rescale, and after the run.
+    its last rescale, and after the block.  Returns the reads of
+    :func:`_recur` at the rows ``at`` (0-based, sorted), each the partial
+    product up to that row times the pair carried into its segment; their
+    entries stay below e^600, so an op-norm is taken of a copy scaled by
+    its largest entry.
     """
     R, m = ts.shape
     g = -(-R // L)
@@ -707,32 +702,58 @@ def _fold(ts: np.ndarray, L: int, cur: np.ndarray, prev: np.ndarray, log_acc: np
     cut = short * (L - 1)
     seg[1:, :short] = ts[:cut].reshape(short, L - 1, m).transpose(1, 0, 2)
     seg[:, short:] = ts[cut:].reshape(g - short, L, m).transpose(1, 0, 2)
-    top = np.zeros((2, g, m), ts.dtype)
-    bottom = np.zeros_like(top)
-    top[0, short:] = bottom[1, short:] = 1.0
-    top[1, :short], bottom[0, :short] = 1.0, -1.0
-    top, bottom = top.reshape(2, g * m), bottom.reshape(2, g * m)
-    nxt = np.empty_like(top)
-    for t in seg.reshape(L, g * m):
-        np.multiply(t, top, out=nxt)
-        nxt -= bottom
-        bottom, top, nxt = top, nxt, bottom
+    # rows[j + 2] is (x_j, x'_j) after step j of every segment, the two
+    # solutions of each, and rows[j + 1] their previous values: a record of
+    # every step when the block has stops, else three buffers in turn
+    rec = np.empty((L + 2 if at.size else 3, 2, g, m), ts.dtype)
+    rec[:2] = 0.0
+    rec[1, 0, short:] = rec[0, 1, short:] = 1.0
+    rec[1, 1, :short], rec[0, 0, :short] = 1.0, -1.0
+    rows = list(rec.reshape(len(rec), 2, g * m))
+    rows = [rows[i % len(rows)] for i in range(L + 2)]
+    for t, before, now, nxt in zip(seg.reshape(L, g * m), rows, rows[1:], rows[2:]):
+        np.multiply(t, now, out=nxt)
+        nxt -= before
     # cols[j][s] is column j of segment s's product, shape (2, 1, m)
-    cols = np.stack([top, bottom]).reshape(2, 2, g, 1, m).transpose(1, 2, 0, 3, 4)
-    pair = np.stack([cur, prev])
-    now, before = pair
-    left, right = np.empty_like(pair), np.empty_like(pair)
+    cols = np.stack(rows[:-3:-1]).reshape(2, 2, g, 1, m).transpose(1, 2, 0, 3, 4)
+    # carried[s] is the pair (now, before) that segment s is applied to,
+    # accs[s] the log-scale it carries
+    carried = np.empty((g + 1, 2) + cur.shape, cur.dtype)
+    carried[0, 0], carried[0, 1] = cur, prev
+    accs = []
+    left, right = np.empty_like(carried[0]), np.empty_like(carried[0])
     since = every
-    for c0, c1 in zip(*cols):
+    for c0, c1, now, before, out in zip(*cols, carried[:-1, 0], carried[:-1, 1], carried[1:]):
         if since + L > every:
             _rescale(now, before, log_acc)
             since = 0
+            acc = log_acc.copy()
+        accs.append(acc)
         np.multiply(c0, now, out=left)
         np.multiply(c1, before, out=right)
-        np.add(left, right, out=pair)
+        np.add(left, right, out=out)
         since += L
-    _rescale(now, before, log_acc)
-    cur[...], prev[...] = pair
+    _rescale(*carried[g], log_acc)
+    cur[...], prev[...] = carried[g]
+    if not at.size:
+        return ()
+    accs = np.array(accs)
+    # row i of the block is step j of segment s, counting each short
+    # segment's t = 0 step
+    if short:
+        at = at + np.minimum(at // (L - 1) + 1, short)
+    s, j = np.divmod(at, L)
+    now, before = carried[s, 0], carried[s, 1]
+    top = rec[j + 2, :1, s] * now + rec[j + 2, 1:, s] * before
+    if len(cur) == 1:
+        with np.errstate(divide="ignore"):
+            return accs[s] + np.log(np.abs(top[:, 0])), top[:, 0]
+    bottom = rec[j + 1, :1, s] * now + rec[j + 1, 1:, s] * before
+    # axes (row, stop, column, phase); the squares in _op_norms need a scaled copy
+    mats = np.stack([top, bottom])
+    scale = np.abs(mats).max(axis=(0, 2))
+    norms = _op_norms((mats / scale[:, None]).transpose(0, 2, 1, 3))
+    return accs[s] + np.log(scale) + np.log(norms),
 
 
 def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: str,
@@ -744,7 +765,7 @@ def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: 
     xs = _phase_batch(dyn, xs)
     out = {}
     _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0],
-           solutions, want, lambda k, logs, *_: out.__setitem__(k, logs))
+           solutions, want, lambda ks, logs, *_: out.update(zip(ks.tolist(), logs)))
     return out
 
 
@@ -764,6 +785,8 @@ def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
     fair digits a Lebesgue-typical orbit brings in.  Other dynamics
     ignore the rng.
     """
+    if n < 1:
+        raise ValueError("batched_log_norms needs n >= 1")
     return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 2)
 
 
@@ -771,13 +794,16 @@ def batched_sup_rate(p: Potential, dyn: Dynamics, xs, E: float, n: int,
                      first_site: str = "Tx", rng=None) -> np.ndarray:
     """sup over 1 <= k <= n of (1/k) log ||M_k(x_i, E)||, per phase.
 
-    Every site is a stop of :func:`_recur`, so the product is rescaled at
-    every site; the rng contract is that of :func:`batched_log_norms`.
+    Every site is a stop of :func:`_recur`, whose reads come in batches;
+    the rng contract is that of :func:`batched_log_norms`.
     """
+    if n < 1:
+        raise ValueError("batched_sup_rate needs n >= 1")
     xs = _phase_batch(dyn, xs)
     best = np.full(xs.shape[0], NEG_INF)
     _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], 2,
-           range(1, n + 1), lambda k, logs: np.maximum(best, logs / k, out=best))
+           range(1, n + 1),
+           lambda ks, logs: np.maximum(best, np.max(logs / ks[:, None], axis=0), out=best))
     return best
 
 
@@ -788,4 +814,6 @@ def batched_log_absdet(p: Potential, dyn: Dynamics, xs, E, n: int,
     Same checkpoint, rescaling and rng contract as batched_log_norms.  E
     may be complex.  Exact zeros return -inf for that phase and scale.
     """
+    if n < 1:
+        raise ValueError("batched_log_absdet needs n >= 1")
     return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 1)

@@ -287,6 +287,8 @@ def sup_growth_rate(p: Potential, dyn: Dynamics, E: float, ell: int,
     be larger, which makes the positivity condition harder to satisfy,
     never easier (the conservative direction).
     """
+    if ell < 1:
+        raise ValueError("sup_growth_rate needs ell >= 1")
     xs = sample_phases(dyn, "grid", grid)
     best = cocycle.batched_sup_rate(p, dyn, xs, E, ell, first_site=first_site,
                                     rng=_doubling_rng(seed))

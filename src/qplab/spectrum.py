@@ -117,16 +117,26 @@ def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """
     diags = np.atleast_2d(np.asarray(diags, dtype=float))
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    m, N = diags.shape
     pivmin = (float(np.max(np.abs(diags), initial=0.0)) + 2.0) * 2.0 ** -52
-    counts = np.zeros((m, energies.size), dtype=np.int64)
+    # the pivots are laid out (g, m) for many windows and (m, g) for many
+    # energies, so each site's broadcast d - E has the longer inner loop;
+    # the buffers are reused across sites
+    by_energy = diags.shape[0] >= energies.size
+    sites = diags.T if by_energy else diags.T[:, :, None]
+    energies = energies[:, None] if by_energy else energies
+    shape = np.broadcast_shapes(sites.shape[1:], energies.shape)
+    counts = np.zeros(shape, dtype=np.int64)
     # p_0 = inf makes the first pivot d_1 - E exactly; an empty window counts 0
-    p = np.full((m, energies.size), np.inf)
-    for k in range(N):
-        p = diags[:, k][:, None] - energies[None, :] - 1.0 / p
-        p[p == 0.0] = pivmin
-        counts += p < 0.0
-    return counts
+    p = np.full(shape, np.inf)
+    inv, neg = np.empty(shape), np.empty(shape, bool)
+    for d in sites:
+        np.divide(1.0, p, out=inv)
+        np.subtract(d, energies, out=p)
+        p -= inv
+        if not p.all():
+            p[p == 0.0] = pivmin
+        counts += np.less(p, 0.0, out=neg)
+    return counts.T if by_energy else counts
 
 
 def sturm_count(H: TridiagonalHamiltonian, E: float) -> int:
@@ -455,8 +465,8 @@ def concatenation_bound_check(p: Potential, dyn: Dynamics, x, E: float,
     prefix = np.zeros(N + 1)
     suffix = np.zeros(N + 1)
 
-    def visit(k, logs):
-        prefix[k], suffix[N - k] = logs
+    def visit(ks, logs):
+        prefix[ks], suffix[N - ks] = logs.T
 
     cur, prev, log_acc = cocycle._recur(
         p.sup_bound(), complex(E, eta), [np.stack([diag_full, diag_full[::-1]], axis=1)],

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import qplab.cocycle as cc
 import qplab.dynamics as dy
 import qplab.experiments as ex
+import qplab.lyapunov as ly
 import qplab.potential as pt
 import qplab.spectrum as sp
 
@@ -322,6 +323,87 @@ def test_folded_batched_kernels_match_mpmath_at_split_checkpoints(name):
             assert dets[k][i] == pytest.approx(ref_det[k][1], abs=1e-10), k
 
 
+def mp_cramer(vs, E):
+    """(log|f|, f/|f|) of both columns of ``_det_profile(vs, E)`` at 50 digits."""
+    with mp.workdps(50):
+        ts = [mp.mpf(float(v)) - mp.mpc(E) for v in vs]
+        cols = []
+        for seq in (ts, ts[::-1]):
+            f = [mp.mpf(0), mp.mpf(1)]
+            for t in seq:
+                f.append(t * f[-1] - f[-2])
+            cols.append(f[1:])
+        logs = np.array([[float(mp.log(abs(f))) for f in col] for col in cols]).T
+        phases = np.array([[complex(f / abs(f)) for f in col] for col in cols]).T
+    return logs, phases
+
+
+@pytest.mark.parametrize("at", ["complex", "eigenvalue"])
+def test_det_profile_matches_the_mpmath_cramer_determinants(at):
+    # two columns of 1000 sites fold into segments, and every site is a stop
+    N = 1000
+    vs = cc._site_values(AMO3, SHIFT, np.random.default_rng(21).random(1), 1, N)
+    if at == "complex":
+        E = 0.7 + 1e-3j
+    else:
+        E = float(sp.eigenvalues(sp.TridiagonalHamiltonian(vs))[N // 2])
+    ref_logs, ref_phases = mp_cramer(vs, E)
+    phases, logs = cc._det_profile(vs, E)
+    keep = np.ones((N + 1, 2), bool)
+    if at == "eigenvalue":
+        # past the eigenvector's peak a column is the decaying solution,
+        # which the rounding of E swamps at any precision; the eigenvector
+        # formula reads each column only up to the peak, site c + 1
+        c = int(np.argmax(ref_logs[:-1, 0] + ref_logs[-2::-1, 1]))
+        rows = np.arange(N + 1)
+        keep = np.stack([rows <= c, rows <= N - 1 - c], axis=1)
+    assert np.max(np.abs(logs - ref_logs)[keep]) <= 1e-10
+    assert np.max(np.abs(phases - ref_phases)[keep]) <= 1e-9
+
+
+def test_concatenation_norms_match_mpmath(monkeypatch):
+    # the eigenvalue-count bound's two-column pass reads ||M_[1,k]|| and
+    # ||M_[k+1,N]|| at every k, folded over 400 sites
+    N, E, eta = 400, 0.3, 0.05
+    x = dy.phase(0.37)
+    reads, recur = [], cc._recur
+
+    def recording(*args):
+        *head, visit = args
+        return recur(*head, lambda ks, logs: (reads.append((ks.copy(), logs.copy())),
+                                              visit(ks, logs)))
+
+    monkeypatch.setattr(sp.cocycle, "_recur", recording)
+    rep = sp.concatenation_bound_check(AMO3, SHIFT, x, E, eta, N)
+    ks = np.concatenate([r[0] for r in reads])
+    logs = np.concatenate([r[1] for r in reads])
+    assert ks.tolist() == list(range(1, N + 1))
+
+    def log_norm(a, b, c, d):
+        fro2 = sum(abs(e) ** 2 for e in (a, b, c, d))
+        det = abs(a * d - b * c)
+        return mp.log(mp.sqrt((fro2 + mp.sqrt(fro2 ** 2 - 4 * det ** 2)) / 2))
+
+    with mp.workdps(50):
+        ts = [mp.mpf(float(v)) - mp.mpc(E, eta) for v in cc._site_values(AMO3, SHIFT, x, 1, N)]
+        # prefix[k - 1] = log||A_k ... A_1||; suffix[k - 1] = log||A_N ... A_{N-k+1}||
+        prefix, suffix = [], []
+        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for t in ts:
+            a, b, c, d = t * a - c, t * b - d, a, b
+            prefix.append(log_norm(a, b, c, d))
+        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for t in reversed(ts):
+            a, b, c, d = a * t + b, -a, c * t + d, -c
+            suffix.append(log_norm(a, b, c, d))
+        # W_k = ||M_[1,k]|| ||M_[k+1,N]|| / ||M_[1,N]||, with ||M_[N+1,N]|| = 1
+        bound = 4 * eta * mp.fsum(mp.exp(prefix[k - 1] + (suffix[N - k - 1] if k < N else 0)
+                                         - prefix[N - 1]) for k in range(1, N + 1))
+    assert np.max(np.abs(logs[:, 0] - np.array(prefix, float))) <= 1e-10
+    assert np.max(np.abs(logs[:, 1] - np.array(suffix, float))) <= 1e-10
+    assert rep.bound == pytest.approx(float(bound), rel=1e-10)
+
+
 # ------------------------------------------------- single-phase references
 
 def sup_loop(p, dyn, x, E, n, first_site):
@@ -406,6 +488,73 @@ def test_folded_runs_match_the_site_by_site_pass(case, seed, E, lam, n, cuts):
         assert (f.log_mag == -math.inf) == (n % 2 == 1)
 
 
+@pytest.mark.parametrize("m", [1, 20])
+def test_folded_sup_rate_matches_the_dense_loop(m):
+    # a stop at every site; one block of 3000 sites at m = 1, blocks of
+    # 819 at m = 20, and runs too short to fold at n < 64
+    xs = np.random.default_rng(14).random((m, 1))
+    for n in (1, 63, 64, 820, 3000):
+        sups = cc.batched_sup_rate(AMO3, SHIFT, xs, 0.7, n)
+        for i in sorted({0, m - 1}):
+            assert abs(sups[i] - sup_loop(AMO3, SHIFT, xs[i], 0.7, n, "Tx")) <= 1e-9, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["shift", "skew", "free", "doubling"]),
+       seed=st.integers(0, 2 ** 32 - 1), E=st.floats(-4.0, 4.0), lam=st.floats(0.1, 8.0),
+       n=st.integers(1, 3) | st.integers(64, 2000), every=st.booleans(),
+       picks=st.lists(st.integers(1, 2000), max_size=30))
+def test_folded_stop_reads_match_the_site_by_site_pass(case, seed, E, lam, n, every, picks):
+    # one phase folds with stops read from the segment record; with
+    # _SEGMENT_COLUMNS = 1 the same calls step and rescale site by site.
+    # "free" is V = 0 at E = 0, whose determinants vanish exactly at odd k
+    p = pt.Potential(dict(DEG3.coeffs), lam=lam)
+    dyn = SHIFT if case == "free" else MAPS[case]
+    if case == "free":
+        p, E = pt.from_triples([], 1.0), 0.0
+    x = np.random.default_rng(seed).random(dyn.d)
+    checks = list(range(1, n + 1)) if every else sorted({n} | {c for c in picks if c <= n})
+
+    def reads():
+        rngs = [np.random.default_rng(seed) if case == "doubling" else None for _ in range(3)]
+        norms = cc.batched_log_norms(p, dyn, x[None], E, n, checks, rng=rngs[0])
+        dets = cc.batched_log_absdet(p, dyn, x[None], E, n, checks, rng=rngs[1])
+        out = [np.array([norms[k][0] for k in checks]), np.array([dets[k][0] for k in checks]),
+               cc.batched_sup_rate(p, dyn, x[None], E, n, rng=rngs[2])]
+        if case != "doubling":
+            # off the real axis unless exact zeros are the point
+            E_c = E if case == "free" else complex(E, 0.05)
+            out.append(cc._det_profile(cc._site_values(p, dyn, x, 1, n), E_c)[1])
+        return out, [r.bit_generator.state for r in rngs if r is not None]
+
+    folded, folded_states = reads()
+    with mock.patch.object(cc, "_SEGMENT_COLUMNS", 1):
+        stepped, stepped_states = reads()
+    assert folded_states == stepped_states
+    (norms, dets, sup, *profile), (norms_s, dets_s, sup_s, *profile_s) = folded, stepped
+    np.testing.assert_allclose(norms, norms_s, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sup, sup_s, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(profile, profile_s, rtol=0, atol=1e-9)
+    # log|f_k| is well conditioned unless |f_k| << ||M_k||
+    assert np.array_equal(np.isneginf(dets), np.isneginf(dets_s))
+    sound = dets_s >= norms_s - 14.0
+    np.testing.assert_allclose(dets[sound], dets_s[sound], rtol=0, atol=1e-9)
+    if case == "free":
+        assert np.all(np.isneginf(dets) == (np.array(checks) % 2 == 1))
+
+
+def test_folded_eigenvectors_pass_the_collinearity_gate():
+    # at N = 200 the eigenvector's determinant profile folds; its Cramer
+    # vector must stay within eigenvector's 1e-6 gate of inverse iteration
+    x, N = dy.phase(0.2), 200
+    H = sp.hamiltonian(AMO3, SHIFT, x, N)
+    evs = sp.eigenvalues(H)
+    for j in range(0, N, 10):
+        analytic, fd = sp.hellmann_feynman(AMO3, SHIFT, x, j, N)
+        assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8), j
+        assert sp.eigenvector(H, float(evs[j])).collinearity <= 1e-6, j
+
+
 # ------------------------------------------------------------- contracts
 
 def test_checkpoints_outside_the_window_are_rejected():
@@ -415,6 +564,16 @@ def test_checkpoints_outside_the_window_are_rejected():
             cc.batched_log_norms(AMO3, SHIFT, xs, 0.0, 5, checkpoints=bad)
         with pytest.raises(ValueError):
             cc.batched_log_absdet(AMO3, SHIFT, xs, 0.0, 5, checkpoints=bad)
+
+
+def test_empty_windows_are_rejected():
+    # n = 0 used to give a sup of -inf, or a message about checkpoints
+    xs = np.array([[0.2]])
+    for kernel in (cc.batched_log_norms, cc.batched_log_absdet, cc.batched_sup_rate):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            kernel(AMO3, SHIFT, xs, 0.0, 0)
+    with pytest.raises(ValueError, match="needs ell >= 1"):
+        ly.sup_growth_rate(AMO3, SHIFT, 0.0, 0)
 
 
 def test_exact_zeros_survive_rescaling_and_complex_energies():
