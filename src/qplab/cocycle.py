@@ -34,12 +34,16 @@ starting phases.  The batched kernels (``batched_log_norms``,
 and determinants, the Green entries and rows, and ``complex_det_grid``
 under the zeros module are thin wrappers over it.  The zeros module's
 block-companion matrix reads the same table.  The core rescales only every
-r = max(1, floor(600 / log(sup|v| + |E| + 2))) sites and at checkpoints,
+r = max(1, floor(600 / log(sup|v| + max|E| + 2))) sites and at checkpoints,
 and each column on its own.  So a window and its reversal run as two
 columns of one pass: :func:`_det_profile` gives both Cramer families
 f_[1,k] and f_[k+1,N] of the Green rows and the eigenvector's determinant
 formula, and the eigenvalue-count bound reads its prefix and suffix norms
-the same way.
+the same way.  The site stream does not depend on E either, so a pass
+takes an array of energies as energy-major column groups over one stream
+(the Lyapunov scans of a phase grid), and
+:func:`batched_log_absdet_and_norm` reads log|f_n| and log||M_n|| from one
+pass, f_n being the (0, 0) entry of M_n.
 
 The same move makes few phases cheap.  A step costs numpy's per-call
 overhead whatever the number of columns m, so with m <= 128 the core
@@ -59,7 +63,6 @@ than 64 sites, each site is one step, rescaled and read at each stop.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -244,8 +247,10 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
       t < 0 too), with frac(t(t-1)/2 omega) exact per site and t y exact
       up to one rounding: frac(start y) per block, then j y split in two;
     * doubling: sequential steps from t = 0; with an ``rng`` each step
-      adds one ``rng.random((m, d))`` draw scaled by 2^-52.  Negative
-      times raise ValueError.
+      adds one (m, d) uniform draw scaled by 2^-52, the same numbers as
+      one ``rng.random((m, d))`` per step, drawn as one
+      ``rng.random((B', m, d))`` for the B' steps each block takes.
+      Negative times raise ValueError.
     """
     t0 = _start_time(first_site, k0)
     if k1 < k0:
@@ -281,17 +286,24 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
     elif isinstance(dyn, dyn_mod.Doubling):
         if t0 < 0:
             raise ValueError("doubling map is not invertible; window starts too early")
-        cur, rows = xs, []
-        for t in range(t1):
-            if t > 0:
+        # the orbit is cur at time t; each block steps it on to the block's
+        # last time, drawing the noise of all those steps at once
+        t, cur = 0, xs
+        for start in range(t0, t1, size):
+            stop = min(start + size, t1)
+            orbit = np.empty((stop - start,) + cur.shape)
+            if start == t:
+                orbit[0] = cur
+            if rng is not None:
+                noise = rng.random((stop - 1 - t,) + cur.shape) * 2.0 ** -52
+            for i in range(stop - 1 - t):
+                t += 1
                 cur = dyn_mod.mod1(2.0 * cur)
                 if rng is not None:
-                    cur = dyn_mod.mod1(cur + rng.random(cur.shape) * 2.0 ** -52)
-            if t >= t0:
-                rows.append(cur[:, 0])
-            if len(rows) == size or t == t1 - 1:
-                yield pot_mod.eval_real_many(p, np.array(rows))
-                rows = []
+                    cur = dyn_mod.mod1(cur + noise[i])
+                if t >= start:
+                    orbit[t - start] = cur
+            yield pot_mod.eval_real_many(p, orbit[:, :, 0])
     else:
         raise TypeError(f"unknown dynamics {dyn!r}")
 
@@ -543,7 +555,10 @@ def _phase_batch(dyn: Dynamics, xs) -> np.ndarray:
 
 def _op_norms(mats: np.ndarray) -> np.ndarray:
     """op_norm_2x2 over a stack of matrices of shape (2, 2, m)."""
-    fro2 = np.sum(np.abs(mats) ** 2, axis=(0, 1))
+    # squared in place and dropped before the determinant's temporaries
+    sq = np.abs(mats)
+    fro2 = np.sum(np.square(sq, out=sq), axis=(0, 1))
+    del sq
     det = np.abs(mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0])
     gap = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
     return np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
@@ -584,7 +599,11 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     site values in arrays of shape (B, m), one column per phase, none
     longer than the first, as :func:`_sites` and :func:`_laurent_sites`
     do; ``bound`` is at least their sup|v|, and the dtype follows E and
-    the blocks.
+    the blocks.  E is a scalar or a 1-D array of e energies.  An array
+    makes energy-major column groups over the one site stream: column
+    i m + j carries energy i at phase j, each block is written as
+    block[:, None] - E into one reused (B, e, m) buffer and run as e m
+    columns, and every read and return below has e m columns in place of m.
     ``solutions=1`` carries f_k from (f_0, f_{-1}) = (1, 0);
     ``solutions=2`` carries M_k, whose rows are (x_k, x_{k-1}) for the two
     solutions started from the identity.  Each step is an in-place
@@ -598,7 +617,8 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
 
     The pair is rescaled by its largest modulus every
     r = max(1, floor(600 / log B)) sites and after the last site, with
-    B = bound + |E| + 2 bounding every transfer factor's norm.  Between
+    B = bound + max|E| + 2 bounding every transfer factor's norm: the
+    largest |E| sets one cadence for all energy groups.  Between
     rescalings a solution grows by at most B^r <= e^600, and since every
     factor has determinant 1 it shrinks by at most as much, so neither
     overflow nor underflow can occur.
@@ -624,23 +644,34 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     ``_MIN_FOLD`` sites, each site is one step of the pair, which is also
     rescaled at every stop and read there.
     """
-    every = max(1, int(600.0 / math.log(bound + abs(E) + 2.0)))
+    # one row per energy group: (1, 1) for a scalar E, else (e, 1)
+    es = np.asarray(E).reshape(-1, 1)
+    every = max(1, int(600.0 / math.log(bound + float(np.max(np.abs(es))) + 2.0)))
+    cols = es.size * m
     blocks = iter(blocks)
-    first = next(blocks, np.empty((0, m)))
-    cur = np.zeros((solutions, m), np.result_type(first, E))
+    block = next(blocks, np.empty((0, m)))
+    cur = np.zeros((solutions, cols), np.result_type(block, es))
     prev = np.zeros_like(cur)
     nxt = np.empty_like(cur)
-    shifted = np.empty(first.shape, cur.dtype)
-    log_acc = np.zeros(m)
+    shifted = np.empty((len(block), es.size, m), cur.dtype)
+    flat = shifted.reshape(len(block), cols)
+    log_acc = np.zeros(cols)
     cur[0] = 1.0
     if solutions == 2:
         prev[1] = 1.0
-    width = _SEGMENT_COLUMNS // m
+    width = _SEGMENT_COLUMNS // cols
     marks = np.array(sorted(stops), int) if width > 1 else None
     k = 0
-    for block in itertools.chain([first], blocks):
-        ts = np.subtract(block, E, out=shifted[:len(block)])
-        n = len(ts)
+    while block is not None:
+        n = len(block)
+        if es.size == 1:
+            # no broadcast: complex grids of many points draw one site per block
+            ts = np.subtract(block, E, out=flat[:n])
+        else:
+            np.subtract(block[:, None], es, out=shifted[:n])
+            ts = flat[:n]
+        # drawn now, so no block is held past its copy into ts
+        block = next(blocks, None)
         if width > 1 and n >= _MIN_FOLD:
             ks = marks[np.searchsorted(marks, k, "right"):np.searchsorted(marks, k + n, "right")]
             length = min(every, max(-(-n // width), math.isqrt(3 * n)))
@@ -758,14 +789,20 @@ def _fold(ts: np.ndarray, L: int, cur: np.ndarray, prev: np.ndarray, log_acc: np
 
 def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: str,
            rng, solutions: int) -> dict:
-    """{k: logs} at the checkpoints, from :func:`_recur` over sites 1..n."""
+    """{k: logs} at the checkpoints, from :func:`_recur` over sites 1..n.
+
+    logs has shape (m,) for a scalar E and (e, m) for an array of e
+    energies, all of them run over one site stream.
+    """
     want = set(checkpoints) if checkpoints is not None else {n}
     if want and (min(want) < 1 or max(want) > n):
         raise ValueError("checkpoints must lie in [1, n]")
     xs = _phase_batch(dyn, xs)
+    shape = np.shape(E) + xs.shape[:1]
     out = {}
     _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0],
-           solutions, want, lambda ks, logs, *_: out.update(zip(ks.tolist(), logs)))
+           solutions, want,
+           lambda ks, logs, *_: out.update(zip(ks.tolist(), logs.reshape((len(ks),) + shape))))
     return out
 
 
@@ -777,7 +814,9 @@ def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
     (default: only k = n).  Sites come from the blocked stream
     :func:`_sites`; the product is rescaled by its largest entry every r
     sites (see :func:`_recur`) and at each checkpoint, where the log-norm
-    is read off.
+    is read off.  E may be a 1-D array of e energies: they then run as
+    column groups of one pass over the same site stream, and each
+    checkpoint holds an array of shape (e, m).
 
     A float orbit of the doubling map reaches the fixed point 0 within
     about 52 steps, since every float is dyadic.  With an rng, each
@@ -811,9 +850,30 @@ def batched_log_absdet(p: Potential, dyn: Dynamics, xs, E, n: int,
                        checkpoints=None, first_site: str = "Tx", rng=None) -> dict:
     """log |f_k(x_i, E)| vectorized over starting phases.
 
-    Same checkpoint, rescaling and rng contract as batched_log_norms.  E
-    may be complex.  Exact zeros return -inf for that phase and scale.
+    Same checkpoint, rescaling, energy-array and rng contract as
+    batched_log_norms.  E may be complex.  Exact zeros return -inf for
+    that phase and scale.
     """
     if n < 1:
         raise ValueError("batched_log_absdet needs n >= 1")
     return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 1)
+
+
+def batched_log_absdet_and_norm(p: Potential, dyn: Dynamics, xs, E, n: int,
+                                first_site: str = "Tx", rng=None) -> tuple:
+    """(log |f_n(x_i, E)|, log ||M_n(x_i, E)||) per phase, from one pass.
+
+    Both are read from one ``solutions=2`` :func:`_recur` pass, whose
+    (0, 0) entry is f_n.  The log-norm is read at the stop n, so it is
+    batched_log_norms' bit for bit; log|f_n| comes from the pass's end,
+    which rescales with both solutions and so agrees with
+    batched_log_absdet to rounding, exact zeros as -inf.  The rng
+    contract is that of batched_log_norms.
+    """
+    if n < 1:
+        raise ValueError("batched_log_absdet_and_norm needs n >= 1")
+    xs = _phase_batch(dyn, xs)
+    norms = []
+    cur, _, log_acc = _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng),
+                             xs.shape[0], 2, {n}, lambda ks, logs: norms.append(logs[0]))
+    return _read_det(cur[0], log_acc)[1], norms[0]

@@ -27,7 +27,7 @@ from . import deviations as dv
 from . import lyapunov as ly
 from . import spectrum as sp
 from . import zeros as zr
-from .dynamics import Dynamics, Shift
+from .dynamics import Dynamics, Shift, SkewShift
 from .potential import Potential
 
 MAX_ZERO_RETRIES = 5
@@ -124,25 +124,33 @@ def _grid_statistic(p: Potential, dyn: Dynamics, E: float, n: int, m: int,
 
 
 def _prep_lyapunov_scan(p, dyn, grid, seed):
+    """One task per energy, or one task for all of them on a shared phase set.
+
+    The grid sampler under a shift or skew shift gives every energy the
+    same phases and no rng, so all energies then run as one
+    ``convergence_scan`` pass.  The doubling map and the random and orbit
+    samplers draw per-task phases or rng streams, so each energy keeps
+    its own task and seed.
+    """
     _check_keys(grid, {"E", "n_list", "m_samples", "sampler"})
     energies = _energy_grid(_param(grid, "E"))
     n_list = _int_list(_param(grid, "n_list", [250, 500, 1000, 2000]), "n_list")
     m_samples = int(_param(grid, "m_samples", 300))
     sampler = str(_param(grid, "sampler", "grid"))
 
-    def make(i, E):
+    def make(i, Es):
         s = task_seed(seed, "lyapunov_scan", i)
 
         def task():
-            rows = []
-            for r in ly.convergence_scan(p, dyn, E, n_list, sampler=sampler,
-                                         m_samples=m_samples, seed=s):
-                rows.append((r.n, E, r.mean, r.stderr, r.diff_2n,
-                             math.log(r.n) / r.n))
-            return rows
+            scans = ly.convergence_scan(p, dyn, Es, n_list, sampler=sampler,
+                                        m_samples=m_samples, seed=s)
+            return [(r.n, float(E), r.mean, r.stderr, r.diff_2n, math.log(r.n) / r.n)
+                    for E, scan in zip(Es, scans) for r in scan]
         return task
 
-    return [make(i, float(E)) for i, E in enumerate(energies)]
+    if sampler == "grid" and isinstance(dyn, (Shift, SkewShift)):
+        return [make(0, energies)]
+    return [make(i, energies[i:i + 1]) for i in range(energies.size)]
 
 
 def _prep_positivity_probe(p, dyn, grid, seed):
@@ -371,10 +379,10 @@ def _prep_thouless_check(p, dyn, grid, seed):
 
         def task():
             xs = ly.sample_phases(dyn, "random", x_samples, seed=s)
-            # both statistics over the same phases, so the gap is free of
-            # independent sampling noise; doubling gets twin rng streams
-            logdet = cocycle.batched_log_absdet(p, dyn, xs, E, N, rng=ly._doubling_rng(s))[N]
-            lognorm = cocycle.batched_log_norms(p, dyn, xs, E, N, rng=ly._doubling_rng(s))[N]
+            # both statistics from one pass over the same phases, so the
+            # gap is free of independent sampling noise
+            logdet, lognorm = cocycle.batched_log_absdet_and_norm(
+                p, dyn, xs, E, N, rng=ly._doubling_rng(s))
             finite = np.isfinite(logdet)
             mean_det = float(np.mean(logdet[finite])) / N if finite.any() else float("nan")
             mean_norm = float(np.mean(lognorm)) / N

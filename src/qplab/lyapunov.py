@@ -246,7 +246,7 @@ def ap_extrapolate(l_k: float, l_2k: float) -> float:
     return 2.0 * l_2k - l_k
 
 
-def convergence_scan(p: Potential, dyn: Dynamics, E: float, n_list,
+def convergence_scan(p: Potential, dyn: Dynamics, E, n_list,
                      sampler: str = "grid", m_samples: int = 500,
                      seed: int = 0, c_scan: float = C_SCAN_DEFAULT,
                      first_site: str = "Tx") -> list:
@@ -255,7 +255,10 @@ def convergence_scan(p: Potential, dyn: Dynamics, E: float, n_list,
     All scales are read off one batched run over the same phase set
     (checkpoints of the same products), so differences are free of
     independent sampling noise.  A row is flagged when the difference
-    exceeds c_scan * (log N)/N.
+    exceeds c_scan * (log N)/N.  E may be a 1-D array of energies: they
+    then run as column groups of that one run (see
+    :func:`cocycle.batched_log_norms`), and one list of rows comes back
+    per energy.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
@@ -265,7 +268,15 @@ def convergence_scan(p: Potential, dyn: Dynamics, E: float, n_list,
     logs = cocycle.batched_log_norms(p, dyn, xs, E, scales[-1],
                                      checkpoints=scales, first_site=first_site,
                                      rng=_doubling_rng(seed))
-    m = xs.shape[0]
+    if np.ndim(E):
+        return [_scan_rows({k: v[i] for k, v in logs.items()}, n_list, c_scan)
+                for i in range(len(E))]
+    return _scan_rows(logs, n_list, c_scan)
+
+
+def _scan_rows(logs: dict, n_list: list, c_scan: float) -> list:
+    """The ScanRows of one energy, from its {scale: log-norms over phases}."""
+    m = len(logs[n_list[0]])
     means = {k: float(np.mean(v / k)) for k, v in logs.items()}
     errs = {k: (float(np.std(v / k, ddof=1) / math.sqrt(m)) if m > 1 else 0.0)
             for k, v in logs.items()}

@@ -156,7 +156,9 @@ def eval_real_many(p: Potential, x: np.ndarray) -> np.ndarray:
 
     Uses the manifestly real cosine/sine form (exact consequence of the
     conjugacy invariant), so no imaginary parts ever appear.  This is the
-    hot path for transfer-matrix sweeps.
+    hot path for transfer-matrix sweeps: a harmonic with v_k real skips
+    its sine and one with v_k imaginary its cosine.  The skipped term is
+    an exact zero, so the sum is the full cos - sin form's bit for bit.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -165,9 +167,15 @@ def eval_real_many(p: Potential, x: np.ndarray) -> np.ndarray:
             continue
         if k == 0:
             out = out + v.real
+            continue
+        ang = (_TWO_PI * k) * x
+        if v.imag == 0:
+            term = v.real * np.cos(ang)
+        elif v.real == 0:
+            term = -(v.imag * np.sin(ang))
         else:
-            ang = (_TWO_PI * k) * x
-            out = out + 2.0 * (v.real * np.cos(ang) - v.imag * np.sin(ang))
+            term = v.real * np.cos(ang) - v.imag * np.sin(ang)
+        out = out + 2.0 * term
     return p.lam * out
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplab import potential as pt
 
@@ -20,6 +22,43 @@ def test_eval_real_many_matches_scalar_eval():
     many = pt.eval_real_many(AMO, xs)
     np.testing.assert_allclose(many, [pt.eval_real(AMO, x) for x in xs],
                                atol=1e-14)
+
+
+def full_cos_sin_form(p, x):
+    """eval_real_many with both trig terms of every harmonic, as it once was."""
+    out = np.zeros_like(x)
+    for k, v in zip(p._ks, p._vs):
+        if k < 0:
+            continue
+        if k == 0:
+            out = out + v.real
+        else:
+            ang = (2.0 * math.pi * k) * x
+            out = out + 2.0 * (v.real * np.cos(ang) - v.imag * np.sin(ang))
+    return p.lam * out
+
+
+coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["real", "imag", "complex", "zero"]), min_size=1,
+                      max_size=4),
+       parts=st.lists(st.tuples(coefficient, coefficient), min_size=5, max_size=5),
+       lam=st.floats(-5.0, 5.0, allow_nan=False),
+       x=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=20))
+def test_eval_real_many_term_skip_is_bit_identical(kinds, parts, lam, x):
+    # a real v_k skips the sine and an imaginary one the cosine; the skipped
+    # term is an exact zero, so even the signs of zeros must agree
+    keep = {"real": (1, 0), "imag": (0, 1), "complex": (1, 1), "zero": (0, 0)}
+    coeffs = {0: parts[0][0]}
+    for k, (kind, (re, im)) in enumerate(zip(kinds, parts[1:]), start=1):
+        a, b = keep[kind]
+        coeffs[k] = complex(re if a else 0.0, im if b else 0.0)
+    p = pt.Potential(coeffs, lam=lam)
+    x = np.array(x)
+    got, ref = pt.eval_real_many(p, x), full_cos_sin_form(p, x)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_positive_half_spectrum_fills_conjugates():

@@ -8,7 +8,8 @@ kernels, which run one recurrence core rescaled every r sites, are
 pinned against mpmath at 50 digits, against the single-phase paths, and
 on their checkpoint, exact-zero and rng contracts; so are the signs and
 phases of the single-phase determinants and the Green entries built
-from them.
+from them.  A pass over an array of energies must give each energy what
+a pass of its own gives.
 """
 
 import math
@@ -555,6 +556,90 @@ def test_folded_eigenvectors_pass_the_collinearity_gate():
         assert sp.eigenvector(H, float(evs[j])).collinearity <= 1e-6, j
 
 
+# ----------------------------------------------------------- energy groups
+
+def group_case(case):
+    """(potential, dynamics, energies) for the energy-group tests.
+
+    The largest |E| comes last, so a rescale cadence taken from the first
+    energy overflows at it; "free" is V = 0 at E = 0, whose determinants
+    vanish exactly at odd k.
+    """
+    if case == "free":
+        return pt.from_triples([], 1.0), SHIFT, np.array([0.0, 0.5, -3.0, 40.0])
+    return pt.Potential(dict(DEG3.coeffs), lam=4.0), MAPS[case], np.array([0.0, -1.3, 0.6, 40.0])
+
+
+def twin_rng(case):
+    return np.random.default_rng(7) if case == "doubling" else None
+
+
+@pytest.mark.parametrize("case", ["shift", "skew", "doubling", "free"])
+@pytest.mark.parametrize("m", [20, 300])
+def test_energy_groups_match_one_pass_per_energy(case, m):
+    # 4 energies x 20 phases fold (80 columns); 300 phases step site by site
+    p, dyn, es = group_case(case)
+    xs = np.random.default_rng(2).random((m, dyn.d))
+    n, checks = 2000, [1, 2, 3, 63, 64, 65, 500, 1001, 2000]
+    for kernel in (cc.batched_log_norms, cc.batched_log_absdet):
+        rng = twin_rng(case)
+        grouped = kernel(p, dyn, xs, es, n, checks, rng=rng)
+        for i, E in enumerate(es):
+            twin = twin_rng(case)
+            one = kernel(p, dyn, xs, E, n, checks, rng=twin)
+            if rng is not None:
+                assert rng.bit_generator.state == twin.bit_generator.state
+            for k in checks:
+                assert grouped[k].shape == (es.size, m)
+                np.testing.assert_allclose(grouped[k][i], one[k], rtol=1e-12, atol=1e-12)
+    if case == "free":
+        dets = cc.batched_log_absdet(p, dyn, xs, es, n, checks)
+        for k in checks:
+            assert np.all(np.isneginf(dets[k][0]) == (k % 2 == 1))
+
+
+def test_convergence_scan_runs_all_energies_in_one_pass():
+    # an array of energies gives each energy the rows of its own scan
+    es = np.array([0.0, 0.5, 1.0])
+    grouped = ly.convergence_scan(AMO3, SHIFT, es, [50, 100], m_samples=200)
+    for E, rows in zip(es, grouped):
+        ref = ly.convergence_scan(AMO3, SHIFT, float(E), [50, 100], m_samples=200)
+        assert [(r.n, r.flagged) for r in rows] == [(r.n, r.flagged) for r in ref]
+        np.testing.assert_allclose([(r.mean, r.stderr, r.diff_2n) for r in rows],
+                                   [(r.mean, r.stderr, r.diff_2n) for r in ref], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dyn, sampler, tasks", [
+    (SHIFT, "grid", 1), (SKEW, "grid", 1), (SHIFT, "random", 3), (SHIFT, "orbit", 3),
+    (DOUBLING, "grid", 3)])
+def test_lyapunov_scan_shares_a_task_only_on_a_shared_phase_set(dyn, sampler, tasks):
+    grid = {"E": [0.0, 0.5, 1.0], "n_list": [20, 40], "m_samples": 16, "sampler": sampler}
+    assert len(ex.EXPERIMENTS["lyapunov_scan"].prepare(AMO3, dyn, grid, 3)) == tasks
+    _, rows = ex.run_experiment("lyapunov_scan", AMO3, dyn, grid, seed=3)
+    assert [r[:2] for r in rows] == [(n, E) for E in (0.0, 0.5, 1.0) for n in (20, 40)]
+
+
+@pytest.mark.parametrize("case", ["shift", "skew", "doubling", "free"])
+@pytest.mark.parametrize("m", [20, 300])
+def test_one_pass_thouless_logs_match_the_two_kernels(case, m):
+    # thouless_check reads log|f_N| and log||M_N|| from one pass; the two
+    # kernels it replaced each took a twin of its rng
+    p, dyn, es = group_case(case)
+    xs = np.random.default_rng(3).random((m, dyn.d))
+    n = 999
+    for E in es[:3]:
+        rngs = [twin_rng(case) for _ in range(3)]
+        logdet, lognorm = cc.batched_log_absdet_and_norm(p, dyn, xs, E, n, rng=rngs[0])
+        assert np.array_equal(lognorm, cc.batched_log_norms(p, dyn, xs, E, n, rng=rngs[1])[n])
+        ref = cc.batched_log_absdet(p, dyn, xs, E, n, rng=rngs[2])[n]
+        np.testing.assert_allclose(logdet, ref, rtol=1e-12, atol=1e-12)
+        if case == "doubling":
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+        if case == "free" and E == 0.0:
+            assert np.all(np.isneginf(logdet))
+
+
 # ------------------------------------------------------------- contracts
 
 def test_checkpoints_outside_the_window_are_rejected():
@@ -606,6 +691,43 @@ def test_doubling_draws_one_uniform_per_phase_and_step(first_site):
         for _ in range(steps * xs.size):
             ref.random()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def per_step_doubling(p, xs, t0, t1, size, rng):
+    """The doubling stream's blocks with one rng draw per step."""
+    cur, rows, blocks = xs, [], []
+    for t in range(t1):
+        if t > 0:
+            cur = dy.mod1(2.0 * cur)
+            if rng is not None:
+                cur = dy.mod1(cur + rng.random(cur.shape) * 2.0 ** -52)
+        if t >= t0:
+            rows.append(cur[:, 0])
+        if len(rows) == size or t == t1 - 1:
+            blocks.append(pt.eval_real_many(p, np.array(rows)))
+            rows = []
+    return blocks
+
+
+@pytest.mark.parametrize("m, k0, k1, first_site", [
+    (7, 1, 5000, "Tx"), (7, 1, 5000, "x"), (5000, 1, 10, "Tx"), (5000, 3, 11, "x"),
+    (30, 700, 2000, "Tx"), (1, 4, 4, "Tx"), (1, 1, 1, "x")])
+def test_doubling_block_draws_match_per_step_draws(m, k0, k1, first_site):
+    # one rng.random((B', m, d)) per block gives the per-step draws bit for
+    # bit and leaves the rng where they do, pre-window steps included
+    xs = np.random.default_rng(8).random((m, 1))
+    t0 = k0 - offset(first_site)
+    size = max(1, cc._BLOCK_ELEMENTS // m)
+    for seed in (None, 11):
+        rng = None if seed is None else np.random.default_rng(seed)
+        ref_rng = None if seed is None else np.random.default_rng(seed)
+        got = list(cc._sites(DEG3, DOUBLING, xs, k0, k1, first_site, rng))
+        ref = per_step_doubling(DEG3, xs, t0, t0 + k1 - k0 + 1, size, ref_rng)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        if seed is not None:
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_doubling_rows_are_frozen():
