@@ -477,6 +477,14 @@ def _nan_zero_row(index: int, center: complex, m: int) -> tuple:
 
 
 def _prep_zero_additivity(p, dyn, grid, seed):
+    """One task per random disk near the zero rings, all sharing one handle triple.
+
+    The f_m, shifted and f_2m handles are built here, once per run, so
+    every task and retry reads the same lazily computed zeros: each
+    window's block-companion eigensolve runs at most once per run.  A disk
+    whose windings see a zero on the circle, or do not settle, is retried
+    with a smaller radius, and becomes a NaN row when the retries run out.
+    """
     _check_keys(grid, {"E", "m", "n_disks", "radius", "y_scale"})
     E = float(_param(grid, "E"))
     m = int(_param(grid, "m", 16))
@@ -486,6 +494,8 @@ def _prep_zero_additivity(p, dyn, grid, seed):
     # about 0.03 at lam = 3; the default spread reaches |y| = 0.04
     y_scale = float(_param(grid, "y_scale", 0.08))
     omega = _require_shift1(dyn, "zero_additivity")
+    # shared by every task: each window's eigensolve runs at most once per run
+    handles = zr.additivity_handles(p, omega, E, m)
 
     def make(i):
         s = task_seed(seed, "zero_additivity", i)
@@ -498,8 +508,7 @@ def _prep_zero_additivity(p, dyn, grid, seed):
             r = radius
             for _ in range(MAX_ZERO_RETRIES):
                 try:
-                    rep = zr.zero_count_additivity(p, omega, E, m,
-                                                   zr.Disk(center, r))
+                    rep = zr.zero_count_additivity(*handles, zr.Disk(center, r))
                 except (zr.NearCircleZero, zr.WindingUnstable):
                     r *= 0.92
                     continue

@@ -5,16 +5,23 @@ point z to a :class:`~qplab.cocycle.SignedLog`, so quadrature on log|f|
 and winding numbers on the phase never touch raw magnitudes that would
 overflow for long windows.  Handles, as built by :func:`determinant_handle`,
 :func:`polynomial_handle` and :func:`rotated_handle`, also expose the
-vectorized ``eval_many`` that every handle evaluation here goes through,
-and ``zeros()``, all their zeros at once, computed on first use and kept.
-A determinant's zeros are the eigenvalues of one block-companion matrix.
+vectorized ``eval_many`` (phases and logs) that windings and circle means
+go through, ``eval_logs`` (logs alone; a polynomial's skips its phase
+product) that Jensen averages read, and ``zeros()``, all their zeros at
+once, computed on first use and kept.  A determinant's zeros are the
+eigenvalues of one block-companion matrix; a handle shared across disks
+solves for them once.
 
 The counting tools are the Jensen circle mean, the nested-disk Jensen
 average J (whose scaled value sandwiches the zero count between the
 counts at radii r1 - r2 and r1 + r2), boundary winding numbers, and a
 zero locator that certifies the handle's zeros in a disk by windings.
-J is computed as one radial integral: circle means of log|f| about the
-centre, weighted by the zero-mass kernel of the double disk average.
+Circle means and windings sample nested grids, theta_i = 2 pi i / (2m):
+the m-point estimate reads the even samples of one 2m-point evaluation,
+and each further doubling evaluates only the new midpoints.  Both grids
+are checked for a zero on the circle.  J is computed as one radial
+integral: circle means of log|f| about the centre, weighted by the
+zero-mass kernel of the double disk average.
 """
 
 from __future__ import annotations
@@ -120,15 +127,19 @@ class _Handle:
     """Wrap a vectorized (phases, log_mags) evaluator as a scalar handle.
 
     ``zeros_of()`` lists every zero of the function in C minus {0}, with
-    multiplicity; :meth:`zeros` calls it once and keeps the array.
+    multiplicity; :meth:`zeros` calls it once and keeps the array.  An
+    optional ``logs`` evaluator gives log|f| alone, for reads that never
+    look at the phase; without one, :meth:`eval_logs` drops the phases of
+    ``fn``.
     """
 
-    __slots__ = ("_fn", "_zeros_of", "_zeros")
+    __slots__ = ("_fn", "_zeros_of", "_zeros", "_logs")
 
-    def __init__(self, fn, zeros_of):
+    def __init__(self, fn, zeros_of, logs=None):
         self._fn = fn
         self._zeros_of = zeros_of
         self._zeros = None
+        self._logs = logs
 
     def zeros(self) -> np.ndarray:
         if self._zeros is None:
@@ -138,6 +149,10 @@ class _Handle:
     def eval_many(self, zs):
         return self._fn(np.asarray(zs, dtype=complex))
 
+    def eval_logs(self, zs) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        return self._fn(zs)[1] if self._logs is None else self._logs(zs)
+
     def __call__(self, z) -> SignedLog:
         phases, logs = self._fn(np.array([complex(z)]))
         if logs[0] == NEG_INF or not np.isfinite(logs[0]):
@@ -146,7 +161,11 @@ class _Handle:
 
 
 def polynomial_handle(roots, leading=1.0) -> _Handle:
-    """Log-evaluable handle for leading * prod (z - root); its zeros are the roots."""
+    """Log-evaluable handle for leading * prod (z - root); its zeros are the roots.
+
+    Its logs-only read is lead + sum_j log|z - root_j|, with -inf at an
+    exact root, and skips the phase product.
+    """
     rts = np.asarray(list(roots), dtype=complex)
     lead = complex(leading)
     if lead == 0:
@@ -154,19 +173,23 @@ def polynomial_handle(roots, leading=1.0) -> _Handle:
     lead_log = math.log(abs(lead))
     lead_ph = lead / abs(lead)
 
-    def fn(zs):
+    def diffs(zs):
         diff = zs[:, None] - rts[None, :] if rts.size else np.ones((zs.size, 0))
-        mags = np.abs(diff)
-        zero_hit = np.any(mags == 0.0, axis=1)
+        return diff, np.abs(diff)
+
+    def log_sum(mags):
         with np.errstate(divide="ignore"):
             logs = lead_log + np.sum(np.log(np.where(mags > 0, mags, 1.0)), axis=1)
+        return np.where(np.any(mags == 0.0, axis=1), NEG_INF, logs)
+
+    def fn(zs):
+        diff, mags = diffs(zs)
+        logs = log_sum(mags)
         phases = lead_ph * np.prod(np.where(mags > 0, diff / np.where(mags > 0, mags, 1.0), 1.0),
                                    axis=1)
-        logs = np.where(zero_hit, NEG_INF, logs)
-        phases = np.where(zero_hit, 0j, phases)
-        return phases, logs
+        return np.where(logs == NEG_INF, 0j, phases), logs
 
-    return _Handle(fn, lambda: rts)
+    return _Handle(fn, lambda: rts, lambda zs: log_sum(diffs(zs)[1]))
 
 
 def _companion_zeros(p: Potential, omega: float, E, a: int, b: int,
@@ -216,23 +239,23 @@ def rotated_handle(f, rot: complex) -> _Handle:
     """The handle z -> f(z * rot); its zeros are those of f divided by rot."""
     def fn(zs):
         return f.eval_many(zs * rot)
-    return _Handle(fn, lambda: f.zeros() / rot)
+    return _Handle(fn, lambda: f.zeros() / rot, lambda zs: f.eval_logs(zs * rot))
 
 
 # ---------------------------------------------------------------------------
 # circle quadrature
 
 
-def _circle_points(z0: complex, R: float, m: int) -> np.ndarray:
-    angles = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+def _circle_points(z0: complex, R: float, m: int, offset: float = 0.0) -> np.ndarray:
+    """m points z0 + R e^(i theta) at theta = 2 pi (i + offset) / m."""
+    angles = 2.0 * np.pi * (np.arange(m) + offset) / m
     return z0 + R * np.exp(1j * angles)
 
 
-def _scan_circle(f, z0: complex, R: float, m: int):
-    """Evaluate on the circle and flag a zero sitting (nearly) on it."""
-    phases, logs = f.eval_many(_circle_points(z0, R, m))
-    finite = np.isfinite(logs)
-    if not np.all(finite):
+def _check_circle(logs: np.ndarray, z0: complex, R: float) -> None:
+    """Raise NearCircleZero if the samples of an m-point grid see a zero on it."""
+    m = logs.size
+    if not np.all(np.isfinite(logs)):
         raise NearCircleZero(
             f"zero on the circle |z - {z0}| = {R} (non-finite log sample)",
             suggested_radius=R * (1.0 + 3.0 / m))
@@ -241,24 +264,46 @@ def _scan_circle(f, z0: complex, R: float, m: int):
         raise NearCircleZero(
             f"modulus dips {dip:.1f} logs below the median on |z - {z0}| = {R}",
             suggested_radius=R * (1.0 + 3.0 / m))
+
+
+def _scan_nested(f, z0: complex, R: float, m: int):
+    """Phases and logs on the 2m-point grid; its even samples are the m-point grid.
+
+    Both grids are checked for a zero on the circle, the coarse one first.
+    """
+    phases, logs = f.eval_many(_circle_points(z0, R, 2 * m))
+    _check_circle(logs[::2], z0, R)
+    _check_circle(logs, z0, R)
     return phases, logs
+
+
+def _refine(f, z0: complex, R: float, phases: np.ndarray, logs: np.ndarray):
+    """Double an m-point grid: evaluate its m midpoints, interleave, check."""
+    m = logs.size
+    new_phases, new_logs = f.eval_many(_circle_points(z0, R, m, 0.5))
+    phases2, logs2 = np.empty(2 * m, complex), np.empty(2 * m)
+    phases2[0::2], phases2[1::2] = phases, new_phases
+    logs2[0::2], logs2[1::2] = logs, new_logs
+    _check_circle(logs2, z0, R)
+    return phases2, logs2
 
 
 def circle_mean_log(f, z0, R: float, M_points: int = M_POINTS_DEFAULT,
                     with_error: bool = False):
     """Average of log|f| over the circle |z - z0| = R.
 
-    Trapezoidal rule on M_points and 2*M_points samples; the returned
+    Trapezoidal rule on 2*M_points samples at theta_i = 2 pi i / (2 M),
+    from one evaluation, and on its M_points even samples; the returned
     value is the finer one and ``with_error=True`` additionally returns
     the Richardson gap |mean_2M - mean_M| as the quadrature error bound.
     """
     if M_points < 256:
         raise ValueError("M_points must be at least 256")
     z0 = complex(z0)
-    _, logs1 = _scan_circle(f, z0, R, M_points)
-    _, logs2 = _scan_circle(f, z0, R, 2 * M_points)
-    coarse = float(np.mean(logs1))
-    fine = float(np.mean(logs2))
+    _, logs = _scan_nested(f, z0, R, M_points)
+    coarse = float(np.mean(logs[::2]))
+    # the 2M-point rule is the mean of the M-point rule and its midpoints
+    fine = 0.5 * (coarse + float(np.mean(logs[1::2])))
     gap = abs(fine - coarse)
     # a zero within ~R/M of the circle never dips at a sample point, but
     # it destroys the trapezoid rule's exponential convergence; an O(1/M)
@@ -292,8 +337,8 @@ def jensen_count(f, z0, R: float, M_points: int = M_POINTS_DEFAULT) -> float:
 
 def _u_values(u, zs):
     flat = np.asarray(zs, dtype=complex).ravel()
-    if hasattr(u, "eval_many"):
-        vals = u.eval_many(flat)[1]
+    if hasattr(u, "eval_logs"):
+        vals = u.eval_logs(flat)
     else:
         vals = np.fromiter((float(u(z)) for z in flat), dtype=float, count=flat.size)
     return vals.reshape(np.shape(zs))
@@ -313,7 +358,7 @@ def _jensen_J_once(u, z0: complex, r1: float, r2: float, q: int) -> float:
     wts = 0.5 * r2 * np.concatenate([gw, gw]) * kernel
     # the kernel has zero mass, so harmonic u averages to exactly zero
     wts -= wts.mean()
-    vals = _u_values(u, z0 + s[:, None] * _circle_points(0j, 1.0, 32 * q)[None, :])
+    vals = _u_values(u, z0 + s[:, None] * _circle_points(0j, 1.0, 32 * q, 0.5)[None, :])
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("non-finite subharmonic sample in the disk average")
     return float(wts @ vals.mean(axis=1))
@@ -349,8 +394,7 @@ def jensen_average_J(u, z0, r1: float, r2: float,
 # winding numbers and zero location
 
 
-def _winding_once(f, z0: complex, R: float, m: int) -> float:
-    phases, _ = _scan_circle(f, z0, R, m)
+def _winding(phases: np.ndarray) -> float:
     rot = phases * np.conj(np.roll(phases, 1))
     return float(np.sum(np.angle(rot))) / (2.0 * math.pi)
 
@@ -358,25 +402,28 @@ def _winding_once(f, z0: complex, R: float, m: int) -> float:
 def boundary_winding(f, z0, R: float, m_points: int = M_POINTS_DEFAULT) -> float:
     """Winding number of f around the circle |z - z0| = R.
 
-    Sums principal-branch phase increments, doubling the sample count
-    until two successive estimates agree within WINDING_AGREE; raises
-    WindingUnstable if they never do or the result is not close to an
-    integer.
+    Sums principal-branch phase increments on nested grids, theta_i =
+    2 pi i / (2m): one evaluation of 2m points gives the estimates at m
+    (the even samples) and 2m, and each further doubling evaluates only
+    the m new midpoints.  Doubles until two successive estimates agree
+    within WINDING_AGREE; raises WindingUnstable if they never do or the
+    result is not close to an integer, and NearCircleZero if a grid sees
+    a zero on the circle.
     """
     z0 = complex(z0)
     m = max(256, m_points)
-    prev = _winding_once(f, z0, R, m)
-    while m <= MAX_M_POINTS:
+    phases, logs = _scan_nested(f, z0, R, m)
+    prev, cur = _winding(phases[::2]), _winding(phases)
+    while abs(cur - prev) > WINDING_AGREE:
         m *= 2
-        cur = _winding_once(f, z0, R, m)
-        if abs(cur - prev) <= WINDING_AGREE:
-            if abs(cur - round(cur)) > WINDING_INT_TOL:
-                raise WindingUnstable(
-                    f"winding {cur:.3f} on |z - {z0}| = {R} is not near an integer")
-            return cur
-        prev = cur
-    raise WindingUnstable(
-        f"winding estimates on |z - {z0}| = {R} never stabilized (last {prev:.3f})")
+        if m > MAX_M_POINTS:
+            raise WindingUnstable(
+                f"winding estimates on |z - {z0}| = {R} never stabilized (last {cur:.3f})")
+        phases, logs = _refine(f, z0, R, phases, logs)
+        prev, cur = cur, _winding(phases)
+    if abs(cur - round(cur)) > WINDING_INT_TOL:
+        raise WindingUnstable(f"winding {cur:.3f} on |z - {z0}| = {R} is not near an integer")
+    return cur
 
 
 _JITTERS = (1.0, 1.031, 0.967, 1.062, 0.941, 1.094)
@@ -563,19 +610,28 @@ def concatenation_w(p: Potential, omega: float, z: ComplexPhase, E, m: int,
                                       first_site)[0])
 
 
-def zero_count_additivity(p: Potential, omega: float, E, m: int, disk: Disk,
-                          tol: float = 1e-9,
-                          first_site: str = "Tx") -> AdditivityReport:
-    """Zero counts in one disk for f_m, its e(m omega)-shift, and f_2m.
+def additivity_handles(p: Potential, omega: float, E, m: int,
+                       first_site: str = "Tx") -> tuple:
+    """The handles of f_m, its e(m omega)-shift, and f_2m.
 
-    The doubled-window count exceeds the sum of the two halves by a
-    bounded defect; the triple is reported with no assertion since the
-    bound's constant is instance-dependent.
+    Sites m+1..2m at z are sites 1..m at z e(m omega), so the shifted
+    window is f_m rotated, and its zeros come from f_m's eigensolve.
     """
     f_left = determinant_handle(p, omega, E, m, first_site)
     rot = cmath.exp(2j * math.pi * fracmul(m, omega))
-    f_shift = rotated_handle(f_left, rot)
-    f_double = determinant_handle(p, omega, E, 2 * m, first_site)
+    return f_left, rotated_handle(f_left, rot), determinant_handle(p, omega, E, 2 * m, first_site)
+
+
+def zero_count_additivity(f_left, f_shift, f_double, disk: Disk,
+                          tol: float = 1e-9) -> AdditivityReport:
+    """Zero counts in one disk for f_m, its e(m omega)-shift, and f_2m.
+
+    The three handles come from :func:`additivity_handles`; built once and
+    shared over many disks, each window's zeros are solved for at most
+    once.  The doubled-window count exceeds the sum of the two halves by a
+    bounded defect; the triple is reported with no assertion since the
+    bound's constant is instance-dependent.
+    """
     k0 = locate_zeros(f_left, disk, tol).count
     k1 = locate_zeros(f_shift, disk, tol).count
     k = locate_zeros(f_double, disk, tol).count

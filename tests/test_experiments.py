@@ -2,14 +2,18 @@
 
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qplab.dynamics as dy
+import qplab.expcli as cli
 import qplab.experiments as ex
 import qplab.potential as pt
 import qplab.spectrum as sp
+import qplab.zeros as zr
 
 AMO3 = pt.almost_mathieu(3.0)
 SHIFT = dy.Shift((dy.GOLDEN_MEAN,))
@@ -96,6 +100,38 @@ def test_thread_count_does_not_change_rows(name):
     four = ex.run_experiment(name, AMO3, SHIFT, SMOKE_GRIDS[name], seed=7,
                              threads=4)
     assert one == four
+
+
+def test_zero_additivity_solves_each_window_once_per_run(tmp_path, monkeypatch):
+    # the bundled 6-disk config: every disk and retry reads the zeros of
+    # one shared handle triple, so f_m and f_2m are each solved at most
+    # once (one handle per run and disk would solve them once per disk)
+    solved = []
+
+    def counting(p, omega, E, a, b, first_site="Tx"):
+        solved.append((a, b))
+        return companion(p, omega, E, a, b, first_site)
+
+    companion = zr._companion_zeros
+    monkeypatch.setattr(zr, "_companion_zeros", counting)
+    cfg = Path(ex.__file__).parent / "configs" / "zero_additivity.yaml"
+    assert cli.run(cfg, out=tmp_path / "t1", threads=1) == 0
+    assert solved and sorted(solved) == sorted(set(solved)) and set(solved) <= {(1, 16), (1, 32)}
+    # two workers may race the lazy zeros() of a shared handle; both
+    # compute the same bits
+    assert cli.run(cfg, out=tmp_path / "t2", threads=2) == 0
+    csv = "zero_additivity.csv"
+    assert (tmp_path / "t1" / csv).read_bytes() == (tmp_path / "t2" / csv).read_bytes()
+    # more workers than cores, switching threads often, on the same rows
+    grid = {"E": 0.5, "m": 16, "n_disks": 6, "radius": 0.1, "y_scale": 0.08}
+    one = ex.run_experiment("zero_additivity", AMO3, SHIFT, grid, seed=11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = ex.run_experiment("zero_additivity", AMO3, SHIFT, grid, seed=11, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert four == one
 
 
 def test_task_seed_is_a_sha256_prefix():

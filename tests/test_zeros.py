@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qplab.dynamics as dy
@@ -196,6 +198,82 @@ def test_boundary_winding_counts_enclosed_roots():
     assert w == pytest.approx(2.0, abs=zr.WINDING_INT_TOL)
 
 
+@settings(max_examples=100, deadline=None)
+@given(center=st.complex_numbers(max_magnitude=2.0),
+       R=st.floats(0.01, 3.0),
+       roots=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                st.floats(0.0, 0.95) | st.floats(1.05, 3.0)),
+                      max_size=6))
+def test_boundary_winding_counts_random_roots_off_the_circle(center, R, roots):
+    # roots at z0 + R rho e(t) with |rho - 1| >= 0.05: the nested grids
+    # settle on the exact count
+    zs = [center + R * rho * cmath.exp(2j * math.pi * t) for t, rho in roots]
+    inside = sum(rho < 1.0 for _, rho in roots)
+    w = zr.boundary_winding(zr.polynomial_handle(zs), center, R)
+    assert abs(w - inside) < 1e-9
+
+
+def counting_handle(fn):
+    """A handle over a (phases, logs) evaluator that records every point set."""
+    calls = []
+
+    def counted(zs):
+        calls.append(zs.copy())
+        return fn(zs)
+    return zr._Handle(counted, lambda: []), calls
+
+
+def test_settled_winding_makes_one_evaluation_of_the_nested_pair():
+    # estimates at m and 2m from one eval_many of 2m points (the offset
+    # grids took two calls, of m and of 2m points)
+    f, calls = counting_handle(zr.polynomial_handle([0.1, -0.2 + 0.1j, 0.8]).eval_many)
+    assert zr.boundary_winding(f, 0.0, 0.5) == pytest.approx(2.0, abs=1e-9)
+    assert [c.size for c in calls] == [2 * zr.M_POINTS_DEFAULT]
+
+
+def test_extra_doubling_evaluates_only_the_new_midpoints():
+    # z^700 about 0 aliases to 700 - 1024 on 1024 samples and is resolved
+    # on 2048 and 4096: one doubling past the first pair, which evaluates
+    # only the 2048 midpoints of the 4096-point grid
+    k, m = 700, zr.M_POINTS_DEFAULT
+    f, calls = counting_handle(lambda zs: ((zs / np.abs(zs)) ** k, k * np.log(np.abs(zs))))
+    assert zr.boundary_winding(f, 0.0, 1.0, m) == pytest.approx(k, abs=1e-9)
+    assert [c.size for c in calls] == [2 * m, 2 * m]
+    midpoints = np.exp(2j * math.pi * (np.arange(2 * m) + 0.5) / (2 * m))
+    assert np.max(np.abs(calls[1] - midpoints)) < 1e-12
+
+
+@pytest.mark.parametrize("read", [zr.boundary_winding, zr.circle_mean_log],
+                         ids=["winding", "circle_mean"])
+@pytest.mark.parametrize("sample, offset, m_seen", [
+    (6, 0.0, zr.M_POINTS_DEFAULT),          # on a coarse sample: non-finite log
+    (7, 0.0, 2 * zr.M_POINTS_DEFAULT),      # on a fine-only sample
+    (6, 1e-13, zr.M_POINTS_DEFAULT),        # 1e-13 R off a coarse sample: a dip of 30
+    (7, 1e-13, 2 * zr.M_POINTS_DEFAULT),
+])
+def test_a_zero_on_either_grid_is_caught_by_the_first_grid_holding_it(read, sample, offset,
+                                                                       m_seen):
+    # the coarse grid is the even samples of one 2m-point evaluation; it is
+    # checked first, and a zero it holds gets the coarse grid's retry radius
+    z0, R, m = 0.1 - 0.2j, 0.3, zr.M_POINTS_DEFAULT
+    on = zr._circle_points(z0, R, 2 * m)[sample]
+    f = zr.polynomial_handle([on + offset * (on - z0), 2.0])
+    with pytest.raises(zr.NearCircleZero) as exc:
+        read(f, z0, R)
+    assert exc.value.suggested_radius == R * (1.0 + 3.0 / m_seen)
+
+
+def test_richardson_gap_flags_a_zero_between_the_samples():
+    # a root on the unit circle at angle pi / (4M) dips only 7.5 logs, but
+    # the M- and 2M-point means, log|exp(i M phi) - 1| / M and
+    # log|exp(2i M phi) - 1| / (2M), differ by 4.3e-4
+    M = zr.M_POINTS_DEFAULT
+    f = zr.polynomial_handle([cmath.exp(1j * math.pi / (4 * M))])
+    with pytest.raises(zr.NearCircleZero, match="disagree") as exc:
+        zr.circle_mean_log(f, 0.0, 1.0)
+    assert exc.value.suggested_radius == 1.0 + 3.0 / M
+
+
 def test_locate_zeros_finds_distinct_roots():
     roots = [0.15 + 0.1j, -0.25, 0.05 - 0.3j]
     zs = zr.locate_zeros(zr.polynomial_handle(roots), zr.Disk(0j, 0.45))
@@ -291,7 +369,7 @@ def test_concatenation_defect_strictly_negative_for_constant_potential():
 
 
 def test_zero_count_additivity_on_an_empty_disk():
-    rep = zr.zero_count_additivity(AMO3, GOLDEN, 0.5, 8,
+    rep = zr.zero_count_additivity(*zr.additivity_handles(AMO3, GOLDEN, 0.5, 8),
                                    zr.Disk(0.5 + 0j, 0.05))
     assert (rep.count_left, rep.count_shifted, rep.count_doubled) == (0, 0, 0)
     assert rep.defect == 0
@@ -302,7 +380,7 @@ def test_zero_count_additivity_on_the_zero_ring():
     # ring y = log(lam/2)/(4 pi); a disk there sees actual zeros
     ystar = math.log(1.5) / (4 * math.pi)
     center = cmath.exp(complex(2 * math.pi * ystar, 2 * math.pi * 0.35))
-    rep = zr.zero_count_additivity(AMO3, GOLDEN, 0.5, 12,
+    rep = zr.zero_count_additivity(*zr.additivity_handles(AMO3, GOLDEN, 0.5, 12),
                                    zr.Disk(center, 0.12))
     assert rep.count_doubled >= 1
     assert rep.defect == rep.count_doubled - rep.count_left - rep.count_shifted
