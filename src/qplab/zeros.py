@@ -16,10 +16,12 @@ The counting tools are the Jensen circle mean, the nested-disk Jensen
 average J (whose scaled value sandwiches the zero count between the
 counts at radii r1 - r2 and r1 + r2), boundary winding numbers, and a
 zero locator that certifies the handle's zeros in a disk by windings.
-Circle means and windings sample nested grids, theta_i = 2 pi i / (2m):
-the m-point estimate reads the even samples of one 2m-point evaluation,
-and each further doubling evaluates only the new midpoints.  Both grids
-are checked for a zero on the circle.  J is computed as one radial
+Windings sample nested grids, theta_i = 2 pi i / (2m): the m-point
+estimate reads the even samples of one 2m-point evaluation, and each
+further doubling evaluates only the new midpoints.  Circle means keep
+two offset grids that share no sample, so that their Richardson gap
+still bounds the error when a zero sits on the circle.  Every grid is
+checked for a zero on the circle.  J is computed as one radial
 integral: circle means of log|f| about the centre, weighted by the
 zero-mass kernel of the double disk average.
 """
@@ -288,22 +290,27 @@ def _refine(f, z0: complex, R: float, phases: np.ndarray, logs: np.ndarray):
     return phases2, logs2
 
 
+def _offset_mean_log(f, z0: complex, R: float, m: int) -> float:
+    logs = f.eval_logs(_circle_points(z0, R, m, 0.5))
+    _check_circle(logs, z0, R)
+    return float(np.mean(logs))
+
+
 def circle_mean_log(f, z0, R: float, M_points: int = M_POINTS_DEFAULT,
                     with_error: bool = False):
     """Average of log|f| over the circle |z - z0| = R.
 
-    Trapezoidal rule on 2*M_points samples at theta_i = 2 pi i / (2 M),
-    from one evaluation, and on its M_points even samples; the returned
-    value is the finer one and ``with_error=True`` additionally returns
-    the Richardson gap |mean_2M - mean_M| as the quadrature error bound.
+    Trapezoidal rule on M_points and 2*M_points samples at theta_i =
+    2 pi (i + 1/2) / m, two grids that share no sample (on nested grids
+    a zero midway between two fine samples leaves both means equally
+    wrong); the returned value is the finer one and ``with_error=True``
+    additionally returns the Richardson gap |mean_2M - mean_M| as the
+    quadrature error bound.
     """
     if M_points < 256:
         raise ValueError("M_points must be at least 256")
     z0 = complex(z0)
-    _, logs = _scan_nested(f, z0, R, M_points)
-    coarse = float(np.mean(logs[::2]))
-    # the 2M-point rule is the mean of the M-point rule and its midpoints
-    fine = 0.5 * (coarse + float(np.mean(logs[1::2])))
+    coarse, fine = (_offset_mean_log(f, z0, R, m) for m in (M_points, 2 * M_points))
     gap = abs(fine - coarse)
     # a zero within ~R/M of the circle never dips at a sample point, but
     # it destroys the trapezoid rule's exponential convergence; an O(1/M)
@@ -407,11 +414,13 @@ def boundary_winding(f, z0, R: float, m_points: int = M_POINTS_DEFAULT) -> float
     (the even samples) and 2m, and each further doubling evaluates only
     the m new midpoints.  Doubles until two successive estimates agree
     within WINDING_AGREE; raises WindingUnstable if they never do or the
-    result is not close to an integer, and NearCircleZero if a grid sees
-    a zero on the circle.
+    result is not close to an integer or m_points exceeds MAX_M_POINTS,
+    and NearCircleZero if a grid sees a zero on the circle.
     """
     z0 = complex(z0)
     m = max(256, m_points)
+    if m > MAX_M_POINTS:
+        raise WindingUnstable(f"m_points {m} exceeds MAX_M_POINTS = {MAX_M_POINTS}")
     phases, logs = _scan_nested(f, z0, R, m)
     prev, cur = _winding(phases[::2]), _winding(phases)
     while abs(cur - prev) > WINDING_AGREE:

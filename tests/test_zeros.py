@@ -243,35 +243,74 @@ def test_extra_doubling_evaluates_only_the_new_midpoints():
     assert np.max(np.abs(calls[1] - midpoints)) < 1e-12
 
 
-@pytest.mark.parametrize("read", [zr.boundary_winding, zr.circle_mean_log],
-                         ids=["winding", "circle_mean"])
+def test_winding_refuses_a_grid_above_the_cap_before_evaluating():
+    f, calls = counting_handle(zr.polynomial_handle([0.1]).eval_many)
+    with pytest.raises(zr.WindingUnstable, match="MAX_M_POINTS"):
+        zr.boundary_winding(f, 0.0, 0.5, 2 * zr.MAX_M_POINTS)
+    assert calls == []
+
+
 @pytest.mark.parametrize("sample, offset, m_seen", [
     (6, 0.0, zr.M_POINTS_DEFAULT),          # on a coarse sample: non-finite log
     (7, 0.0, 2 * zr.M_POINTS_DEFAULT),      # on a fine-only sample
     (6, 1e-13, zr.M_POINTS_DEFAULT),        # 1e-13 R off a coarse sample: a dip of 30
     (7, 1e-13, 2 * zr.M_POINTS_DEFAULT),
 ])
-def test_a_zero_on_either_grid_is_caught_by_the_first_grid_holding_it(read, sample, offset,
-                                                                       m_seen):
+def test_a_zero_on_either_winding_grid_is_caught_by_the_first_grid_holding_it(sample, offset,
+                                                                              m_seen):
     # the coarse grid is the even samples of one 2m-point evaluation; it is
     # checked first, and a zero it holds gets the coarse grid's retry radius
     z0, R, m = 0.1 - 0.2j, 0.3, zr.M_POINTS_DEFAULT
     on = zr._circle_points(z0, R, 2 * m)[sample]
     f = zr.polynomial_handle([on + offset * (on - z0), 2.0])
     with pytest.raises(zr.NearCircleZero) as exc:
-        read(f, z0, R)
+        zr.boundary_winding(f, z0, R)
     assert exc.value.suggested_radius == R * (1.0 + 3.0 / m_seen)
+
+
+@pytest.mark.parametrize("m_grid", [zr.M_POINTS_DEFAULT, 2 * zr.M_POINTS_DEFAULT],
+                         ids=["coarse", "fine"])
+@pytest.mark.parametrize("offset", [0.0, 1e-13])
+def test_a_zero_on_either_circle_mean_grid_is_caught_by_that_grid(m_grid, offset):
+    z0, R = 0.1 - 0.2j, 0.3
+    on = zr._circle_points(z0, R, m_grid, 0.5)[7]
+    f = zr.polynomial_handle([on + offset * (on - z0), 2.0])
+    with pytest.raises(zr.NearCircleZero) as exc:
+        zr.circle_mean_log(f, z0, R)
+    assert exc.value.suggested_radius == R * (1.0 + 3.0 / m_grid)
 
 
 def test_richardson_gap_flags_a_zero_between_the_samples():
     # a root on the unit circle at angle pi / (4M) dips only 7.5 logs, but
-    # the M- and 2M-point means, log|exp(i M phi) - 1| / M and
-    # log|exp(2i M phi) - 1| / (2M), differ by 4.3e-4
+    # the M- and 2M-point means, log|exp(i M phi) + 1| / M and
+    # log|exp(2i M phi) + 1| / (2M), differ by 4.3e-4
     M = zr.M_POINTS_DEFAULT
     f = zr.polynomial_handle([cmath.exp(1j * math.pi / (4 * M))])
     with pytest.raises(zr.NearCircleZero, match="disagree") as exc:
         zr.circle_mean_log(f, 0.0, 1.0)
     assert exc.value.suggested_radius == 1.0 + 3.0 / M
+
+
+def test_a_zero_midway_between_fine_winding_samples_is_flagged_by_the_circle_mean():
+    # at angle pi / (2M) the M-point rule and its midpoints agree, so on
+    # nested grids both means are off by log 2 / (2M) = 3.4e-4 with no gap
+    M = zr.M_POINTS_DEFAULT
+    f = zr.polynomial_handle([cmath.exp(1j * math.pi / (2 * M))])
+    with pytest.raises(zr.NearCircleZero):
+        zr.circle_mean_log(f, 0.0, 1.0)
+
+
+def test_a_zero_on_the_circle_never_leaves_the_mean_off_unflagged():
+    # roots on the unit circle across one coarse cell: each is flagged or
+    # moves the mean (exactly 0 without it) by at most the gap bound
+    M = zr.M_POINTS_DEFAULT
+    for k in range(64):
+        f = zr.polynomial_handle([cmath.exp(2j * math.pi * k / (64 * M))])
+        try:
+            mean = zr.circle_mean_log(f, 0.0, 1.0)
+        except zr.NearCircleZero:
+            continue
+        assert abs(mean) <= zr.NEAR_CIRCLE_GAP, k
 
 
 def test_locate_zeros_finds_distinct_roots():
