@@ -10,7 +10,13 @@ off-diagonal -1.  Counting is done by Sturm pivots
 whose signs reproduce the signs of the determinant ratios f_k/f_{k-1};
 the number of negative pivots equals the number of eigenvalues strictly
 below E.  IDS tables, Wegner fractions and window counts take one sweep
-over all sampled phases and energies of a call.  Eigenvalues come from
+over all sampled phases and energies of a call.  The sweep runs the
+sites in blocks of up to 255, with at most 2^17 pivots per block: one
+subtraction writes d_k - E for a whole block into a reused record, each
+site then costs two in-place ufuncs, and one pass adds the block's
+negative pivots to the counts.  A block whose record holds an exact
+zero pivot is rerun with the zero nudged at every site, so the counts
+equal those of a per-site sweep.  Eigenvalues come from
 LAPACK (``stemr`` for all, ``dstebz`` bisection for a window).
 ``scipy.linalg`` is imported inside the three functions that call it,
 since importing it costs more than most experiments' compute.
@@ -107,6 +113,12 @@ class EigPair:
     collinearity: float
 
 
+# pivots per record of the blocked Sturm sweep (1 MiB of float64): a
+# block holds K sites with K * windows * energies at most this, and
+# K <= 255 so that a block's negative pivots add up in uint8
+_PIVOT_ELEMENTS = 1 << 17
+
+
 def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Negative-pivot counts, vectorized over rows of diags and energies.
 
@@ -114,28 +126,55 @@ def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
     eigenvalues strictly below each energy.  Exact zero pivots are
     nudged to +norm*2^-52, which resolves the tie the same way for
     every window (an eigenvalue exactly at E is not counted).
+
+    The sites run in blocks of K <= 255, with K times the m*g pivots of a
+    site at most ``_PIVOT_ELEMENTS``.  One broadcast subtraction writes
+    d_k - E for the whole block into a (K, ...) record, each site then
+    takes ``q -= 1/p`` in place, and one ``less`` and a uint8 sum along
+    the block add the block's negatives to the counts.  A block whose
+    record holds an exact zero pivot is written again and rerun from its
+    start pivot with the nudge at every site, so the counts are those of
+    a per-site sweep that nudges as it goes.  Two records alternate, and
+    a block starts from the last pivot of the other one.
     """
     diags = np.atleast_2d(np.asarray(diags, dtype=float))
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     pivmin = (float(np.max(np.abs(diags), initial=0.0)) + 2.0) * 2.0 ** -52
     # the pivots are laid out (g, m) for many windows and (m, g) for many
-    # energies, so each site's broadcast d - E has the longer inner loop;
-    # the buffers are reused across sites
+    # energies, so each block's broadcast d - E has the longer inner loop
     by_energy = diags.shape[0] >= energies.size
-    sites = diags.T if by_energy else diags.T[:, :, None]
+    sites = diags.T[:, None, :] if by_energy else diags.T[:, :, None]
     energies = energies[:, None] if by_energy else energies
     shape = np.broadcast_shapes(sites.shape[1:], energies.shape)
+    K = max(1, min(255, sites.shape[0], _PIVOT_ELEMENTS // max(1, math.prod(shape))))
     counts = np.zeros(shape, dtype=np.int64)
+    records = np.empty((2, K) + shape)
     # p_0 = inf makes the first pivot d_1 - E exactly; an empty window counts 0
-    p = np.full(shape, np.inf)
-    inv, neg = np.empty(shape), np.empty(shape, bool)
-    for d in sites:
-        np.divide(1.0, p, out=inv)
-        np.subtract(d, energies, out=p)
-        p -= inv
-        if not p.all():
-            p[p == 0.0] = pivmin
-        counts += np.less(p, 0.0, out=neg)
+    records[1, -1] = np.inf
+    inv, neg = np.empty(shape), np.empty((K,) + shape, bool)
+
+    def sweep(r, p, block, exact):
+        np.subtract(block, energies, out=r)
+        for q in r:
+            q -= np.divide(1.0, p, out=inv)
+            if exact:
+                q[q == 0.0] = pivmin
+            p = q
+
+    # a zero pivot divides by zero only in a pass that is then redone
+    with np.errstate(divide="ignore"):
+        for b, k in enumerate(range(0, sites.shape[0], K)):
+            block = sites[k:k + K]
+            r, start = records[b % 2, :len(block)], records[1 - b % 2, -1]
+            sweep(r, start, block, False)
+            if not r.all():
+                sweep(r, start, block, True)
+            if K == 1:
+                # a shape wider than the budget: no reduction per site
+                counts += np.less(r[0], 0.0, out=neg[0])
+            else:
+                counts += np.add.reduce(np.less(r, 0.0, out=neg[:len(r)]),
+                                        axis=0, dtype=np.uint8)
     return counts.T if by_energy else counts
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import qplab.dynamics as dy
@@ -60,6 +62,85 @@ def test_sturm_count_matches_dense_counts():
         ev = oracle_eigs(H)
         for E in rng.uniform(-5, 5, size=4):
             assert sp.sturm_count(H, E) == int(np.sum(ev < E))
+
+
+def per_site_counts(diags, energies):
+    """Sturm counts from a sweep that nudges each exact zero pivot as it goes.
+
+    The reference for the blocked sweep of ``_sturm_counts``: the same
+    pivot arithmetic, (d - E) - 1/p, and the same nudge of a zero pivot
+    to +norm*2^-52, one site at a time.
+    """
+    pivmin = (float(np.max(np.abs(diags), initial=0.0)) + 2.0) * 2.0 ** -52
+    p = np.full((diags.shape[0], energies.size), np.inf)
+    counts = np.zeros(p.shape, dtype=np.int64)
+    for d in diags.T:
+        p = (d[:, None] - energies) - 1.0 / p
+        p[p == 0.0] = pivmin
+        counts += p < 0.0
+    return counts
+
+
+def blocked_counts(diags, energies, block, monkeypatch):
+    """``_sturm_counts`` with the record cut to ``block`` sites."""
+    monkeypatch.setattr(sp, "_PIVOT_ELEMENTS", block * diags.shape[0] * energies.size)
+    return sp._sturm_counts(diags, energies)
+
+
+# Integer pivots tie often, but with IEEE infinities an unnudged tie
+# mostly counts the same as a nudged one.  It counts differently in two
+# cases, so both are drawn: a diagonal -0.0 at E = +0.0 on the first site
+# (the pivot -0.0, whose unnudged successor is +inf), and a diagonal
+# below the nudge two sites after a tie (nudged, 1/p lifts it above 0).
+TIE_DIAGONALS = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -2.0 ** -60, 2.0 ** -60]
+TIE_ENERGIES = [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 700), seed=st.integers(0, 2 ** 32 - 1),
+       energies=st.lists(st.sampled_from(TIE_ENERGIES), min_size=1, max_size=5),
+       block=st.sampled_from([1, 2, 3, 255]))
+def test_blocked_sweep_matches_the_per_site_sweep_bit_for_bit(m, n, seed, energies, block):
+    # blocks of 1, 2, 3 and 255 sites put the ties on the first, a middle
+    # and the last site of a block, and on a carried start pivot
+    diags = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(m, n))
+    es = np.array(energies)
+    with pytest.MonkeyPatch.context() as mp:
+        got = blocked_counts(diags, es, block, mp)
+    want = per_site_counts(diags, es)
+    assert got.dtype == want.dtype and got.shape == (m, es.size)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 255])
+def test_a_tie_counts_the_same_wherever_it_falls_in_a_block(block, monkeypatch):
+    # At E = 0 the pivots of 1, 2, ..., 2 are all 1, so the next diagonal 1
+    # gives an exact zero pivot.  Two sites on, the diagonal -2^-60 gives a
+    # negative pivot unnudged and a positive one nudged, and the site after
+    # it swaps the signs back.  The tie moves through every position of a
+    # block, and the window ends on the changed sign or past it.
+    E = np.array([0.0, 0.5])
+    for lead in range(8):
+        for tail in (0, 1, 4):
+            diag = np.array([[1.0] + [2.0] * lead + [1.0, 0.0, -2.0 ** -60] + [2.0] * tail])
+            np.testing.assert_array_equal(blocked_counts(diag, E, block, monkeypatch),
+                                          per_site_counts(diag, E))
+    # a signed zero on the first site: nudged, the pivot -0.0 counts the
+    # eigenvalue -1 of [[-0, -1], [-1, 0]]; unnudged, its successor is +inf
+    diag = np.array([[-0.0, 0.0]])
+    assert blocked_counts(diag, np.array([0.0]), block, monkeypatch)[0, 0] == 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 255, None])
+def test_free_counts_leave_out_an_eigenvalue_at_the_energy(block, monkeypatch):
+    # lam = 0 on N = 1001 sites: eigenvalues -2 cos(pi j / 1002), so
+    # E = -1, 0, 1 are eigenvalues j = 334, 501, 668, and the integer
+    # pivots hit exact zeros at each of them.  (Unnudged, these ties count
+    # the same through IEEE infinities; the two tests above pin the nudge.)
+    if block is not None:
+        monkeypatch.setattr(sp, "_PIVOT_ELEMENTS", block * 4 * 5)
+    table = sp.ids(pt.almost_mathieu(0.0), SHIFT, [-2.0, -1.0, 0.0, 1.0, 2.0], 1001, 4)
+    np.testing.assert_array_equal(table.values, np.array([0, 333, 500, 667, 1001]) / 1001)
 
 
 def test_eigenvalues_match_scipy_brackets():

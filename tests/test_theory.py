@@ -8,7 +8,10 @@ Lyapunov exponent is L(E, y) = log(lam / 2) + 2 pi |y| (Avila, Acta Math.
 beyond it.  Its eigenfunctions decay at the rate L(E) = log(lam / 2)
 (Jitomirskaya, Ann. of Math. 1999).  The Thouless formula
 L(E) = integral of log|E - E'| dN(E') ties the integrated density of
-states, counted by Sturm sweeps, to the transfer-matrix exponent.
+states, counted by Sturm sweeps, to the transfer-matrix exponent.  The
+IDS itself is pinned by Aubry duality, which maps the coupling lambda
+to 1 / lambda and E to E / lambda, and by gap labelling: in a spectral
+gap it takes a value frac(k omega).
 """
 
 import math
@@ -126,3 +129,34 @@ def test_finite_volume_thouless_sum_is_the_determinant():
     for E in (0.0, 0.5, 0.5 + 0.01j):
         f = cc.det_window(p, shift, x, E, 1, 2000).value
         assert float(np.sum(np.log(np.abs(E - evs)))) == pytest.approx(f.log_mag, rel=1e-12)
+
+
+def test_aubry_duality_of_the_ids():
+    # N_lam(E) = N_{4/lam}(2E/lam): lam = 3 is the coupling 1.5 in the
+    # 2 lambda cos normalization, and 4/3 its dual 1/1.5.  Measured over
+    # 41 energies on [-2.5, 2.5] (16 phases, seed 0): the largest gap is
+    # 5.0e-5 at N = 1e4 and 2.5e-5 at N = 2e4, so N * gap = 0.5 at both
+    # sizes and the gap goes as 0.5/N.  Other phase draws (seeds 1-3) give
+    # N * gap up to 0.875.  Tolerance: three times the fitted 0.5/N.
+    shift = dy.Shift(dy.GOLDEN_MEAN)
+    E = np.linspace(-2.5, 2.5, 41)
+    for N in (10_000, 20_000):
+        direct = sp.ids(pt.almost_mathieu(3.0), shift, E, N, 16).values
+        dual = sp.ids(pt.almost_mathieu(4.0 / 3.0), shift, 2.0 * E / 3.0, N, 16).values
+        assert np.max(np.abs(direct - dual)) <= 3 * 0.5 / N
+
+
+def test_ids_in_a_gap_takes_its_label():
+    # Gap labelling: in a spectral gap N(E) = frac(k omega).  At lam = 3,
+    # E = 0.5 lies in the gap labelled k = 1 and E = -0.5 in the one labelled
+    # k = -1.  A window's count there is an integer near N * frac(k omega),
+    # so the gap goes as c/N.  Measured (16 phases, seed 0): N * gap = 0.096
+    # and 0.034 at N = 1000, 0.136 and 0.011 at N = 4000, so c <= 0.136.
+    # Other phase draws (seeds 1-3, 1-16 phases, N up to 8000) give N * gap
+    # up to 0.73.  Tolerance: 1/N, one eigenvalue per window, about seven
+    # times the fitted 0.136/N.
+    shift = dy.Shift(dy.GOLDEN_MEAN)
+    labels = np.array([1.0 - dy.GOLDEN_MEAN, dy.GOLDEN_MEAN])
+    for N in (1000, 4000):
+        values = sp.ids(pt.almost_mathieu(3.0), shift, [-0.5, 0.5], N, 16).values
+        assert np.max(np.abs(values - labels)) <= 1.0 / N
