@@ -5,10 +5,9 @@ The transfer (monodromy) matrix over the window [a, b] is
 
     M_[a,b](x, E) = prod_{k=b..a} [[v(k,x) - E, -1], [1, 0]],
 
-where v(k, x) = lam * V(T^k x) under the default ``first_site="Tx"``
-convention (site k reads the k-th iterate; ``first_site="x"`` shifts
-everything back one step so site 1 reads x itself).  The Dirichlet
-determinant f_[a,b] = det(H_[a,b] - E) obeys
+where v(k, x) = lam * V(T^k x): site k reads the k-th iterate, so the
+window [0, n-1] starts at x itself.  The Dirichlet determinant
+f_[a,b] = det(H_[a,b] - E) obeys
 
     f_[a,k] = (v(k,x) - E) f_[a,k-1] - f_[a,k-2],
     f_[a,a-1] = 1,  f_[a,a-2] = 0,
@@ -181,11 +180,6 @@ class ScaledProduct:
     log_scale: float
 
     @property
-    def det(self) -> SignedLog:
-        """det M, which is 1: every transfer factor has determinant 1 exactly."""
-        return SignedLog.one()
-
-    @property
     def log_norm(self) -> float:
         """log of the operator norm of the full product."""
         return self.log_scale + math.log(op_norm_2x2(self.mat))
@@ -195,16 +189,16 @@ class ScaledProduct:
         return math.exp(self.log_scale) * self.mat
 
     def det_value(self) -> complex:
-        """det M as a complex number."""
-        return self.det.value()
+        """det M, which is 1: every transfer factor has determinant 1 exactly."""
+        return 1 + 0j
 
     def residual_det_scaled(self) -> SignedLog:
         """det(mat) * exp(2 log_scale) computed from the residual entries.
 
         Meaningful only while 2*log_scale stays within float resolution of
         the residual entries (roughly log_scale < 17); beyond that the
-        small singular value is lost to rounding and ``det`` is the honest
-        quantity.
+        small singular value is lost to rounding and ``det_value``, the
+        exact 1, is the honest quantity.
         """
         d = self.mat[0, 0] * self.mat[1, 1] - self.mat[0, 1] * self.mat[1, 0]
         entry = SignedLog.of(d)
@@ -224,21 +218,13 @@ _SEGMENT_COLUMNS = 256
 _MIN_FOLD = 64
 
 
-def _start_time(first_site: str, k: int) -> int:
-    """The dynamical time that site k reads under the ``first_site`` convention."""
-    if first_site not in ("Tx", "x"):
-        raise ValueError(f"first_site must be 'Tx' or 'x', got {first_site!r}")
-    return k if first_site == "Tx" else k - 1
+def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=None):
+    """Yield lam*V(T^k x_i) for sites k = k0..k1 in blocks of shape (B, m).
 
-
-def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
-           first_site: str = "Tx", rng=None):
-    """Yield lam*V(T^t x_i) for sites k0..k1 in blocks of shape (B, m).
-
-    This is the one site stream of the real phase.  ``xs`` is an (m, d)
-    batch of reduced phases, site k reads time t = k (``first_site="Tx"``)
-    or t = k - 1 (``"x"``), B*m is at most 2^14 (or B = 1), and site k
-    equals ``eval_real(p, iterate(dyn, x, t)[0])`` to rounding:
+    This is the one site stream of the real phase, and site k reads time
+    t = k.  ``xs`` is an (m, d) batch of reduced phases, B*m is at most
+    2^14 (or B = 1), and site k equals ``eval_real(p, iterate(dyn, x, k)[0])``
+    to rounding:
 
     * shift: frac(t omega) is exact per site, from the integer ratio of
       omega as in ``fracmul``; V is summed by angle addition, with e(j x_i)
@@ -252,10 +238,9 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
       ``rng.random((B', m, d))`` for the B' steps each block takes.
       Negative times raise ValueError.
     """
-    t0 = _start_time(first_site, k0)
     if k1 < k0:
         return
-    t1 = t0 + (k1 - k0) + 1
+    t0, t1 = k0, k1 + 1
     m = xs.shape[0]
     size = max(1, _BLOCK_ELEMENTS // m)
     if isinstance(dyn, Shift):
@@ -308,35 +293,40 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int,
         raise TypeError(f"unknown dynamics {dyn!r}")
 
 
-def _site_values(p: Potential, dyn: Dynamics, x, a: int, b: int,
-                 first_site: str = "Tx") -> np.ndarray:
-    """lam*V at sites a..b (inclusive) of the potential sequence.
+def _site_values(p: Potential, dyn: Dynamics, xs, a: int, b: int, rng=None) -> np.ndarray:
+    """lam*V(T^k x_i) at sites k = a..b (inclusive), shape (m, b - a + 1).
 
-    Site k reads V(T^k x) when first_site="Tx" (the default) and
-    V(T^{k-1} x) when first_site="x".  Sites below the reachable range
-    need an invertible map; the doubling map only supports windows whose
-    sites stay nonnegative in dynamical time.
+    ``xs`` is an (m, d) batch of phases; anything of fewer dimensions is
+    one phase x, whose values are row 0.  The stream of :func:`_sites`,
+    with its rng contract, is copied into one (b - a + 1, m) array and
+    returned transposed: the layout the Sturm sweep reads, with no further
+    copy.  Negative sites need an invertible map; the doubling map only
+    supports windows from site 0.
     """
-    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
-    return np.concatenate([np.empty(0)] + [blk[:, 0] for blk in blocks])
+    xs = np.asarray(xs, dtype=float)
+    xs = _phase_batch(dyn, xs) if xs.ndim == 2 else _one_phase(dyn, xs)
+    out = np.empty((max(0, b - a + 1), xs.shape[0]))
+    k = 0
+    for block in _sites(p, dyn, xs, a, b, rng):
+        out[k:k + len(block)] = block
+        k += len(block)
+    return out.T
 
 
-def _laurent_table(p: Potential, omega: float, a: int, b: int, first_site: str = "Tx"):
+def _laurent_table(p: Potential, omega: float, a: int, b: int):
     """(ks, vs, coef): the Laurent coefficients of v(k, z) at sites a..b of a shift.
 
-    Site k reads lam V at z e(t omega), t as in :func:`_sites`, so
+    Site k reads lam V at z e(k omega), as in :func:`_sites`, so
     v(k, z) = sum_j coef[k - a, i] z^ks[i] with coef[:, i] = lam v_j
-    e(j frac(t omega)), j = ks[i], and vs = lam v_j; frac is exact.
+    e(j frac(k omega)), j = ks[i], and vs = lam v_j; frac is exact.
     """
-    t0 = _start_time(first_site, a)
     # V = 0 stores no harmonic; one zero term gives the table a first column
     ks, vs = (p._ks, p.lam * p._vs) if p._ks.size else (np.zeros(1, int), np.zeros(1))
-    frac = dyn_mod._fracmuls(range(t0, t0 + b - a + 1), omega)
+    frac = dyn_mod._fracmuls(range(a, b + 1), omega)
     return ks, vs, vs * np.exp(2j * math.pi * frac[:, None] * ks)
 
 
-def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
-                   first_site: str = "Tx"):
+def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int):
     """(bound, blocks): v(k, z) at sites a..b for the m complex phases zs of a shift.
 
     The complex-phase site stream: the rows of :func:`_laurent_table`
@@ -347,7 +337,7 @@ def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
     if np.any(zs == 0):
         raise ZeroDivisionError("Laurent evaluation needs z != 0")
     # one coefficient table per call, so no block makes a fresh temporary
-    ks, vs, coef = _laurent_table(p, omega, a, b, first_site)
+    ks, vs, coef = _laurent_table(p, omega, a, b)
     rows = [zs ** int(j) for j in ks]
     bound = float(np.max(sum(abs(v) * np.abs(r) for v, r in zip(vs, rows))))
 
@@ -373,8 +363,7 @@ def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
 # products and determinants at a single phase
 
 
-def transfer_product(p: Potential, dyn: Dynamics, x, E: float, n: int,
-                     first_site: str = "Tx") -> ScaledProduct:
+def transfer_product(p: Potential, dyn: Dynamics, x, E: float, n: int) -> ScaledProduct:
     """M_n(x, E) = M_[1,n] as a scaled product.
 
     The log of the operator norm of the true product is
@@ -384,23 +373,21 @@ def transfer_product(p: Potential, dyn: Dynamics, x, E: float, n: int,
     """
     if n < 1:
         raise ValueError("transfer_product needs n >= 1")
-    return transfer_product_window(p, dyn, x, E, 1, n, first_site)
+    return transfer_product_window(p, dyn, x, E, 1, n)
 
 
-def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
-                            first_site: str = "Tx") -> ScaledProduct:
+def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int) -> ScaledProduct:
     """M_[a,b](x, E); the empty window (b = a-1) gives the identity."""
     if b < a - 1:
         raise ValueError("window must satisfy b >= a-1")
     if b < a:
         return ScaledProduct(np.eye(2), 0.0)
-    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
+    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b)
     cur, prev, log_scale = _recur(p.sup_bound(), E, blocks, 1, 2)
     return ScaledProduct(np.array([cur[:, 0], prev[:, 0]]), float(log_scale[0]))
 
 
-def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int,
-                 first_site: str = "Tx") -> list:
+def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int) -> list:
     """Dirichlet determinants f_1 .. f_n as SignedLog values.
 
     Conventions f_0 = 1 and f_{-1} = 0 seed the recurrence; exact zeros
@@ -408,12 +395,11 @@ def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int,
     """
     if n < 1:
         raise ValueError("det_sequence needs n >= 1")
-    phases, logs = _det_profile(_site_values(p, dyn, x, 1, n, first_site), E)
+    phases, logs = _det_profile(_site_values(p, dyn, x, 1, n)[0], E)
     return [SignedLog(complex(ph), float(lg)) for ph, lg in zip(phases[1:, 0], logs[1:, 0])]
 
 
-def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
-               first_site: str = "Tx") -> DetWindow:
+def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int) -> DetWindow:
     """f_[a,b] with the window conventions f_[a,a-1]=1, f_[a,a-2]=0."""
     if b < a - 2:
         raise ValueError("window must satisfy b >= a-2")
@@ -421,7 +407,7 @@ def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int,
         return DetWindow(a, b, SignedLog.zero())
     if b == a - 1:
         return DetWindow(a, b, SignedLog.one())
-    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b, first_site)
+    blocks = _sites(p, dyn, _one_phase(dyn, x), a, b)
     cur, _, log_scale = _recur(p.sup_bound(), E, blocks, 1, 1)
     phase, log_mag = _read_det(cur[0], log_scale)
     return DetWindow(a, b, SignedLog(complex(phase[0]), float(log_mag[0])))
@@ -451,8 +437,7 @@ def _det_profile(vs: np.ndarray, E) -> tuple:
     return _read_det(resid, 0.0)[0], logs
 
 
-def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int,
-                        first_site: str = "Tx"):
+def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int):
     """M_[a, n_prime] assembled from four determinant windows.
 
     Returns a 2x2 nested list of SignedLog:
@@ -460,15 +445,14 @@ def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int,
     """
     if n_prime < a:
         raise ValueError("monodromy window needs n_prime >= a")
-    f_a = det_window(p, dyn, x, E, a, n_prime, first_site).value
-    f_a1 = det_window(p, dyn, x, E, a + 1, n_prime, first_site).value
-    f_a_m = det_window(p, dyn, x, E, a, n_prime - 1, first_site).value
-    f_a1_m = det_window(p, dyn, x, E, a + 1, n_prime - 1, first_site).value
+    f_a = det_window(p, dyn, x, E, a, n_prime).value
+    f_a1 = det_window(p, dyn, x, E, a + 1, n_prime).value
+    f_a_m = det_window(p, dyn, x, E, a, n_prime - 1).value
+    f_a1_m = det_window(p, dyn, x, E, a + 1, n_prime - 1).value
     return [[f_a, -f_a1], [f_a_m, -f_a1_m]]
 
 
-def green_entry(p: Potential, dyn: Dynamics, x, E, j: int, k: int, N: int,
-                first_site: str = "Tx") -> SignedLog:
+def green_entry(p: Potential, dyn: Dynamics, x, E, j: int, k: int, N: int) -> SignedLog:
     """(H_[1,N] - E)^{-1}(j, k) for j <= k, by Cramer's rule.
 
     The magnitude is the ratio |f_[1,j-1]| |f_[k+1,N]| / |f_[1,N]|; no
@@ -478,16 +462,15 @@ def green_entry(p: Potential, dyn: Dynamics, x, E, j: int, k: int, N: int,
     """
     if not (1 <= j <= k <= N):
         raise ValueError("green_entry needs 1 <= j <= k <= N")
-    top_left = det_window(p, dyn, x, E, 1, j - 1, first_site).value
-    top_right = det_window(p, dyn, x, E, k + 1, N, first_site).value
-    bottom = det_window(p, dyn, x, E, 1, N, first_site).value
+    top_left = det_window(p, dyn, x, E, 1, j - 1).value
+    top_right = det_window(p, dyn, x, E, k + 1, N).value
+    bottom = det_window(p, dyn, x, E, 1, N).value
     if bottom.is_zero:
         raise SingularEnergy("E is an eigenvalue of the finite window")
     return (top_left * top_right) / bottom
 
 
-def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int,
-              first_site: str = "Tx") -> tuple:
+def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int) -> tuple:
     """(H_[1,N] - E)^{-1}(j, k) for k = j..N as (phases, log_mags) arrays.
 
     The Cramer ratios of :func:`green_entry` in O(N) sites: one two-sided
@@ -497,7 +480,7 @@ def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int,
     """
     if not 1 <= j <= N:
         raise ValueError("green_row needs 1 <= j <= N")
-    ph, logs = _det_profile(_site_values(p, dyn, x, 1, N, first_site), E)
+    ph, logs = _det_profile(_site_values(p, dyn, x, 1, N)[0], E)
     if logs[N, 0] == NEG_INF:
         raise SingularEnergy("E is an eigenvalue of the finite window")
     # row i of the second column is f_[N-i+1,N]: k = j..N reads i = N-j..0
@@ -507,8 +490,7 @@ def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int,
 
 
 def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,
-                rho0: float = pot_mod.RHO0_DEFAULT,
-                first_site: str = "Tx") -> SignedLog:
+                rho0: float = pot_mod.RHO0_DEFAULT) -> SignedLog:
     """f_n at a complexified phase (shift dynamics only).
 
     The determinant is evaluated with V at z e(k omega) for the window
@@ -516,13 +498,11 @@ def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,
     """
     if abs(z.y) > rho0:
         raise ValueError(f"complex phase leaves the strip: |y|={abs(z.y)} > {rho0}")
-    phases, logs = complex_det_grid(p, omega, np.array([z.to_z()]), E, n,
-                                    first_site=first_site)
+    phases, logs = complex_det_grid(p, omega, np.array([z.to_z()]), E, n)
     return SignedLog(complex(phases[0]), float(logs[0]))
 
 
-def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
-                     first_site: str = "Tx"):
+def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int):
     """f_n(z) on an array of annulus points z, in signed-log pieces.
 
     Returns (phases, log_mags) arrays; exact zeros give (0, -inf).  This
@@ -534,7 +514,7 @@ def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int,
         raise ValueError("complex_det_grid needs n >= 1")
     zs = np.asarray(zs, dtype=complex)
     pts = zs.ravel()
-    bound, blocks = _laurent_sites(p, omega, pts, 1, n, first_site)
+    bound, blocks = _laurent_sites(p, omega, pts, 1, n)
     f, _, log_acc = _recur(bound, E, blocks, pts.size, 1)
     phases, log_mags = _read_det(f[0], log_acc)
     return phases.reshape(zs.shape), log_mags.reshape(zs.shape)
@@ -787,8 +767,8 @@ def _fold(ts: np.ndarray, L: int, cur: np.ndarray, prev: np.ndarray, log_acc: np
     return accs[s] + np.log(scale) + np.log(norms),
 
 
-def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: str,
-           rng, solutions: int) -> dict:
+def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, rng,
+           solutions: int) -> dict:
     """{k: logs} at the checkpoints, from :func:`_recur` over sites 1..n.
 
     logs has shape (m,) for a scalar E and (e, m) for an array of e
@@ -800,14 +780,14 @@ def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, first_site: 
     xs = _phase_batch(dyn, xs)
     shape = np.shape(E) + xs.shape[:1]
     out = {}
-    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0],
+    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, rng), xs.shape[0],
            solutions, want,
            lambda ks, logs, *_: out.update(zip(ks.tolist(), logs.reshape((len(ks),) + shape))))
     return out
 
 
 def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
-                      checkpoints=None, first_site: str = "Tx", rng=None) -> dict:
+                      checkpoints=None, rng=None) -> dict:
     """log ||M_k(x_i, E)|| for every starting phase, at chosen checkpoints.
 
     Returns a dict {k: array of shape (m,)} for each requested k
@@ -826,11 +806,11 @@ def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
     """
     if n < 1:
         raise ValueError("batched_log_norms needs n >= 1")
-    return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 2)
+    return _sweep(p, dyn, xs, E, n, checkpoints, rng, 2)
 
 
 def batched_sup_rate(p: Potential, dyn: Dynamics, xs, E: float, n: int,
-                     first_site: str = "Tx", rng=None) -> np.ndarray:
+                     rng=None) -> np.ndarray:
     """sup over 1 <= k <= n of (1/k) log ||M_k(x_i, E)||, per phase.
 
     Every site is a stop of :func:`_recur`, whose reads come in batches;
@@ -840,14 +820,14 @@ def batched_sup_rate(p: Potential, dyn: Dynamics, xs, E: float, n: int,
         raise ValueError("batched_sup_rate needs n >= 1")
     xs = _phase_batch(dyn, xs)
     best = np.full(xs.shape[0], NEG_INF)
-    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng), xs.shape[0], 2,
+    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, rng), xs.shape[0], 2,
            range(1, n + 1),
            lambda ks, logs: np.maximum(best, np.max(logs / ks[:, None], axis=0), out=best))
     return best
 
 
 def batched_log_absdet(p: Potential, dyn: Dynamics, xs, E, n: int,
-                       checkpoints=None, first_site: str = "Tx", rng=None) -> dict:
+                       checkpoints=None, rng=None) -> dict:
     """log |f_k(x_i, E)| vectorized over starting phases.
 
     Same checkpoint, rescaling, energy-array and rng contract as
@@ -856,11 +836,11 @@ def batched_log_absdet(p: Potential, dyn: Dynamics, xs, E, n: int,
     """
     if n < 1:
         raise ValueError("batched_log_absdet needs n >= 1")
-    return _sweep(p, dyn, xs, E, n, checkpoints, first_site, rng, 1)
+    return _sweep(p, dyn, xs, E, n, checkpoints, rng, 1)
 
 
 def batched_log_absdet_and_norm(p: Potential, dyn: Dynamics, xs, E, n: int,
-                                first_site: str = "Tx", rng=None) -> tuple:
+                                rng=None) -> tuple:
     """(log |f_n(x_i, E)|, log ||M_n(x_i, E)||) per phase, from one pass.
 
     Both are read from one ``solutions=2`` :func:`_recur` pass, whose
@@ -874,6 +854,6 @@ def batched_log_absdet_and_norm(p: Potential, dyn: Dynamics, xs, E, n: int,
         raise ValueError("batched_log_absdet_and_norm needs n >= 1")
     xs = _phase_batch(dyn, xs)
     norms = []
-    cur, _, log_acc = _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, first_site, rng),
+    cur, _, log_acc = _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, rng),
                              xs.shape[0], 2, {n}, lambda ks, logs: norms.append(logs[0]))
     return _read_det(cur[0], log_acc)[1], norms[0]

@@ -81,28 +81,26 @@ class ShiftSumReport:
 
 
 def _statistic_samples(p: Potential, dyn: Dynamics, E, n: int,
-                       x_samples: int, statistic: str, seed: int,
-                       first_site: str) -> np.ndarray:
+                       x_samples: int, statistic: str, seed: int) -> np.ndarray:
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     xs = sample_phases(dyn, "random", x_samples, seed)
     noise = _doubling_rng(seed)
     if statistic == "transfer_norm":
-        out = cocycle.batched_log_norms(p, dyn, xs, E, n, (n,), first_site, rng=noise)
+        out = cocycle.batched_log_norms(p, dyn, xs, E, n, (n,), rng=noise)
     else:
-        out = cocycle.batched_log_absdet(p, dyn, xs, E, n, (n,), first_site, rng=noise)
+        out = cocycle.batched_log_absdet(p, dyn, xs, E, n, (n,), rng=noise)
     return out[n]
 
 
 def deviation_curve(p: Potential, dyn: Dynamics, E, n: int,
                     thresholds: Sequence[float], x_samples: int,
-                    statistic: str = "transfer_norm", seed: int = 0,
-                    first_site: str = "Tx") -> list:
+                    statistic: str = "transfer_norm", seed: int = 0) -> list:
     """Tail fractions at several thresholds from one shared sample set."""
     for t in thresholds:
         if not t > 0.0:
             raise ValueError("thresholds must be positive")
-    u = _statistic_samples(p, dyn, E, n, x_samples, statistic, seed, first_site)
+    u = _statistic_samples(p, dyn, E, n, x_samples, statistic, seed)
     dev = np.abs(u - np.mean(u))
     return [DeviationProfile(n=n, threshold=float(t),
                              measure=float(np.mean(dev > t)),
@@ -112,14 +110,13 @@ def deviation_curve(p: Potential, dyn: Dynamics, E, n: int,
 
 def deviation_measure(p: Potential, dyn: Dynamics, E, n: int, threshold: float,
                       x_samples: int, statistic: str = "transfer_norm",
-                      seed: int = 0, first_site: str = "Tx") -> DeviationProfile:
+                      seed: int = 0) -> DeviationProfile:
     """Empirical measure of {x : |u_n(x) - n*L_hat_n| > threshold}.
 
     L_hat_n is self-normalized: the mean of u_n over the same sampled
     phases, matching the centering the tail estimate is about.
     """
-    return deviation_curve(p, dyn, E, n, (threshold,), x_samples,
-                           statistic, seed, first_site)[0]
+    return deviation_curve(p, dyn, E, n, (threshold,), x_samples, statistic, seed)[0]
 
 
 def _bmo_values(samples) -> np.ndarray:

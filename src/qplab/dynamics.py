@@ -161,33 +161,6 @@ def iterate(dyn: Dynamics, x, n: int) -> Phase:
     raise TypeError(f"unknown dynamics {dyn!r}")
 
 
-def orbit_first_coord(dyn: Dynamics, x, n: int) -> np.ndarray:
-    """First torus coordinate of T^k x for k = 1..n, as an array.
-
-    This is the sequence the potential is sampled along.  Shift and
-    skew-shift orbits are produced by the closed forms with every
-    fractional part exact, so entry k equals ``iterate(dyn, x, k)[0]``;
-    the doubling orbit is generated sequentially.
-    """
-    p = _as_phase(x, dyn.d)
-    ks = range(1, n + 1)
-    if isinstance(dyn, Shift):
-        return mod1(p[0] + _fracmuls(ks, dyn.omega[0]))
-    if isinstance(dyn, SkewShift):
-        xx, yy = p
-        quad = _fracmuls(ks, dyn.omega, triangular=True)
-        return mod1(xx + _fracmuls(ks, yy) + quad)
-    if isinstance(dyn, Doubling):
-        out = np.empty(n)
-        t = float(p[0])
-        for i in range(n):
-            t = t * 2.0
-            t -= math.floor(t)
-            out[i] = t
-        return out
-    raise TypeError(f"unknown dynamics {dyn!r}")
-
-
 def torus_distance(t) -> float:
     """Distance ``||t||`` from a real number to the nearest integer.
 

@@ -268,6 +268,8 @@ def _prep_wegner(p, dyn, grid, seed):
     energies = _energy_grid(_param(grid, "E"))
     # wegner_measure rejects H < 1
     H_list = [float(h) for h in np.atleast_1d(_param(grid, "H_list", [5.0, 10.0]))]
+    if not H_list:
+        raise ValueError("H_list must be a nonempty list")
     N = int(_param(grid, "N", 200))
     x_samples = int(_param(grid, "x_samples", 2000))
 
@@ -421,7 +423,10 @@ def _prep_hellmann_feynman(p, dyn, grid, seed):
     x_samples = int(_param(grid, "x_samples", 3))
     default_idx = [0, N // 4, N // 2, (3 * N) // 4, N - 1]
     indices = [int(j) for j in _param(grid, "indices", default_idx)]
+    if not indices:
+        raise ValueError("indices must be a nonempty list")
     h = float(_param(grid, "h", 1e-6))
+    _require_positive("hellmann_feynman", x_samples=x_samples)
     _require_shift1(dyn, "hellmann_feynman")
 
     def make(i):
@@ -450,8 +455,8 @@ def _prep_concatenation_bound(p, dyn, grid, seed):
     E = float(_param(grid, "E"))
     N = int(_param(grid, "N", 50))
     eta_list = [float(h) for h in np.atleast_1d(_param(grid, "eta_list", [0.05, 0.01]))]
-    if any(h <= 0 for h in eta_list):
-        raise ValueError("eta_list must contain positive half-widths")
+    if not eta_list or any(h <= 0 for h in eta_list):
+        raise ValueError("eta_list must be a nonempty list of positive half-widths")
     x_samples = int(_param(grid, "x_samples", 4))
     _require_positive("concatenation_bound", N=N, x_samples=x_samples)
 
@@ -489,6 +494,7 @@ def _prep_zero_additivity(p, dyn, grid, seed):
     E = float(_param(grid, "E"))
     m = int(_param(grid, "m", 16))
     n_disks = int(_param(grid, "n_disks", 6))
+    _require_positive("zero_additivity", n_disks=n_disks)
     radius = float(_param(grid, "radius", 0.1))
     # determinant zeros cluster in rings near y = +-log(lam/2)/(4 pi),
     # about 0.03 at lam = 3; the default spread reaches |y| = 0.04
@@ -525,6 +531,7 @@ def _prep_zeros_probe(p, dyn, grid, seed):
     E = float(_param(grid, "E"))
     N = int(_param(grid, "N", 32))
     n_probes = int(_param(grid, "n_probes", 8))
+    _require_positive("zeros_probe", n_probes=n_probes)
     radius = float(_param(grid, "radius", 0.02))
     annulus_y = float(_param(grid, "annulus_y", zr.ANNULUS_HALF_WIDTH))
     omega = _require_shift1(dyn, "zeros_probe")

@@ -149,7 +149,7 @@ def _doubling_rng(seed: int):
 
 def finite_lyapunov(p: Potential, dyn: Dynamics, E: float, n: int,
                     sampler: str = "grid", m_samples: int = 200,
-                    seed: int = 0, first_site: str = "Tx") -> LyapunovEstimate:
+                    seed: int = 0) -> LyapunovEstimate:
     """Estimate L_n(E) by averaging (1/n) log ||M_n(x, E)|| over phases.
 
     The standard error is the sample standard deviation over phases
@@ -159,8 +159,7 @@ def finite_lyapunov(p: Potential, dyn: Dynamics, E: float, n: int,
     if n < 1 or m_samples < 1:
         raise ValueError("finite_lyapunov needs n >= 1 and m_samples >= 1")
     xs = sample_phases(dyn, sampler, m_samples, seed=seed, block=n)
-    logs = cocycle.batched_log_norms(p, dyn, xs, E, n, first_site=first_site,
-                                     rng=_doubling_rng(seed))[n]
+    logs = cocycle.batched_log_norms(p, dyn, xs, E, n, rng=_doubling_rng(seed))[n]
     per = logs / n
     m = per.size
     mean = float(np.mean(per))
@@ -248,8 +247,7 @@ def ap_extrapolate(l_k: float, l_2k: float) -> float:
 
 def convergence_scan(p: Potential, dyn: Dynamics, E, n_list,
                      sampler: str = "grid", m_samples: int = 500,
-                     seed: int = 0, c_scan: float = C_SCAN_DEFAULT,
-                     first_site: str = "Tx") -> list:
+                     seed: int = 0, c_scan: float = C_SCAN_DEFAULT) -> list:
     """Track |L_2N - L_N| along a doubling chain of scales.
 
     All scales are read off one batched run over the same phase set
@@ -265,8 +263,7 @@ def convergence_scan(p: Potential, dyn: Dynamics, E, n_list,
         raise ValueError("n_list must be a doubling chain")
     scales = sorted(set(n_list) | {2 * n for n in n_list})
     xs = sample_phases(dyn, sampler, m_samples, seed=seed, block=scales[-1])
-    logs = cocycle.batched_log_norms(p, dyn, xs, E, scales[-1],
-                                     checkpoints=scales, first_site=first_site,
+    logs = cocycle.batched_log_norms(p, dyn, xs, E, scales[-1], checkpoints=scales,
                                      rng=_doubling_rng(seed))
     if np.ndim(E):
         return [_scan_rows({k: v[i] for k, v in logs.items()}, n_list, c_scan)
@@ -290,8 +287,7 @@ def _scan_rows(logs: dict, n_list: list, c_scan: float) -> list:
 
 
 def sup_growth_rate(p: Potential, dyn: Dynamics, E: float, ell: int,
-                    grid: int = S_GRID_SIZE, first_site: str = "Tx",
-                    seed: int = 0) -> float:
+                    grid: int = S_GRID_SIZE, seed: int = 0) -> float:
     """Estimate S = sup over x and 1 <= n <= ell of (1/n) log ||M_n(x,E)||.
 
     The sup over x runs over an offset phase grid; the true sup can only
@@ -301,15 +297,13 @@ def sup_growth_rate(p: Potential, dyn: Dynamics, E: float, ell: int,
     if ell < 1:
         raise ValueError("sup_growth_rate needs ell >= 1")
     xs = sample_phases(dyn, "grid", grid)
-    best = cocycle.batched_sup_rate(p, dyn, xs, E, ell, first_site=first_site,
-                                    rng=_doubling_rng(seed))
+    best = cocycle.batched_sup_rate(p, dyn, xs, E, ell, rng=_doubling_rng(seed))
     return float(np.max(best))
 
 
 def positivity_probe(p: Potential, dyn: Dynamics, E: float, ell: int,
                      sampler: str = "grid", m_samples: int = 500,
-                     seed: int = 0, sigma: float = SIGMA_DEFAULT,
-                     first_site: str = "Tx") -> PositivityReport:
+                     seed: int = 0, sigma: float = SIGMA_DEFAULT) -> PositivityReport:
     """One-scale criterion for a positive limiting exponent.
 
     Conditions checked: L_ell > S * ell^(-sigma/4), and the doubling
@@ -318,10 +312,9 @@ def positivity_probe(p: Potential, dyn: Dynamics, E: float, ell: int,
     """
     if ell < 1:
         raise ValueError("positivity_probe needs ell >= 1")
-    s_val = sup_growth_rate(p, dyn, E, ell, first_site=first_site, seed=seed)
-    l_ell = finite_lyapunov(p, dyn, E, ell, sampler, m_samples, seed, first_site)
-    l_2ell = finite_lyapunov(p, dyn, E, 2 * ell, sampler, m_samples, seed,
-                             first_site)
+    s_val = sup_growth_rate(p, dyn, E, ell, seed=seed)
+    l_ell = finite_lyapunov(p, dyn, E, ell, sampler, m_samples, seed)
+    l_2ell = finite_lyapunov(p, dyn, E, 2 * ell, sampler, m_samples, seed)
     cond_initial = l_ell.mean > s_val * ell ** (-sigma / 4.0)
     cond_drop = (l_ell.mean - l_2ell.mean) < l_ell.mean / 8.0
     predicted = l_ell.mean / 2.0 if (cond_initial and cond_drop) else None

@@ -80,12 +80,11 @@ class TridiagonalHamiltonian:
         return out
 
 
-def hamiltonian(p: Potential, dyn: Dynamics, x, N: int,
-                first_site: str = "Tx") -> TridiagonalHamiltonian:
+def hamiltonian(p: Potential, dyn: Dynamics, x, N: int) -> TridiagonalHamiltonian:
     """H_[1,N](x): diagonal lam*V at the orbit sites, off-diagonal -1."""
     if N < 1:
         raise ValueError("hamiltonian needs N >= 1")
-    return TridiagonalHamiltonian(_site_values(p, dyn, x, 1, N, first_site))
+    return TridiagonalHamiltonian(_site_values(p, dyn, x, 1, N)[0])
 
 
 @dataclass(frozen=True)
@@ -288,20 +287,8 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
                    det_vector=det_vec, collinearity=coll)
 
 
-def _orbit_diags(p: Potential, dyn: Dynamics, xs: np.ndarray, N: int,
-                 first_site: str = "Tx", rng=None) -> np.ndarray:
-    """Diagonals lam*V(T^k x_i), k=1..N, for a batch of phases: (m, N)."""
-    xs = cocycle._phase_batch(dyn, xs)
-    out = np.empty((N, xs.shape[0]))
-    k = 0
-    for block in cocycle._sites(p, dyn, xs, 1, N, first_site, rng):
-        out[k:k + len(block)] = block
-        k += len(block)
-    return out.T
-
-
 def _sampled_counts(p: Potential, dyn: Dynamics, energies: np.ndarray, N: int,
-                    x_samples: int, seed: int, first_site: str) -> np.ndarray:
+                    x_samples: int, seed: int) -> np.ndarray:
     """Sturm counts (x_samples, g) of H_[1,N](x) at the energies, x drawn by the seed.
 
     One rng draws the phases and then supplies the doubling noise.
@@ -310,11 +297,11 @@ def _sampled_counts(p: Potential, dyn: Dynamics, energies: np.ndarray, N: int,
         raise ValueError("sampled counts need N >= 1 and x_samples >= 1")
     rng = np.random.default_rng(seed)
     xs = rng.random((x_samples, dyn.d))
-    return _sturm_counts(_orbit_diags(p, dyn, xs, N, first_site, rng=rng), energies)
+    return _sturm_counts(_site_values(p, dyn, xs, 1, N, rng), energies)
 
 
 def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
-        seed: int = 0, first_site: str = "Tx") -> IdsTable:
+        seed: int = 0) -> IdsTable:
     """Integrated density of states: x-averaged count/N per grid energy.
 
     Counts for all sampled phases and all energies come from one
@@ -324,14 +311,13 @@ def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
     energies = np.asarray(E_grid, dtype=float)
     if energies.ndim != 1 or np.any(np.diff(energies) < 0):
         raise ValueError("E_grid must be a sorted 1d grid")
-    counts = _sampled_counts(p, dyn, energies, N, x_samples, seed, first_site)
+    counts = _sampled_counts(p, dyn, energies, N, x_samples, seed)
     values = counts.mean(axis=0) / N
     return IdsTable(energies=energies, values=values, N=N, x_samples=x_samples)
 
 
 def window_count(p: Potential, dyn: Dynamics, E: float, eta: float, N: int,
-                 x_samples: int, seed: int = 0,
-                 first_site: str = "Tx") -> float:
+                 x_samples: int, seed: int = 0) -> float:
     """Mean number of eigenvalues in (E-eta, E+eta) over sampled phases.
 
     The companion quantity eta*N is what a Lipschitz IDS would predict
@@ -339,13 +325,12 @@ def window_count(p: Potential, dyn: Dynamics, E: float, eta: float, N: int,
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    counts = _sampled_counts(p, dyn, np.array([E - eta, E + eta]), N, x_samples, seed, first_site)
+    counts = _sampled_counts(p, dyn, np.array([E - eta, E + eta]), N, x_samples, seed)
     return float(np.mean(counts[:, 1] - counts[:, 0]))
 
 
 def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
-                   N: int, x_samples: int, seed: int = 0,
-                   first_site: str = "Tx"):
+                   N: int, x_samples: int, seed: int = 0):
     """Fraction of phases whose spectrum comes within exp(-H_param) of E.
 
     The indicator "dist(sp H(x), E) < h" is decided by two pivot counts
@@ -359,20 +344,20 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
         raise ValueError("H_param must be >= 1, or a 1d sequence of such")
     hs = np.array([math.exp(-H) for H in params.ravel()])
     counts = _sampled_counts(p, dyn, np.stack([E - hs, E + hs], axis=1).ravel(),
-                             N, x_samples, seed, first_site)
+                             N, x_samples, seed)
     measures = np.mean((counts[:, 1::2] - counts[:, ::2]) > 0, axis=0)
     return float(measures[0]) if params.ndim == 0 else measures
 
 
 def min_gap(p: Potential, dyn: Dynamics, x, N: int, window=None,
-            tol: float = 1e-13, first_site: str = "Tx") -> float:
+            tol: float = 1e-13) -> float:
     """Smallest spacing between consecutive eigenvalues of H_[1,N](x).
 
     Returns +inf when fewer than two eigenvalues fall in the window
     (in particular for N = 1).  The e^(-N^delta) reference line for the
     default delta is left to callers plotting the diagnostics.
     """
-    H = hamiltonian(p, dyn, x, N, first_site)
+    H = hamiltonian(p, dyn, x, N)
     evs = eigenvalues(H, window=window, tol=tol)
     if evs.size < 2:
         return math.inf
@@ -380,7 +365,7 @@ def min_gap(p: Potential, dyn: Dynamics, x, N: int, window=None,
 
 
 def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
-                     h: float = 1e-6, first_site: str = "Tx") -> tuple:
+                     h: float = 1e-6) -> tuple:
     """Phase derivative of the j-th eigenvalue, two independent ways.
 
     analytic: sum over sites of (lam V)'(x + k omega) |psi_j(k)|^2 with
@@ -394,7 +379,7 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
         raise ValueError("hellmann_feynman needs the 1d shift")
     if not (0 <= j < N):
         raise ValueError("eigenvalue index out of range")
-    H = hamiltonian(p, dyn, x, N, first_site)
+    H = hamiltonian(p, dyn, x, N)
     evs = eigenvalues(H)
     E_j = float(evs[j])
     neighbor_gap = min(
@@ -406,8 +391,7 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
     pair = eigenvector(H, E_j)
     # (lam V)' is the trigonometric polynomial with coefficients 2 pi i k v(k)
     slopes = Potential({k: 2j * math.pi * k * v for k, v in p.coeffs}, lam=p.lam)
-    analytic = float(np.sum(_site_values(slopes, dyn, x, 1, N, first_site)
-                            * pair.vector ** 2))
+    analytic = float(np.sum(_site_values(slopes, dyn, x, 1, N)[0] * pair.vector ** 2))
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     # every eigenvalue moves at most sup|(lam V)'| per unit of phase; keep
     # that move within 1% of the neighbour gap so the index-j branch
@@ -419,7 +403,7 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
     from scipy.linalg import eigvalsh_tridiagonal
 
     def ej_at(xs: float) -> float:
-        Hs = hamiltonian(p, dyn, dyn_mod.phase(xs), N, first_site)
+        Hs = hamiltonian(p, dyn, dyn_mod.phase(xs), N)
         return float(eigvalsh_tridiagonal(Hs.diag, -np.ones(N - 1), select="i",
                                           select_range=(j, j))[0])
 
@@ -482,8 +466,7 @@ def trace_moment_lower_bound(A: np.ndarray, E: float, eta: float,
 
 
 def concatenation_bound_check(p: Potential, dyn: Dynamics, x, E: float,
-                              eta: float, N: int,
-                              first_site: str = "Tx") -> ConcatenationReport:
+                              eta: float, N: int) -> ConcatenationReport:
     """Check the eigenvalue-count bound 4*eta*sum W_k on one instance.
 
     One two-column :func:`cocycle._recur` pass at E+i*eta, over the sites
@@ -500,7 +483,7 @@ def concatenation_bound_check(p: Potential, dyn: Dynamics, x, E: float,
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    diag_full = _site_values(p, dyn, x, 1, N, first_site)
+    diag_full = _site_values(p, dyn, x, 1, N)[0]
     prefix = np.zeros(N + 1)
     suffix = np.zeros(N + 1)
 

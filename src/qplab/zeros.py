@@ -194,8 +194,7 @@ def polynomial_handle(roots, leading=1.0) -> _Handle:
     return _Handle(fn, lambda: rts, lambda zs: log_sum(diffs(zs)[1]))
 
 
-def _companion_zeros(p: Potential, omega: float, E, a: int, b: int,
-                     first_site: str = "Tx") -> np.ndarray:
+def _companion_zeros(p: Potential, omega: float, E, a: int, b: int) -> np.ndarray:
     """The zeros of f_[a,b](z) in C minus {0}: eigenvalues of one matrix.
 
     With v(k, z) = sum_{|j| <= d} c_kj z^j from :func:`_laurent_table`,
@@ -205,7 +204,7 @@ def _companion_zeros(p: Potential, omega: float, E, a: int, b: int,
     monic block-companion matrix, whose first block row is -A_i / A_2d
     in block 2d-1-i (Tisseur and Meerbergen, SIAM Review 43, 2001).
     """
-    ks, vs, coef = _laurent_table(p, omega, a, b, first_site)
+    ks, vs, coef = _laurent_table(p, omega, a, b)
     live = vs != 0
     d = int(np.max(np.abs(ks[live]), initial=0))
     if d == 0:
@@ -225,16 +224,15 @@ def _companion_zeros(p: Potential, omega: float, E, a: int, b: int,
     return np.linalg.eigvals(comp)
 
 
-def determinant_handle(p: Potential, omega: float, E, n: int,
-                       first_site: str = "Tx") -> _Handle:
+def determinant_handle(p: Potential, omega: float, E, n: int) -> _Handle:
     """Log-evaluable handle for z -> f_n(z, omega, E) (shift dynamics).
 
     Its zeros are the eigenvalues of the block-companion matrix of
     z^k0 (H_n(z) - E), the z at which E is an eigenvalue of H_n(z).
     """
     def fn(zs):
-        return complex_det_grid(p, omega, zs, E, n, first_site=first_site)
-    return _Handle(fn, lambda: _companion_zeros(p, omega, E, 1, n, first_site))
+        return complex_det_grid(p, omega, zs, E, n)
+    return _Handle(fn, lambda: _companion_zeros(p, omega, E, 1, n))
 
 
 def rotated_handle(f, rot: complex) -> _Handle:
@@ -531,15 +529,14 @@ def annulus_zero_count(f, y_half: float = ANNULUS_HALF_WIDTH,
 def zero_separation(p: Potential, omega: float, E, N: int,
                     annulus_y: float = ANNULUS_HALF_WIDTH,
                     n_probes: int = 20, radius: float = 0.01,
-                    seed: int = 0, tol: float = 1e-9,
-                    first_site: str = "Tx") -> SeparationStats:
+                    seed: int = 0, tol: float = 1e-9) -> SeparationStats:
     """Zero statistics of f_N over random probe disks in the annulus.
 
     Each probe disk sits at a random annulus point; the per-disk counts
     are reported against the ceiling 2 deg(V), and the total count over
     the whole annulus (by winding difference) against 2 N deg(V).
     """
-    f = determinant_handle(p, omega, E, N, first_site)
+    f = determinant_handle(p, omega, E, N)
     rng = np.random.default_rng(seed)
     counts = []
     all_zeros: list = []
@@ -575,8 +572,7 @@ def zero_separation(p: Potential, omega: float, E, N: int,
         annulus_ceiling=2 * N * p.k0)
 
 
-def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int,
-                      first_site: str = "Tx"):
+def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int):
     """log||M_k(z)|| at k = n and k = 2n, plus log||M_n(z e(n omega))||.
 
     Sites n+1..2n at z are exactly sites 1..n at z e(n omega), so the
@@ -587,7 +583,7 @@ def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int,
     zs = np.asarray(zs, dtype=complex).ravel()
 
     def run(a: int, b: int):
-        bound, blocks = _laurent_sites(p, omega, zs, a, b, first_site)
+        bound, blocks = _laurent_sites(p, omega, zs, a, b)
         top, bottom, acc = _recur(bound, E, blocks, zs.size, 2)
         return np.stack([top, bottom]), acc
 
@@ -600,35 +596,31 @@ def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int,
     return log_n, log_shift, log_2n
 
 
-def concatenation_w_grid(p: Potential, omega: float, zs, E, m: int,
-                         first_site: str = "Tx") -> np.ndarray:
+def concatenation_w_grid(p: Potential, omega: float, zs, E, m: int) -> np.ndarray:
     """w_m(z) = log ||M_2m(z)|| - log ||M_m(z e(m omega))|| - log ||M_m(z)||."""
     log_n, log_shift, log_2n = _scaled_norm_logs(p, omega, np.asarray(zs, dtype=complex),
-                                                 E, m, first_site)
+                                                 E, m)
     return log_2n - log_shift - log_n
 
 
-def concatenation_w(p: Potential, omega: float, z: ComplexPhase, E, m: int,
-                    first_site: str = "Tx") -> float:
+def concatenation_w(p: Potential, omega: float, z: ComplexPhase, E, m: int) -> float:
     """The concatenation defect at one complexified phase.
 
     Submultiplicativity of the operator norm makes this nonpositive; in
     scaled arithmetic it stays below 1e-9 for any window length.
     """
-    return float(concatenation_w_grid(p, omega, np.array([z.to_z()]), E, m,
-                                      first_site)[0])
+    return float(concatenation_w_grid(p, omega, np.array([z.to_z()]), E, m)[0])
 
 
-def additivity_handles(p: Potential, omega: float, E, m: int,
-                       first_site: str = "Tx") -> tuple:
+def additivity_handles(p: Potential, omega: float, E, m: int) -> tuple:
     """The handles of f_m, its e(m omega)-shift, and f_2m.
 
     Sites m+1..2m at z are sites 1..m at z e(m omega), so the shifted
     window is f_m rotated, and its zeros come from f_m's eigensolve.
     """
-    f_left = determinant_handle(p, omega, E, m, first_site)
+    f_left = determinant_handle(p, omega, E, m)
     rot = cmath.exp(2j * math.pi * fracmul(m, omega))
-    return f_left, rotated_handle(f_left, rot), determinant_handle(p, omega, E, 2 * m, first_site)
+    return f_left, rotated_handle(f_left, rot), determinant_handle(p, omega, E, 2 * m)
 
 
 def zero_count_additivity(f_left, f_shift, f_double, disk: Disk,

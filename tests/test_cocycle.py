@@ -11,14 +11,13 @@ SHIFT = dy.Shift(omega=(dy.GOLDEN_MEAN,))
 AMO3 = pt.almost_mathieu(3.0)
 
 
-def dense_window(p, dyn, x, a, b, first_site="Tx"):
+def dense_window(p, dyn, x, a, b):
     """Dense tridiagonal H restricted to sites a..b, built independently."""
     n = b - a + 1
-    offset = 1 if first_site == "Tx" else 0
     H = np.zeros((n, n))
     x0 = np.atleast_1d(np.asarray(x, float))[0]
     for i in range(n):
-        k = a + i + offset - 1
+        k = a + i
         xi = dy.mod1(x0 + k * dyn.omega[0])
         H[i, i] = p.lam * pt.eval_real(pt.Potential(dict(p.coeffs)), xi)
     for i in range(n - 1):
@@ -53,12 +52,6 @@ def test_op_norm_2x2_against_numpy_svd():
     for _ in range(50):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert cc.op_norm_2x2(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
-
-
-def test_transfer_product_det_is_tracked_as_exactly_one():
-    sp = cc.transfer_product(AMO3, SHIFT, dy.phase(0.3), 0.5, 2000)
-    assert sp.det.log_mag == 0.0
-    assert sp.det.value() == 1.0
 
 
 def test_transfer_window_concatenation():

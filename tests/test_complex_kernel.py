@@ -27,15 +27,14 @@ DEG3 = pt.Potential({0: 0.4, 1: 0.3 + 0.2j, 2: -0.1j, 3: 0.25}, lam=2.0)
 EPS = np.finfo(float).eps
 
 
-def mp_det(p, omega, z, E, n, first_site="Tx"):
-    """f_n(z) at 50 digits: site k reads lam V at z e((k-1+offset) omega)."""
+def mp_det(p, omega, z, E, n, a=1):
+    """f_[a,a+n-1](z) at 50 digits: site k reads lam V at z e(k omega)."""
     with mp.workdps(50):
-        offset = 1 if first_site == "Tx" else 0
         z, E, om = mp.mpc(z), mp.mpc(E), mp.mpf(omega)
         coeffs = [(k, p.lam * mp.mpc(v)) for k, v in p.coeffs]
         f_prev2, f_prev = mp.mpc(0), mp.mpc(1)
-        for k in range(1, n + 1):
-            w = z * mp.expjpi(2 * ((k - 1 + offset) * om % 1))
+        for k in range(a, a + n):
+            w = z * mp.expjpi(2 * (k * om % 1))
             v = mp.fsum(c * w ** j for j, c in coeffs)
             f_prev2, f_prev = f_prev, (v - E) * f_prev - f_prev2
         return float(mp.log(abs(f_prev))), complex(f_prev / abs(f_prev))
@@ -83,15 +82,6 @@ def test_kernel_keeps_its_input_contracts():
         cc.complex_det_grid(DEG3, GOLDEN, np.array([0.5, 0.0]), 0.0, 4)
 
 
-def test_complex_stream_rejects_an_unknown_first_site():
-    # the real stream _sites raises for the same value
-    zs = np.array([1.0 + 0j])
-    with pytest.raises(ValueError, match="first_site"):
-        cc.complex_det_grid(DEG3, GOLDEN, zs, 0.0, 4, first_site="bogus")
-    with pytest.raises(ValueError, match="first_site"):
-        zr.concatenation_w_grid(DEG3, GOLDEN, zs, 0.0, 4, first_site="bogus")
-
-
 def test_exact_zero_and_output_shape():
     # free model at E = 0: f_1 = -E = 0 and f_3 = -f_1 = 0 exactly
     free = pt.from_triples([], 1.0)
@@ -131,11 +121,13 @@ def test_degree3_determinant_matches_mpmath(n):
         assert abs(got_phase - ref_phase) <= 1e-10
 
 
-def test_first_site_x_matches_mpmath():
+def test_window_from_time_zero_matches_mpmath():
+    # f_[0,39](z): site 0 reads z itself, through the exact frac(0 omega)
     z = cmath.exp(complex(2 * math.pi * 0.03, 2 * math.pi * 0.4))
-    ref_log, ref_phase = mp_det(DEG3, GOLDEN, z, 0.7, 40, first_site="x")
-    phases, logs = cc.complex_det_grid(DEG3, GOLDEN, np.array([z]), 0.7, 40,
-                                       first_site="x")
+    ref_log, ref_phase = mp_det(DEG3, GOLDEN, z, 0.7, 40, a=0)
+    bound, blocks = cc._laurent_sites(DEG3, GOLDEN, np.array([z]), 0, 39)
+    f, _, acc = cc._recur(bound, 0.7, blocks, 1, 1)
+    phases, logs = cc._read_det(f[0], acc)
     assert logs[0] == pytest.approx(ref_log, abs=1e-10)
     assert abs(phases[0] - ref_phase) <= 1e-10
 

@@ -187,13 +187,25 @@ def test_run_flags_bad_grid_as_config_error(tmp_path):
     ("fourier_decay", {"E": 0.0, "n": 20, "grid_size": 0, "modes": 4}),
     ("min_gap", {"N_list": [20], "x_samples": 0}),
     ("concatenation_bound", {"E": 0.0, "N": 0, "x_samples": 1}),
+    ("wegner", {"E": [0.0], "H_list": []}),
+    ("concatenation_bound", {"E": 0.0, "eta_list": []}),
+    ("hellmann_feynman", {"indices": []}),
+    ("hellmann_feynman", {"x_samples": 0}),
+    ("zero_additivity", {"E": 0.5, "n_disks": 0}),
+    ("zeros_probe", {"E": 0.5, "n_probes": 0}),
 ])
 def test_run_flags_empty_samples_as_config_error(tmp_path, experiment, grid):
     # N = 0 used to write a NaN ids row, x_samples = 0 to divide by zero; a
     # zero grid_size divided by zero, a min_gap without samples wrote a bare
-    # header, and concatenation_bound at N = 0 failed inside numpy
+    # header, and concatenation_bound at N = 0 failed inside numpy; an
+    # empty list or a zero count of the last six cases wrote a bare header
     message = {"bmo_trend": "grid_size >= 1", "fourier_decay": "grid_size >= 1",
-               "min_gap": "x_samples >= 1"}.get(experiment, "N >= 1 and x_samples >= 1")
+               "min_gap": "x_samples >= 1", "hellmann_feynman": "x_samples >= 1",
+               "zero_additivity": "n_disks >= 1", "zeros_probe": "n_probes >= 1",
+               }.get(experiment, "N >= 1 and x_samples >= 1")
+    empty = [key for key, value in grid.items() if value == []]
+    if empty:
+        message = f"{empty[0]} must be a nonempty list"
     cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
                                   "grid": grid})
     stream = io.StringIO()

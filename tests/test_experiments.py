@@ -107,9 +107,9 @@ def test_zero_additivity_solves_each_window_once_per_run(tmp_path, monkeypatch):
     # once (one handle per run and disk would solve them once per disk)
     solved = []
 
-    def counting(p, omega, E, a, b, first_site="Tx"):
+    def counting(p, omega, E, a, b):
         solved.append((a, b))
-        return companion(p, omega, E, a, b, first_site)
+        return companion(p, omega, E, a, b)
 
     companion = zr._companion_zeros
     monkeypatch.setattr(zr, "_companion_zeros", counting)

@@ -1,15 +1,16 @@
 """The real-phase site stream and the batched recurrence kernel.
 
 Every real-phase path (the blocked stream ``cocycle._sites``,
-``_site_values``, ``hamiltonian().diag``, ``spectrum._orbit_diags`` and
-``dynamics.orbit_first_coord``) must read site k as
-``eval_real(p, iterate(dyn, x, t)[0])`` for all three maps.  The batched
-kernels, which run one recurrence core rescaled every r sites, are
-pinned against mpmath at 50 digits, against the single-phase paths, and
-on their checkpoint, exact-zero and rng contracts; so are the signs and
-phases of the single-phase determinants and the Green entries built
-from them.  A pass over an array of energies must give each energy what
-a pass of its own gives.
+``_site_values`` for a batch and for a single phase, and
+``hamiltonian().diag``) must read site k as
+``eval_real(p, iterate(dyn, x, k)[0])`` for all three maps, on windows
+from site 1 (``first="Tx"``) and from site 0, which reads x itself
+(``first="x"``).  The batched kernels, which run one recurrence core
+rescaled every r sites, are pinned against mpmath at 50 digits, against
+the single-phase paths, and on their checkpoint, exact-zero and rng
+contracts; so are the signs and phases of the single-phase determinants
+and the Green entries built from them.  A pass over an array of energies
+must give each energy what a pass of its own gives.
 """
 
 import math
@@ -39,67 +40,67 @@ AMO3 = pt.almost_mathieu(3.0)
 N_LONG = 100_000
 
 
-def offset(first_site):
-    """Dynamical time of site k is k - offset."""
-    return 0 if first_site == "Tx" else 1
+def start(first):
+    """First site of the n-site window: 1 reads T x, 0 reads x itself."""
+    return 1 if first == "Tx" else 0
 
 
-def oracle(p, dyn, x, ks, first_site="Tx"):
-    return np.array([pt.eval_real(p, dy.iterate(dyn, x, int(k) - offset(first_site))[0])
-                     for k in ks])
+def oracle(p, dyn, x, ks):
+    return np.array([pt.eval_real(p, dy.iterate(dyn, x, int(k))[0]) for k in ks])
 
 
-def real_paths(p, dyn, xs, n, first_site):
-    """Site values 1..n of every real-phase path, each of shape (m, n)."""
-    stream = np.concatenate(list(cc._sites(p, dyn, xs, 1, n, first_site))).T
-    diags = sp._orbit_diags(p, dyn, xs, n, first_site)
-    single = np.array([cc._site_values(p, dyn, x, 1, n, first_site) for x in xs])
-    ham = np.array([sp.hamiltonian(p, dyn, x, n, first_site).diag for x in xs])
-    # orbit_first_coord gives T^1 x .. T^n x; site 1 of first_site="x" is x
-    orbits = [np.concatenate([dy.mod1(x[:1]), dy.orbit_first_coord(dyn, x, n)])
-              for x in xs]
-    first = np.array([pt.eval_real_many(p, o[1 - offset(first_site):][:n]) for o in orbits])
-    return {"stream": stream, "orbit_diags": diags, "site_values": single,
-            "hamiltonian": ham, "orbit_first_coord": first}
+def real_paths(p, dyn, xs, n, first):
+    """Site values of every real-phase path on the n-site window, each (m, n).
+
+    ``hamiltonian`` always starts at site 1, so it joins only there.
+    """
+    a = start(first)
+    paths = {"stream": np.concatenate(list(cc._sites(p, dyn, xs, a, a + n - 1))).T,
+             "site_values": cc._site_values(p, dyn, xs, a, a + n - 1),
+             "single_phase": np.array([cc._site_values(p, dyn, x, a, a + n - 1)[0]
+                                       for x in xs])}
+    if a == 1:
+        paths["hamiltonian"] = np.array([sp.hamiltonian(p, dyn, x, n).diag for x in xs])
+    return paths
 
 
 # ------------------------------------------------------------- site stream
 
-@pytest.mark.parametrize("first_site", ["Tx", "x"])
+@pytest.mark.parametrize("first", ["Tx", "x"])
 @pytest.mark.parametrize("name", ["shift", "skew"])
-def test_every_path_reads_the_exact_orbit(name, first_site):
+def test_every_path_reads_the_exact_orbit(name, first):
     dyn = MAPS[name]
     rng = np.random.default_rng(3)
     xs = rng.random((3, dyn.d))
-    ks = np.unique(np.concatenate([np.arange(1, 70), rng.integers(1, N_LONG, 300),
-                                   [N_LONG]]))
-    paths = real_paths(DEG3, dyn, xs, N_LONG, first_site)
+    a = start(first)
+    ks = np.unique(np.concatenate([np.arange(a, a + 69),
+                                   rng.integers(a, a + N_LONG - 1, 300), [a + N_LONG - 1]]))
+    paths = real_paths(DEG3, dyn, xs, N_LONG, first)
     for i, x in enumerate(xs):
-        ref = oracle(DEG3, dyn, x, ks, first_site)
+        ref = oracle(DEG3, dyn, x, ks)
         for path, vals in paths.items():
-            gap = np.max(np.abs(vals[i, ks - 1] - ref))
+            gap = np.max(np.abs(vals[i, ks - a] - ref))
             assert gap <= 1e-12, (path, gap)
 
 
-@pytest.mark.parametrize("first_site", ["Tx", "x"])
-def test_doubling_paths_follow_the_float_orbit_exactly(first_site):
+@pytest.mark.parametrize("first", ["Tx", "x"])
+def test_doubling_paths_follow_the_float_orbit_exactly(first):
     xs = np.random.default_rng(4).random((3, 1))
-    ks = np.arange(1, 61)
-    paths = real_paths(DEG3, DOUBLING, xs, 60, first_site)
+    ks = np.arange(start(first), start(first) + 60)
+    paths = real_paths(DEG3, DOUBLING, xs, 60, first)
     for i, x in enumerate(xs):
-        orbit = np.array([dy.iterate(DOUBLING, x, int(k) - offset(first_site))[0]
-                          for k in ks])
+        orbit = np.array([dy.iterate(DOUBLING, x, int(k))[0] for k in ks])
         exact = pt.eval_real_many(DEG3, orbit)
-        ref = oracle(DEG3, DOUBLING, x, ks, first_site)
+        ref = oracle(DEG3, DOUBLING, x, ks)
         for path, vals in paths.items():
             assert np.array_equal(vals[i], exact), path
             assert np.max(np.abs(vals[i] - ref)) <= 1e-12, path
 
 
 def test_skew_hamiltonian_and_ids_read_the_same_diagonals():
-    # ids draws its phases as below and reads them through _orbit_diags
+    # ids draws its phases as below and reads them through _site_values
     xs = np.random.default_rng(5).random((2, 2))
-    diags = sp._orbit_diags(DEG3, SKEW, xs, N_LONG)
+    diags = cc._site_values(DEG3, SKEW, xs, 1, N_LONG)
     for i, x in enumerate(xs):
         H = sp.hamiltonian(DEG3, SKEW, x, N_LONG)
         assert np.max(np.abs(H.diag - diags[i])) <= 1e-12
@@ -117,27 +118,28 @@ def test_windows_reaching_negative_time_use_the_exact_orbit(name):
         else:
             theta = (x[0] + t * x[1] + (t * (t - 1) // 2) * om) % 1
         ref.append(pt.eval_real(DEG3, float(theta)))
-    got = cc._site_values(DEG3, dyn, [float(c) for c in x], -300, 5)
+    got = cc._site_values(DEG3, dyn, [float(c) for c in x], -300, 5)[0]
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("first_site", ["Tx", "x"])
-def test_complex_stream_reads_the_exact_orbit_on_the_circle(first_site):
+@pytest.mark.parametrize("first", ["Tx", "x"])
+def test_complex_stream_reads_the_exact_orbit_on_the_circle(first):
     # at z = e(x) the complex stream is the real potential sequence, and it
-    # meets the same gate: frac(t omega) must be exact, not a float product
+    # meets the same gate: frac(k omega) must be exact, not a float product
     rng = np.random.default_rng(3)
     xs = rng.random(3)
-    ks = np.unique(np.concatenate([np.arange(1, 70), rng.integers(1, N_LONG, 300),
-                                   [N_LONG]]))
-    bound, blocks = cc._laurent_sites(DEG3, GOLDEN, np.exp(2j * np.pi * xs), 1, N_LONG,
-                                      first_site)
+    a = start(first)
+    ks = np.unique(np.concatenate([np.arange(a, a + 69),
+                                   rng.integers(a, a + N_LONG - 1, 300), [a + N_LONG - 1]]))
+    bound, blocks = cc._laurent_sites(DEG3, GOLDEN, np.exp(2j * np.pi * xs), a,
+                                      a + N_LONG - 1)
     # each block is a reused buffer, so it is copied before the next is drawn
     vals = np.concatenate([blk.copy() for blk in blocks])
     assert vals.shape == (N_LONG, 3) and bound >= np.max(np.abs(vals))
     for i, x in enumerate(xs):
-        ref = oracle(DEG3, SHIFT, [x], ks, first_site)
-        assert np.max(np.abs(vals[ks - 1, i].real - ref)) <= 1e-12
-        assert np.max(np.abs(vals[ks - 1, i].imag)) <= 1e-12
+        ref = oracle(DEG3, SHIFT, [x], ks)
+        assert np.max(np.abs(vals[ks - a, i].real - ref)) <= 1e-12
+        assert np.max(np.abs(vals[ks - a, i].imag)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 64, 2000])
@@ -157,9 +159,7 @@ def test_stream_blocks_are_capped_and_checked():
     assert all(b.shape[1] == 700 and b.size <= cc._BLOCK_ELEMENTS for b in blocks)
     assert sum(b.shape[0] for b in blocks) == 500
     with pytest.raises(ValueError):
-        list(cc._sites(AMO3, DOUBLING, xs, 0, 3, "x"))
-    with pytest.raises(ValueError):
-        cc.batched_log_norms(AMO3, SHIFT, xs, 0.0, 5, first_site="y")
+        list(cc._sites(AMO3, DOUBLING, xs, -1, 2))
 
 
 # --------------------------------------------------------- mpmath oracle
@@ -174,7 +174,7 @@ def exact_phase(dyn, x, t):
     return (2 ** t * x[0]) % 1
 
 
-def mp_logs(p, dyn, x, E, checkpoints, first_site="Tx", start=1):
+def mp_logs(p, dyn, x, E, checkpoints, start=1):
     """{k: (log||M_[start,k]||, log|f_[start,k]|, f_[start,k])} at 50 digits.
 
     Sites run along the exact orbit; f_[start,k] is an mpmath complex.
@@ -184,7 +184,7 @@ def mp_logs(p, dyn, x, E, checkpoints, first_site="Tx", start=1):
         E = mp.mpc(E)
         a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
         for k in range(start, max(checkpoints) + 1):
-            th = exact_phase(dyn, x, k - offset(first_site))
+            th = exact_phase(dyn, x, k)
             th = mp.mpf(th.numerator) / th.denominator
             v = p.lam * mp.fsum(mp.mpc(vj) * mp.expjpi(2 * j * th) for j, vj in p.coeffs)
             t = v.real - E
@@ -343,7 +343,7 @@ def mp_cramer(vs, E):
 def test_det_profile_matches_the_mpmath_cramer_determinants(at):
     # two columns of 1000 sites fold into segments, and every site is a stop
     N = 1000
-    vs = cc._site_values(AMO3, SHIFT, np.random.default_rng(21).random(1), 1, N)
+    vs = cc._site_values(AMO3, SHIFT, np.random.default_rng(21).random(1), 1, N)[0]
     if at == "complex":
         E = 0.7 + 1e-3j
     else:
@@ -386,7 +386,7 @@ def test_concatenation_norms_match_mpmath(monkeypatch):
         return mp.log(mp.sqrt((fro2 + mp.sqrt(fro2 ** 2 - 4 * det ** 2)) / 2))
 
     with mp.workdps(50):
-        ts = [mp.mpf(float(v)) - mp.mpc(E, eta) for v in cc._site_values(AMO3, SHIFT, x, 1, N)]
+        ts = [mp.mpf(float(v)) - mp.mpc(E, eta) for v in cc._site_values(AMO3, SHIFT, x, 1, N)[0]]
         # prefix[k - 1] = log||A_k ... A_1||; suffix[k - 1] = log||A_N ... A_{N-k+1}||
         prefix, suffix = [], []
         a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
@@ -407,10 +407,10 @@ def test_concatenation_norms_match_mpmath(monkeypatch):
 
 # ------------------------------------------------- single-phase references
 
-def sup_loop(p, dyn, x, E, n, first_site):
+def sup_loop(p, dyn, x, E, n):
     """sup_k (1/k) log||M_k||: dense 2x2 products, divided by their norm at every site."""
     prod, log_scale, best = np.eye(2), 0.0, -math.inf
-    for k, v in enumerate(cc._site_values(p, dyn, x, 1, n, first_site), start=1):
+    for k, v in enumerate(cc._site_values(p, dyn, x, 1, n)[0], start=1):
         prod = np.array([[v - E, -1.0], [1.0, 0.0]]) @ prod
         norm = np.linalg.norm(prod, 2)
         prod /= norm
@@ -422,21 +422,20 @@ def sup_loop(p, dyn, x, E, n, first_site):
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["shift", "skew", "doubling"]),
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
-       E=st.floats(-4.0, 4.0), lam=st.floats(0.1, 8.0), n=st.integers(1, 200),
-       first_site=st.sampled_from(["Tx", "x"]))
-def test_batched_kernels_match_single_phase_paths(name, seeds, E, lam, n, first_site):
+       E=st.floats(-4.0, 4.0), lam=st.floats(0.1, 8.0), n=st.integers(1, 200))
+def test_batched_kernels_match_single_phase_paths(name, seeds, E, lam, n):
     dyn = MAPS[name]
     p = pt.Potential(dict(DEG3.coeffs), lam=lam)
     xs = np.array([np.random.default_rng(s).random(dyn.d) for s in seeds])
-    norms = cc.batched_log_norms(p, dyn, xs, E, n, first_site=first_site)[n]
-    dets = cc.batched_log_absdet(p, dyn, xs, E, n, first_site=first_site)[n]
-    sups = cc.batched_sup_rate(p, dyn, xs, E, n, first_site=first_site)
+    norms = cc.batched_log_norms(p, dyn, xs, E, n)[n]
+    dets = cc.batched_log_absdet(p, dyn, xs, E, n)[n]
+    sups = cc.batched_sup_rate(p, dyn, xs, E, n)
     for i, x in enumerate(xs):
-        prod = cc.transfer_product(p, dyn, x, E, n, first_site)
-        f = cc.det_window(p, dyn, x, E, 1, n, first_site).value
+        prod = cc.transfer_product(p, dyn, x, E, n)
+        f = cc.det_window(p, dyn, x, E, 1, n).value
         assert abs(norms[i] - prod.log_norm) <= 1e-9
         assert abs(dets[i] - f.log_mag) <= 1e-9
-        assert abs(sups[i] - sup_loop(p, dyn, x, E, n, first_site)) <= 1e-9
+        assert abs(sups[i] - sup_loop(p, dyn, x, E, n)) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,7 +496,7 @@ def test_folded_sup_rate_matches_the_dense_loop(m):
     for n in (1, 63, 64, 820, 3000):
         sups = cc.batched_sup_rate(AMO3, SHIFT, xs, 0.7, n)
         for i in sorted({0, m - 1}):
-            assert abs(sups[i] - sup_loop(AMO3, SHIFT, xs[i], 0.7, n, "Tx")) <= 1e-9, n
+            assert abs(sups[i] - sup_loop(AMO3, SHIFT, xs[i], 0.7, n)) <= 1e-9, n
 
 
 @settings(max_examples=40, deadline=None)
@@ -525,7 +524,7 @@ def test_folded_stop_reads_match_the_site_by_site_pass(case, seed, E, lam, n, ev
         if case != "doubling":
             # off the real axis unless exact zeros are the point
             E_c = E if case == "free" else complex(E, 0.05)
-            out.append(cc._det_profile(cc._site_values(p, dyn, x, 1, n), E_c)[1])
+            out.append(cc._det_profile(cc._site_values(p, dyn, x, 1, n)[0], E_c)[1])
         return out, [r.bit_generator.state for r in rngs if r is not None]
 
     folded, folded_states = reads()
@@ -675,20 +674,21 @@ def test_exact_zeros_survive_rescaling_and_complex_energies():
 
 # ---------------------------------------------------- doubling determinism
 
-@pytest.mark.parametrize("first_site", ["Tx", "x"])
-def test_doubling_draws_one_uniform_per_phase_and_step(first_site):
+@pytest.mark.parametrize("first", ["Tx", "x"])
+def test_doubling_draws_one_uniform_per_phase_and_step(first):
+    # a window from x itself draws nothing for its first site; the batched
+    # kernels all run the window [1, n]
     n, xs = 40, np.random.default_rng(1).random((7, 1))
-    steps = n if first_site == "Tx" else n - 1
-    kernels = (lambda rng: cc.batched_log_norms(AMO3, DOUBLING, xs, 0.3, n,
-                                                first_site=first_site, rng=rng),
-               lambda rng: cc.batched_log_absdet(AMO3, DOUBLING, xs, 0.3, n,
-                                                 first_site=first_site, rng=rng),
-               lambda rng: cc.batched_sup_rate(AMO3, DOUBLING, xs, 0.3, n,
-                                               first_site=first_site, rng=rng))
-    for run in kernels:
+    a = start(first)
+    runs = [lambda rng: cc._site_values(AMO3, DOUBLING, xs, a, a + n - 1, rng)]
+    if a == 1:
+        runs += [lambda rng: cc.batched_log_norms(AMO3, DOUBLING, xs, 0.3, n, rng=rng),
+                 lambda rng: cc.batched_log_absdet(AMO3, DOUBLING, xs, 0.3, n, rng=rng),
+                 lambda rng: cc.batched_sup_rate(AMO3, DOUBLING, xs, 0.3, n, rng=rng)]
+    for run in runs:
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         run(rng)
-        for _ in range(steps * xs.size):
+        for _ in range((a + n - 1) * xs.size):
             ref.random()
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -709,20 +709,21 @@ def per_step_doubling(p, xs, t0, t1, size, rng):
     return blocks
 
 
-@pytest.mark.parametrize("m, k0, k1, first_site", [
+@pytest.mark.parametrize("m, k0, k1, first", [
     (7, 1, 5000, "Tx"), (7, 1, 5000, "x"), (5000, 1, 10, "Tx"), (5000, 3, 11, "x"),
     (30, 700, 2000, "Tx"), (1, 4, 4, "Tx"), (1, 1, 1, "x")])
-def test_doubling_block_draws_match_per_step_draws(m, k0, k1, first_site):
+def test_doubling_block_draws_match_per_step_draws(m, k0, k1, first):
     # one rng.random((B', m, d)) per block gives the per-step draws bit for
-    # bit and leaves the rng where they do, pre-window steps included
+    # bit and leaves the rng where they do, pre-window steps included; "x"
+    # moves the window one site earlier, so [1, k1] starts at x itself
     xs = np.random.default_rng(8).random((m, 1))
-    t0 = k0 - offset(first_site)
+    lo, hi = k0 - 1 + start(first), k1 - 1 + start(first)
     size = max(1, cc._BLOCK_ELEMENTS // m)
     for seed in (None, 11):
         rng = None if seed is None else np.random.default_rng(seed)
         ref_rng = None if seed is None else np.random.default_rng(seed)
-        got = list(cc._sites(DEG3, DOUBLING, xs, k0, k1, first_site, rng))
-        ref = per_step_doubling(DEG3, xs, t0, t0 + k1 - k0 + 1, size, ref_rng)
+        got = list(cc._sites(DEG3, DOUBLING, xs, lo, hi, rng))
+        ref = per_step_doubling(DEG3, xs, lo, hi + 1, size, ref_rng)
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
             assert a.shape == b.shape and np.array_equal(a, b)

@@ -32,9 +32,10 @@ def test_hamiltonian_samples_the_orbit():
     sites = dy.mod1(0.3 + (np.arange(5) + 1) * dy.GOLDEN_MEAN)
     np.testing.assert_allclose(H.diag, 3.0 * np.cos(2 * np.pi * sites),
                                atol=1e-14)
-    # first_site="x" starts one step earlier
-    H0 = sp.hamiltonian(AMO3, SHIFT, x, 5, first_site="x")
-    assert H0.diag[0] == pytest.approx(3.0 * math.cos(2 * math.pi * 0.3))
+    # the window [0, 4] starts at x itself
+    d0 = sp.cocycle._site_values(AMO3, SHIFT, x, 0, 4)[0]
+    assert d0[0] == pytest.approx(3.0 * math.cos(2 * math.pi * 0.3))
+    np.testing.assert_array_equal(d0[1:], H.diag[:4])
 
 
 def test_hamiltonian_dense_and_apply_agree():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import qplab.cocycle as cc
 import qplab.dynamics as dy
 import qplab.potential as pt
 import qplab.zeros as zr
@@ -446,9 +447,22 @@ def annulus_zeros(f, y_half):
     return int(np.sum(np.abs(y) < y_half))
 
 
-@pytest.mark.parametrize("first_site", ["Tx", "x"])
-def test_annulus_count_matches_the_companion_zeros(first_site):
-    f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 16, first_site)
+def window_handle(p, E, a, b):
+    """The handle of z -> f_[a,b](z): the complex stream through the recurrence core."""
+    def fn(zs):
+        bound, blocks = cc._laurent_sites(p, GOLDEN, zs.ravel(), a, b)
+        f, _, acc = cc._recur(bound, E, blocks, zs.size, 1)
+        return tuple(r.reshape(zs.shape) for r in cc._read_det(f[0], acc))
+    return zr._Handle(fn, lambda: zr._companion_zeros(p, GOLDEN, E, a, b))
+
+
+@pytest.mark.parametrize("first", ["Tx", "x"])
+def test_annulus_count_matches_the_companion_zeros(first):
+    # "x" is the window [0, 15], which starts at z itself
+    if first == "Tx":
+        f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 16)
+    else:
+        f = window_handle(AMO3, 0.5, 0, 15)
     assert zr.annulus_zero_count(f, 0.05, 4096) == annulus_zeros(f, 0.05) == 32
 
 
