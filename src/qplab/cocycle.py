@@ -25,10 +25,11 @@ magnitude.  Long products never overflow, and log-norms are exact up to
 accumulated rounding.
 
 Real phases have one site stream, :func:`_sites`, exact to rounding for
-all three maps; complex phases of a shift have :func:`_laurent_sites`,
-which reads the same exact frac(t omega) from :func:`_laurent_table`.
-Both run through one recurrence core, :func:`_recur`, vectorized over
-starting phases.  The batched kernels (``batched_log_norms``,
+all three maps; complex phases of a shift have :func:`_laurent_sites`.
+Both shift streams read their per-site coefficients, built on the exact
+frac(t omega), from one table, :func:`_laurent_table`.  Both streams run
+through one recurrence core, :func:`_recur`, vectorized over starting
+phases.  The batched kernels (``batched_log_norms``,
 ``batched_log_absdet``, ``batched_sup_rate``), the single-phase products
 and determinants, the Green entries and rows, and ``complex_det_grid``
 under the zeros module are thin wrappers over it.  The zeros module's
@@ -226,12 +227,16 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
     2^14 (or B = 1), and site k equals ``eval_real(p, iterate(dyn, x, k)[0])``
     to rounding:
 
-    * shift: frac(t omega) is exact per site, from the integer ratio of
-      omega as in ``fracmul``; V is summed by angle addition, with e(j x_i)
-      once per call and e(j frac(t omega)) once per site;
+    * shift: V is summed by angle addition, with e(j x_i) once per call
+      and the coefficients lam v_j e(j frac(t omega)) of the positive
+      harmonics read from :func:`_laurent_table`, once per run of whole
+      blocks of at most 2^12 sites (or one longer block); frac(t omega) is
+      exact, from the integer ratio of omega as in ``fracmul``.  Each
+      block is a fresh array, written in one pass per harmonic;
     * skew shift: the closed form x + t y + t(t-1)/2 omega (valid for
       t < 0 too), with frac(t(t-1)/2 omega) exact per site and t y exact
-      up to one rounding: frac(start y) per block, then j y split in two;
+      up to one rounding: frac(start y) per block, exact and vectorized
+      over the phases (``_fracmul_each``), then j y split in two;
     * doubling: sequential steps from t = 0; with an ``rng`` each step
       adds one (m, d) uniform draw scaled by 2^-52, the same numbers as
       one ``rng.random((m, d))`` per step, drawn as one
@@ -244,26 +249,39 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
     m = xs.shape[0]
     size = max(1, _BLOCK_ELEMENTS // m)
     if isinstance(dyn, Shift):
-        pos = (p._ks > 0) & (p._vs != 0)
-        ks, coef = p._ks[pos], 2.0 * p.lam * p._vs[pos]
+        c0 = p.lam * p.coeff(0).real
+        # the harmonics alone, from a table of no sites
+        ks = _laurent_table(p, dyn.omega[0], t0, t0 - 1, real=True)[0]
         ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
+        # one coefficient table per run of whole blocks, at most 2^12 sites
+        # unless one block is longer: 64 KiB complex rows, as in
+        # _laurent_sites, since malloc maps larger ones afresh per call
+        run = size * max(1, _BLOCK_ELEMENTS // 4 // size)
         # one buffer for the complex terms: a fresh 256 KiB temporary per
         # harmonic and block can make malloc map and unmap pages each time
         term = np.empty((min(size, t1 - t0), m), complex)
-        for start in range(t0, t1, size):
-            frac = dyn_mod._fracmuls(range(start, min(start + size, t1)), dyn.omega[0])
-            out = np.full((frac.size, m), p.lam * p.coeff(0).real)
-            for k, c, u in zip(ks, coef, ux):
-                out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u,
-                                         out=term[:frac.size]).real
-            yield out
+        for lo in range(t0, t1, run):
+            hi = min(lo + run, t1)
+            coef = _laurent_table(p, dyn.omega[0], lo, hi - 1, real=True)[2]
+            for start in range(lo, hi, size):
+                rows = slice(start - lo, min(start + size, hi) - lo)
+                # a fresh block, written by c0 plus the first term: the
+                # consumer may hold it while the next is drawn
+                block = np.empty((rows.stop - rows.start, m))
+                if not ks.size:
+                    block.fill(c0)
+                for i, u in enumerate(ux):
+                    real = np.multiply.outer(coef[rows, i], u, out=term[:len(block)]).real
+                    np.add(block if i else c0, real, out=block)
+                yield block
     elif isinstance(dyn, dyn_mod.SkewShift):
         # y_hi has at most 27 bits, so j * y_hi is exact for j < size <= 2^14
         y_hi = np.round(xs[:, 1] * 2.0 ** 26) / 2.0 ** 26
         steps = np.arange(min(size, t1 - t0))[:, None]
+        frac_y = dyn_mod._fracmul_each(xs[:, 1])
         for start in range(t0, t1, size):
             j = steps[:t1 - start]
-            lin = np.array([dyn_mod.fracmul(start, y) for y in xs[:, 1]])
+            lin = frac_y(start)
             quad = dyn_mod._fracmuls(range(start, start + len(j)), dyn.omega,
                                      triangular=True)[:, None]
             yield pot_mod.eval_real_many(p, dyn_mod.mod1(
@@ -313,17 +331,34 @@ def _site_values(p: Potential, dyn: Dynamics, xs, a: int, b: int, rng=None) -> n
     return out.T
 
 
-def _laurent_table(p: Potential, omega: float, a: int, b: int):
+def _laurent_table(p: Potential, omega: float, a: int, b: int, real: bool = False):
     """(ks, vs, coef): the Laurent coefficients of v(k, z) at sites a..b of a shift.
 
     Site k reads lam V at z e(k omega), as in :func:`_sites`, so
     v(k, z) = sum_j coef[k - a, i] z^ks[i] with coef[:, i] = lam v_j
-    e(j frac(k omega)), j = ks[i], and vs = lam v_j; frac is exact.
+    e(j frac(k omega)), j = ks[i], and vs = lam v_j; frac is exact.  With
+    ``real`` the table keeps only the harmonics j > 0 with v_j != 0, and
+    vs = 2 lam v_j: then v(k, e(x)) = lam v_0 + sum_i Re(coef[k - a, i]
+    e(ks[i] x)), the form the real stream sums.  This is the one place
+    that forms e(j frac(k omega)).
     """
-    # V = 0 stores no harmonic; one zero term gives the table a first column
-    ks, vs = (p._ks, p.lam * p._vs) if p._ks.size else (np.zeros(1, int), np.zeros(1))
+    if real:
+        pos = (p._ks > 0) & (p._vs != 0)
+        ks, vs = p._ks[pos], 2.0 * p.lam * p._vs[pos]
+    elif p._ks.size:
+        ks, vs = p._ks, p.lam * p._vs
+    else:
+        # V = 0 stores no harmonic; one zero term gives the table a first column
+        ks, vs = np.zeros(1, int), np.zeros(1)
     frac = dyn_mod._fracmuls(range(a, b + 1), omega)
-    return ks, vs, vs * np.exp(2j * math.pi * frac[:, None] * ks)
+    # one contiguous row per harmonic, the exponent as (2 pi i j) frac and
+    # v times the row into the table: numpy's fused complex multiply rounds
+    # other orders and layouts apart in the last bit
+    rows = np.empty((ks.size, frac.size), complex)
+    for row, k, v in zip(rows, ks, vs):
+        e = 2j * math.pi * k * frac
+        np.multiply(v, np.exp(e, out=e), out=row)
+    return ks, vs, rows.T
 
 
 def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int):

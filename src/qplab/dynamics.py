@@ -83,6 +83,36 @@ def _fracmuls(ns, t: float, triangular: bool = False) -> np.ndarray:
     return ((words * np.uint64(p % q)) & np.uint64(q - 1)) / float(q)
 
 
+def _fracmul_each(ts):
+    """A function n -> ``fracmul(n, t)`` for every float t in ts, as an array.
+
+    A float t is M 2^-s with M its mantissa as a 53-bit integer.  For
+    0 < s <= 64, which takes in 0 and every |t| in [2^-12, 2^52), the
+    numerator (n M) mod 2^s is the low s bits of n M in wrapping uint64
+    arithmetic, with n taken mod 2^64 and a negative M as its two's
+    complement; so the result equals ``fracmul`` bit for bit.  Every other
+    t takes exact Python integers.  M and s are split out once, so each n
+    costs a few passes over the phases.
+    """
+    ts = np.asarray(ts, dtype=float)
+    mant, exp = np.frexp(ts)
+    bits = 53 - exp
+    slow = (bits <= 0) | (bits > 64)
+    # a slow t's result is replaced; s = 64 keeps its shifts in range
+    bits[slow] = 64
+    words = (mant * 2.0 ** 53).astype(np.int64).view(np.uint64)
+    drop = (64 - bits).astype(np.uint64)
+
+    def times(n: int) -> np.ndarray:
+        low = ((words * np.uint64(n % (1 << 64))) << drop) >> drop
+        out = np.ldexp(low.astype(float), -bits)
+        if slow.any():
+            out[slow] = [fracmul(n, t) for t in ts[slow]]
+        return out
+
+    return times
+
+
 def _as_phase(x, d: int) -> Phase:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (d,):

@@ -78,6 +78,36 @@ def test_vector_fracmul_wraps_at_the_int64_edges():
             assert np.array_equal(dy._fracmuls(ns, GOLDEN, triangular), ref)
 
 
+# 0, the edges of the 64-bit numerators (2^-12 and just past it, with an
+# odd mantissa), exact integers below 2^-12 and from 2^52, negative phases
+FRACMUL_PHASES = [0.0, 2.0 ** -12, 2.0 ** -12 * (1 + 2.0 ** -52), 2.0 ** -12 * (1 - 2.0 ** -53),
+                  2.0 ** -13, 5e-324, 0.5, 1 - 2.0 ** -53, 1.5 * 2.0 ** -11, GOLDEN, -GOLDEN,
+                  -3e-5, 12.75, 2.0 ** 52, 2.0 ** 60 + 2.0 ** 8, -1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(-(2 ** 70), 2 ** 70) | st.integers(-(2 ** 41), 2 ** 41)
+       | st.integers(-300, 300),
+       ts=st.lists(st.sampled_from(FRACMUL_PHASES) | st.floats(0.0, 1.0, exclude_max=True)
+                   | st.floats(0.0, 2.0 ** -12) | st.floats(2.0 ** -12, 2.0 ** -11),
+                   max_size=40))
+def test_fracmul_over_phases_is_bit_identical_to_fracmul(n, ts):
+    # the skew shift's frac(start y) for a batch of y: one start, many phases
+    ref = np.array([dy.fracmul(n, t) for t in ts], dtype=float)
+    assert dy._fracmul_each(ts)(n).tobytes() == ref.tobytes()
+
+
+def test_fracmul_over_phases_takes_the_edge_cases():
+    # y = 0, y below 2^-12 (exact integers), y = 2^-12 (a 64-bit numerator),
+    # negative starts and starts beyond 2^40 and 2^64
+    ys = np.array(FRACMUL_PHASES + list(np.random.default_rng(2).random(500)))
+    times = dy._fracmul_each(ys)
+    for n in (0, 1, -1, 7, -123_456_789, 2 ** 40 + 3, -(2 ** 40) - 5, 2 ** 63 + 11,
+              -(2 ** 70) - 1, 10 ** 30):
+        ref = np.array([dy.fracmul(n, y) for y in ys])
+        assert times(n).tobytes() == ref.tobytes()
+
+
 def first_coords(dyn, x, n):
     """First coordinate of T^k x for k = 1..n, by n single steps of iterate."""
     out = []

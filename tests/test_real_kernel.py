@@ -162,6 +162,72 @@ def test_stream_blocks_are_capped_and_checked():
         list(cc._sites(AMO3, DOUBLING, xs, -1, 2))
 
 
+def per_block_shift_sites(p, omega, xs, k0, k1):
+    """The shift stream's blocks with frac, e(j frac) and the sum formed per block.
+
+    The reference for the table-fed stream of ``_sites``: the same block
+    cut, lam v_0 filled in first, then per positive harmonic j the real
+    part of (2 lam v_j e(j frac(k omega))) e(j x_i) added in turn.
+    """
+    m = xs.shape[0]
+    size = max(1, cc._BLOCK_ELEMENTS // m)
+    pos = (p._ks > 0) & (p._vs != 0)
+    ks, coef = p._ks[pos], 2.0 * p.lam * p._vs[pos]
+    ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
+    for start in range(k0, k1 + 1, size):
+        frac = dy._fracmuls(range(start, min(start + size, k1 + 1)), omega)
+        out = np.full((frac.size, m), p.lam * p.coeff(0).real)
+        for k, c, u in zip(ks, coef, ux):
+            out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u).real
+        yield out
+
+
+@st.composite
+def trig_potentials(draw):
+    """Potentials of degree <= 4: V = 0, constant-only, or real, imaginary or complex."""
+    kind = draw(st.sampled_from(["zero", "constant", "real", "imaginary", "complex"]))
+    lam = draw(st.sampled_from([-2.5, 0.0, 0.3, 3.0, 7.25]))
+    coeff = st.floats(-1.0, 1.0) | st.just(0.0)
+    coeffs = {} if kind == "zero" else {0: draw(coeff)}
+    if kind not in ("zero", "constant"):
+        for j in range(1, draw(st.integers(1, 4)) + 1):
+            re = 0.0 if kind == "imaginary" else draw(coeff)
+            im = 0.0 if kind == "real" else draw(coeff)
+            coeffs[j] = complex(re, im)
+    return pt.Potential(coeffs, lam=lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=trig_potentials(), m=st.sampled_from([1, 2, 3, 300, 2000, 5000]),
+       elements=st.sampled_from([cc._BLOCK_ELEMENTS, 64]), data=st.data())
+def test_shift_stream_keeps_the_per_block_bits(p, m, elements, data):
+    # _BLOCK_ELEMENTS = 64 cuts the coefficient table into runs of at most
+    # 64 sites, so wide batches cross a run boundary on a short window too
+    size = max(1, elements // m)
+    run = size * max(1, elements // size)
+    k0 = data.draw(st.integers(-3 * run, 3 * run), label="k0")
+    n = data.draw(st.integers(1, min(2 * run + 3, (1 << 18) // m)), label="n")
+    xs = np.random.default_rng(m + n).random((m, 1))
+    with mock.patch.object(cc, "_BLOCK_ELEMENTS", elements):
+        # held until the end: each block must be an array of its own
+        got = list(cc._sites(p, SHIFT, xs, k0, k0 + n - 1))
+        ref = list(per_block_shift_sites(p, GOLDEN, xs, k0, k0 + n - 1))
+    assert [b.shape for b in got] == [b.shape for b in ref]
+    assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, -7.0])
+def test_real_stream_is_the_complex_stream_on_the_circle(lam):
+    rng = np.random.default_rng(9)
+    xs = rng.random((5, 1))
+    for coeffs in (dict(DEG3.coeffs), {1: 0.5, 4: 0.7 - 0.2j}):
+        p = pt.Potential(coeffs, lam=lam)
+        real = np.concatenate(list(cc._sites(p, SHIFT, xs, -300, 20_000)))
+        _, blocks = cc._laurent_sites(p, GOLDEN, np.exp(2j * np.pi * xs[:, 0]), -300, 20_000)
+        vals = np.concatenate([blk.copy() for blk in blocks])
+        assert np.max(np.abs(real - vals.real)) <= 1e-13
+
+
 # --------------------------------------------------------- mpmath oracle
 
 def exact_phase(dyn, x, t):
