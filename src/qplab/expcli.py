@@ -38,6 +38,10 @@ DIOPHANTINE_FLOOR = 1e-6
 
 _TOP_KEYS = {"experiment", "model", "dynamics", "grid", "seed", "out", "threads"}
 
+# libyaml's parser where PyYAML was built with it; both loaders share
+# SafeLoader's constructor and resolver, so they give the same mappings
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Anything wrong with the config file; maps to exit code 2."""
@@ -62,7 +66,7 @@ def _load_config(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -250,14 +254,15 @@ def run(config_path, threads=None, out=None, seed=None,
         columns, rows = experiments.run_experiment(
             cfg.experiment, cfg.potential, cfg.dynamics, cfg.grid,
             seed=cfg.seed, threads=cfg.threads)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # LinAlgError is a ValueError, so it is caught ahead of that clause
+        print(f"numeric failure in {cfg.experiment}: "
+              f"{type(exc).__name__}: {exc}", file=stream)
+        return EXIT_NUMERIC
     except ValueError as exc:
         # parameter validation inside the experiment: still a config problem
         print(f"config error: {exc}", file=stream)
         return EXIT_CONFIG
-    except (ArithmeticError, ZeroDivisionError, FloatingPointError) as exc:
-        print(f"numeric failure in {cfg.experiment}: "
-              f"{type(exc).__name__}: {exc}", file=stream)
-        return EXIT_NUMERIC
     elapsed = time.perf_counter() - t0
 
     cfg.out.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,11 @@ over all sampled phases and energies of a call.  The sweep runs the
 sites in blocks of up to 255, with at most 2^17 pivots per block: one
 subtraction writes d_k - E for a whole block into a reused record, each
 site then costs two in-place ufuncs, and one pass adds the block's
-negative pivots to the counts.  A block whose record holds an exact
-zero pivot is rerun with the zero nudged at every site, so the counts
-equal those of a per-site sweep.  Eigenvalues come from
+negative pivots to the counts.  The sweep runs with division by zero
+raising, so the first division by an exact zero pivot flags its block,
+which is rerun with the zero nudged at every site; the nudge is one
+value per table, read from max(max d, -min d).  The counts equal those
+of a per-site sweep.  Eigenvalues come from
 LAPACK (``stemr`` for all, ``dstebz`` bisection for a window).
 ``scipy.linalg`` is imported inside the three functions that call it,
 since importing it costs more than most experiments' compute.
@@ -123,22 +125,28 @@ def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
 
     diags: (m, N); energies: (g,).  Returns (m, g) integer counts of
     eigenvalues strictly below each energy.  Exact zero pivots are
-    nudged to +norm*2^-52, which resolves the tie the same way for
-    every window (an eigenvalue exactly at E is not counted).
+    nudged to +(max|d| + 2)*2^-52, one value for the whole table, which
+    resolves the tie the same way for every window (an eigenvalue
+    exactly at E is not counted); max|d| is read as max(max d, -min d),
+    with no |d| copy of the table.
 
     The sites run in blocks of K <= 255, with K times the m*g pivots of a
     site at most ``_PIVOT_ELEMENTS``.  One broadcast subtraction writes
     d_k - E for the whole block into a (K, ...) record, each site then
     takes ``q -= 1/p`` in place, and one ``less`` and a uint8 sum along
-    the block add the block's negatives to the counts.  A block whose
-    record holds an exact zero pivot is written again and rerun from its
-    start pivot with the nudge at every site, so the counts are those of
-    a per-site sweep that nudges as it goes.  Two records alternate, and
-    a block starts from the last pivot of the other one.
+    the block add the block's negatives to the counts.  The sweep runs
+    with division by zero raising: an exact zero pivot is divided by at
+    the next site, in its own block or as the next block's start pivot,
+    so the block that divides by it is written again and rerun with the
+    zero start pivot nudged and the nudge at every site.  The counts are
+    then those of a per-site sweep that nudges as it goes (a zero on the
+    window's last site counts the same either way).  Two records
+    alternate, and a block starts from the last pivot of the other one.
     """
     diags = np.atleast_2d(np.asarray(diags, dtype=float))
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    pivmin = (float(np.max(np.abs(diags), initial=0.0)) + 2.0) * 2.0 ** -52
+    top = np.maximum(np.max(diags, initial=0.0), -np.min(diags, initial=0.0))
+    pivmin = (float(top) + 2.0) * 2.0 ** -52
     # the pivots are laid out (g, m) for many windows and (m, g) for many
     # energies, so each block's broadcast d - E has the longer inner loop
     by_energy = diags.shape[0] >= energies.size
@@ -160,13 +168,15 @@ def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
                 q[q == 0.0] = pivmin
             p = q
 
-    # a zero pivot divides by zero only in a pass that is then redone
-    with np.errstate(divide="ignore"):
+    # 1/p of a subnormal pivot overflows to inf, the recurrence's limit
+    with np.errstate(divide="raise", over="ignore"):
         for b, k in enumerate(range(0, sites.shape[0], K)):
             block = sites[k:k + K]
             r, start = records[b % 2, :len(block)], records[1 - b % 2, -1]
-            sweep(r, start, block, False)
-            if not r.all():
+            try:
+                sweep(r, start, block, False)
+            except FloatingPointError:
+                start[start == 0.0] = pivmin
                 sweep(r, start, block, True)
             if K == 1:
                 # a shape wider than the budget: no reduction per site
@@ -338,6 +348,11 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
     any fixed bisection depth, and differs only on the measure-zero
     event of an eigenvalue landing exactly at E+-h.  A 1d sequence of
     H_param gives an array of measures over one phase set, in one sweep.
+
+    Every pair is swept over every window.  A narrower pair cannot skip
+    the windows a wider one missed: the nudge of an exact zero pivot
+    makes the computed count non-monotone in E at that tie, so a
+    narrower pair may catch a window the wider pair does not.
     """
     params = np.asarray(H_param, dtype=float)
     if params.ndim > 1 or np.any(params < 1):

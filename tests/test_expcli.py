@@ -1,11 +1,13 @@
 """The qplab CLI: config validation, CSV formatting, exit codes."""
 
+import csv
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,31 @@ def test_run_flags_config_problems(tmp_path):
     assert cli.run(not_yaml, stream=io.StringIO()) == cli.EXIT_CONFIG
 
 
+BUNDLED = sorted((Path(cli.__file__).parent / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=[p.stem for p in BUNDLED])
+def test_bundled_configs_load_the_same_under_both_loaders(path):
+    # libyaml's loader where PyYAML has it, the pure-Python one otherwise
+    assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = path.read_text()
+    want = yaml.load(text, Loader=yaml.SafeLoader)
+    assert cli._load_config(path) == want
+    if hasattr(yaml, "CSafeLoader"):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == want
+
+
+@pytest.mark.parametrize("text", ["a: b: c", "key: 'open", "x: 1\n\ty: 2",
+                                  "!!python/object:os.system x"])
+def test_invalid_yaml_exits_2(tmp_path, text):
+    # the safe loaders construct no Python objects: a python tag is invalid
+    path = tmp_path / "n.yaml"
+    path.write_text(text)
+    stream = io.StringIO()
+    assert cli.run(path, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
+    assert "is not valid YAML" in stream.getvalue()
+
+
 def test_run_flags_bad_grid_as_config_error(tmp_path):
     stream = io.StringIO()
     cfg = write_config(tmp_path, {**MIN_GAP_CONFIG,
@@ -227,6 +254,58 @@ def test_run_maps_numeric_failures_to_exit_3(tmp_path, monkeypatch):
     stream = io.StringIO()
     assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_NUMERIC
     assert "synthetic blowup" in stream.getvalue()
+
+
+def test_run_maps_linear_algebra_failures_to_exit_3(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, which the run reads as a config problem
+    def eigvals(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    probe = {**MIN_GAP_CONFIG, "experiment": "zeros_probe",
+             "grid": {"E": 0.5, "N": 16, "n_probes": 2, "radius": 0.06,
+                      "annulus_y": 0.09}}
+    stream = io.StringIO()
+    cfg = write_config(tmp_path, probe)
+    assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_NUMERIC
+    assert "LinAlgError: Eigenvalues did not converge" in stream.getvalue()
+    assert not (tmp_path / "x").exists()
+    bad = write_config(tmp_path, {**probe, "grid": {**probe["grid"], "n_probes": 0}})
+    stream = io.StringIO()
+    assert cli.run(bad, out=tmp_path / "y", stream=stream) == cli.EXIT_CONFIG
+    assert "config error" in stream.getvalue()
+
+
+# Criterion 16 where the Sturm pivots tie: at lam = 0 on 1001 sites
+# E = -1, 0, 1 are eigenvalues, so the integer pivots hit exact zeros and
+# the sweep reruns those blocks with the zeros nudged.
+TIE_CONFIGS = {
+    "ids_tie": {"experiment": "ids",
+                "grid": {"E": [-2.0, -1.0, 0.0, 1.0, 2.0], "N": 1001, "x_samples": 4}},
+    "wegner_tie": {"experiment": "wegner",
+                   "grid": {"E": [-1.0, 0.0, 1.0], "H_list": [5.0, 10.0], "N": 201,
+                            "x_samples": 300}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+def test_exact_tie_runs_are_byte_identical_across_threads(tmp_path, name):
+    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, **TIE_CONFIGS[name], "seed": 5,
+                                  "model": {"potential": "almost_mathieu", "lam": 0.0}})
+    experiment = TIE_CONFIGS[name]["experiment"]
+    csvs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (1, 2):
+            assert cli.run(cfg, out=tmp_path / f"t{t}", threads=t,
+                           stream=io.StringIO()) == cli.EXIT_OK
+            csvs.append((tmp_path / f"t{t}" / f"{experiment}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    if name == "ids_tie":
+        # an eigenvalue at E is not counted: 333, 500 and 667 of 1001 lie below
+        rows = list(csv.DictReader(io.StringIO(csvs[0].decode())))
+        assert [float(r["ids"]) for r in rows] == [0.0, 333 / 1001, 500 / 1001,
+                                                   667 / 1001, 1.0]
 
 
 def test_main_list_prints_the_catalogue(capsys):

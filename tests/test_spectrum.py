@@ -1,6 +1,7 @@
 """Counting, IDS, eigenvectors, and trace inequalities on finite windows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ def test_a_tie_counts_the_same_wherever_it_falls_in_a_block(block, monkeypatch):
     # eigenvalue -1 of [[-0, -1], [-1, 0]]; unnudged, its successor is +inf
     diag = np.array([[-0.0, 0.0]])
     assert blocked_counts(diag, np.array([0.0]), block, monkeypatch)[0, 0] == 1
+
+
+def test_a_subnormal_pivot_overflows_quietly_to_its_limit():
+    # at E = +-5e-324 the first pivot is subnormal and 1/p overflows to
+    # +-inf, so the next pivot is -+inf and the one after reads d - E again
+    # (the suite turns an overflow warning into an error); 0 is an
+    # eigenvalue of the first window, whose others are -1 and 2
+    diag = np.array([[0.0, 1.0, 0.0], [-0.0, 2.0, -1.0]])
+    E = np.array([-5e-324, 5e-324])
+    got = sp._sturm_counts(diag, E)
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(got, per_site_counts(diag, E))
+    assert got[0].tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 255, None])
@@ -281,6 +295,74 @@ def test_wegner_measure_over_a_sequence_equals_scalar_calls(dyn):
         sp.wegner_measure(AMO3, dyn, 0.3, [2.0, 0.5], **kw)
     with pytest.raises(ValueError):
         sp.wegner_measure(AMO3, dyn, 0.3, [[2.0, 3.0]], **kw)
+
+
+def unpruned_wegner(p, dyn, E, H_params, N, x_samples, seed):
+    """Every pair E +- exp(-H) counted over every window in one sweep."""
+    hs = np.array([math.exp(-H) for H in H_params])
+    counts = sp._sampled_counts(p, dyn, np.stack([E - hs, E + hs], axis=1).ravel(),
+                                N, x_samples, seed)
+    return np.mean((counts[:, 1::2] - counts[:, ::2]) > 0, axis=0)
+
+
+# h = exp(-H) from 0.37 down to a subnormal (745) and to 0 (800), where
+# the pairs E +- h fall on the tie energies themselves
+WEGNER_H = [1.0, 2.0, 5.0, 10.0, 37.0, 45.0, 700.0, 745.0, 800.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from(["ties", "shift", "doubling"]),
+       lam=st.sampled_from([0.0, 1.0, 3.0]),
+       m=st.integers(1, 40), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       E=st.sampled_from(TIE_ENERGIES),
+       H_params=st.lists(st.sampled_from(WEGNER_H), min_size=1, max_size=6))
+def test_wegner_equals_the_unpruned_counts_bit_for_bit(source, lam, m, n, seed,
+                                                       E, H_params):
+    # "ties" sweeps a table drawn from TIE_DIAGONALS; the maps sweep almost
+    # Mathieu, whose lam = 0 diagonals are signed zeros.  A wegner that
+    # sweeps a narrower pair only over the windows a wider pair caught
+    # must keep these measures (see the next test for why it cannot).
+    p, dyn = pt.almost_mathieu(lam), {"doubling": dy.Doubling()}.get(source, SHIFT)
+    with pytest.MonkeyPatch.context() as mp:
+        if source == "ties":
+            table = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(m, n))
+            mp.setattr(sp, "_site_values", lambda *args: table)
+        got = sp.wegner_measure(p, dyn, E, H_params, n, m, seed)
+        want = unpruned_wegner(p, dyn, E, H_params, n, m, seed)
+    assert got.tolist() == want.tolist()
+
+
+def test_a_nudged_tie_makes_the_count_non_monotone_in_the_energy(monkeypatch):
+    # d = (c, c, c - 3u) with c = 1 - u, u = 2^-53: at E - h2 = c the first
+    # pivot is an exact zero, nudged to pivmin = 6u, so the third pivot
+    # -3u + 6u is positive and one eigenvalue is counted; at E - h1 = c - u
+    # (h1 > h2) the first pivot is u, the third -2u + u, and two are.  So
+    # the pair h2 catches the window although the wider pair h1 does not,
+    # and a wegner that swept h2 only over h1's windows would read 0 here.
+    u = 2.0 ** -53
+    c = 1.0 - u
+    H1, H2 = 35.821, 36.332
+    h1, h2 = math.exp(-H1), math.exp(-H2)
+    assert h1 > h2 and 1.0 - h1 == c - u and 1.0 - h2 == c and 1.0 + h1 == 1.0 + 2 * u
+    table = np.array([[c, c, c - 3 * u]])
+    counts = sp._sturm_counts(table, np.array([1.0 - h1, 1.0 - h2, 1.0 + h2, 1.0 + h1]))
+    assert counts.tolist() == [[2, 1, 2, 2]]
+    monkeypatch.setattr(sp, "_site_values", lambda *args: table)
+    assert sp.wegner_measure(AMO3, SHIFT, 1.0, [H1, H2], 3, 1).tolist() == [0.0, 1.0]
+
+
+def test_wegner_allocates_no_second_site_table():
+    # a |d| copy of the table for the nudge would double the peak; one
+    # 5000 x 200 call holds the table, the stream's blocks and two records
+    sp.wegner_measure(AMO3, SHIFT, 0.0, [5.0, 10.0], N=20, x_samples=50)
+    table = 5000 * 200 * 8
+    tracemalloc.start()
+    try:
+        sp.wegner_measure(AMO3, SHIFT, 0.0, [5.0, 10.0], N=200, x_samples=5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table < peak < table + table // 2
 
 
 # --------------------------------------------------------------- min gap
