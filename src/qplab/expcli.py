@@ -1,9 +1,11 @@
 """Config-driven experiment runner: ``qplab run <config>``, ``qplab list``.
 
-A run reads one YAML config, validates it, executes the named
-experiment, and writes ``<out>/<experiment>.csv`` plus
-``<out>/manifest.json``.  Exit codes: 0 success, 2 configuration or
-validation failure, 3 numeric failure during computation.
+A run reads one YAML config and validates all of it, the experiment's
+grid included, before any task starts; it then executes the named
+experiment and writes ``<out>/<experiment>.csv`` plus
+``<out>/manifest.json``.  Exit codes: 0 success, 2 a config problem
+(always found before the first task, so nothing is written), 3 an
+arithmetic or linear-algebra failure during computation.
 
 CSV cells use '.' as the decimal mark and 17 significant digits, so
 floats survive a round trip; with the seed fixed the bytes are
@@ -27,6 +29,7 @@ from . import __version__, experiments
 from . import dynamics as dyn_mod
 from . import potential as pot_mod
 from .dynamics import Doubling, Shift, SkewShift
+from .experiments import COUNT, INTEGER, REAL, ConfigError, Kind, choice, listof
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,10 +46,6 @@ _TOP_KEYS = {"experiment", "model", "dynamics", "grid", "seed", "out", "threads"
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class ConfigError(ValueError):
-    """Anything wrong with the config file; maps to exit code 2."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated run: what to compute, over what, and where to put it."""
@@ -54,7 +53,7 @@ class ExperimentConfig:
     experiment: str
     potential: pot_mod.Potential
     dynamics: object
-    grid: dict
+    grid: dict          # typed values of every grid parameter, defaults included
     seed: int
     out: Path
     threads: int
@@ -79,49 +78,51 @@ def _load_config(path: Path) -> dict:
     return data
 
 
+def _triple(raw) -> tuple:
+    k, re, im = raw
+    return INTEGER.parse(k), REAL.parse(re), REAL.parse(im)
+
+
+def _omega(raw) -> float:
+    if isinstance(raw, str) and raw.strip() == "golden":
+        return dyn_mod.GOLDEN_MEAN
+    if isinstance(raw, str) and "/" in raw:
+        num, _, den = raw.partition("/")
+        return REAL.parse(REAL.parse(num) / REAL.parse(den))
+    return REAL.parse(raw)
+
+
+def _flag(raw) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    raise TypeError(raw)
+
+
+_TRIPLES = listof(Kind("a [k, re, im] row with an integer k", _triple))
+_OMEGA = Kind("'golden', a fraction like '355/113', or a finite real", _omega)
+_FLAG = Kind("true or false", _flag)
+
+
 def _build_potential(model) -> pot_mod.Potential:
     if not isinstance(model, dict):
         raise ConfigError("model must be a mapping with 'lam' and a potential")
     unknown = set(model) - {"potential", "lam", "triples"}
     if unknown:
         raise ConfigError(f"unknown model keys {sorted(unknown)}")
-    if "lam" not in model:
-        raise ConfigError("model.lam (the coupling) is required")
-    lam = float(model["lam"])
-    kind = model.get("potential", "almost_mathieu")
+    lam = REAL.read("model.lam", model.get("lam"))
+    kind = choice("almost_mathieu", "triples").read(
+        "model.potential", model.get("potential", "almost_mathieu"))
+    if kind == "almost_mathieu":
+        return pot_mod.almost_mathieu(lam)
+    triples = _TRIPLES.read("model.triples", model.get("triples"))
     try:
-        if kind == "almost_mathieu":
-            return pot_mod.almost_mathieu(lam)
-        if kind == "triples":
-            triples = model.get("triples")
-            if not triples:
-                raise ConfigError(
-                    "model.potential 'triples' needs model.triples: "
-                    "a list of [k, re, im] coefficient rows")
-            return pot_mod.from_triples(
-                [(int(k), float(re), float(im)) for k, re, im in triples], lam)
-    except pot_mod.ConsistencyError as exc:
+        return pot_mod.from_triples(triples, lam)
+    except ValueError as exc:
         raise ConfigError(f"potential coefficients rejected: {exc}") from exc
-    raise ConfigError(
-        f"unknown model.potential {kind!r}; use 'almost_mathieu' or 'triples'")
 
 
 def _parse_omega(raw) -> float:
-    if isinstance(raw, str):
-        text = raw.strip()
-        if text == "golden":
-            return dyn_mod.GOLDEN_MEAN
-        if "/" in text:
-            num, _, den = text.partition("/")
-            try:
-                return float(num) / float(den)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"cannot parse frequency {raw!r}") from exc
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse frequency {raw!r}") from exc
-    return float(raw)
+    return _OMEGA.read("dynamics.omega", raw)
 
 
 def _gate_frequency(w: float) -> None:
@@ -148,27 +149,19 @@ def _build_dynamics(dspec):
     unknown = set(dspec) - {"kind", "omega", "diophantine"}
     if unknown:
         raise ConfigError(f"unknown dynamics keys {sorted(unknown)}")
-    kind = dspec.get("kind", "shift")
-    gate = bool(dspec.get("diophantine", True))
+    kind = choice("shift", "skew_shift", "skew", "doubling").read(
+        "dynamics.kind", dspec.get("kind", "shift"))
+    gate = _FLAG.read("dynamics.diophantine", dspec.get("diophantine", True))
     if kind == "doubling":
         return Doubling()
-    if "omega" not in dspec:
-        raise ConfigError(f"dynamics.omega is required for kind {kind!r}")
-    raw = dspec["omega"]
     if kind == "shift":
-        parts = raw if isinstance(raw, (list, tuple)) else [raw]
-        omegas = tuple(_parse_omega(v) for v in parts)
-        if gate:
-            for w in omegas:
-                _gate_frequency(w)
-        return Shift(omega=omegas)
-    if kind in ("skew", "skew_shift"):
-        w = _parse_omega(raw)
-        if gate:
+        omegas = tuple(listof(_OMEGA).read("dynamics.omega", dspec.get("omega")))
+    else:
+        omegas = (_parse_omega(dspec.get("omega")),)
+    if gate:
+        for w in omegas:
             _gate_frequency(w)
-        return SkewShift(omega=w)
-    raise ConfigError(
-        f"unknown dynamics.kind {kind!r}; use 'shift', 'skew_shift', or 'doubling'")
+    return Shift(omega=omegas) if kind == "shift" else SkewShift(omega=omegas[0])
 
 
 def validate_config(data: dict, threads=None, out=None, seed=None) -> ExperimentConfig:
@@ -190,15 +183,11 @@ def validate_config(data: dict, threads=None, out=None, seed=None) -> Experiment
         grid.pop("seed", None)
     if out is None:
         out = data.get("out", "results")
-    if threads is None:
-        threads = data.get("threads", 1)
-    try:
-        seed = int(seed)
-        threads = int(threads)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed and threads must be integers: {exc}") from exc
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    if not isinstance(out, (str, Path)):
+        raise ConfigError(f"out must be a directory path, got {out!r}")
+    grid = experiments.EXPERIMENTS[name].resolve(grid)
+    seed = INTEGER.read("seed", seed)
+    threads = COUNT.read("threads", data.get("threads", 1) if threads is None else threads)
     return ExperimentConfig(experiment=name, potential=p, dynamics=dyn,
                             grid=grid, seed=seed, out=Path(out),
                             threads=threads)
@@ -254,15 +243,14 @@ def run(config_path, threads=None, out=None, seed=None,
         columns, rows = experiments.run_experiment(
             cfg.experiment, cfg.potential, cfg.dynamics, cfg.grid,
             seed=cfg.seed, threads=cfg.threads)
+    except ConfigError as exc:
+        # raised while the grid is read and checked, before any task starts
+        print(f"config error: {exc}", file=stream)
+        return EXIT_CONFIG
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        # LinAlgError is a ValueError, so it is caught ahead of that clause
         print(f"numeric failure in {cfg.experiment}: "
               f"{type(exc).__name__}: {exc}", file=stream)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # parameter validation inside the experiment: still a config problem
-        print(f"config error: {exc}", file=stream)
-        return EXIT_CONFIG
     elapsed = time.perf_counter() - t0
 
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -275,7 +263,8 @@ def run(config_path, threads=None, out=None, seed=None,
         "results": [{
             "experiment": cfg.experiment,
             "csv": csv_path.name,
-            "parameters": {k: repr(v) for k, v in sorted(cfg.grid.items())},
+            "parameters": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                           for k, v in cfg.grid.items()},
             "metrics": {"rows": len(rows), "columns": len(columns)},
             "runtime_ms": elapsed * 1e3,
         }],

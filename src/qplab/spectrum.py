@@ -355,7 +355,7 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
     narrower pair may catch a window the wider pair does not.
     """
     params = np.asarray(H_param, dtype=float)
-    if params.ndim > 1 or np.any(params < 1):
+    if params.ndim > 1 or not np.all(params >= 1):  # a NaN fails too
         raise ValueError("H_param must be >= 1, or a 1d sequence of such")
     hs = np.array([math.exp(-H) for H in params.ravel()])
     counts = _sampled_counts(p, dyn, np.stack([E - hs, E + hs], axis=1).ravel(),

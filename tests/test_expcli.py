@@ -17,6 +17,10 @@ import yaml
 import qplab.dynamics as dy
 import qplab.experiments as ex
 import qplab.expcli as cli
+import qplab.potential as pt
+
+AMO3 = pt.almost_mathieu(3.0)
+GOLDEN = dy.Shift((dy.GOLDEN_MEAN,))
 
 MIN_GAP_CONFIG = {
     "experiment": "min_gap",
@@ -93,6 +97,9 @@ def test_validate_config_surface():
     assert "min_gap" in str(exc.value)    # the listing names what exists
     with pytest.raises(cli.ConfigError):
         cli.validate_config({**MIN_GAP_CONFIG, "threads": 0})
+    # the grid is read at validation too
+    with pytest.raises(cli.ConfigError, match="grid.N_list"):
+        cli.validate_config({**MIN_GAP_CONFIG, "grid": {"N_list": [20, 2.5]}})
 
 
 def test_grid_seed_alias_and_override_precedence():
@@ -226,38 +233,173 @@ def test_run_flags_empty_samples_as_config_error(tmp_path, experiment, grid):
     # zero grid_size divided by zero, a min_gap without samples wrote a bare
     # header, and concatenation_bound at N = 0 failed inside numpy; an
     # empty list or a zero count of the last six cases wrote a bare header
-    message = {"bmo_trend": "grid_size >= 1", "fourier_decay": "grid_size >= 1",
-               "min_gap": "x_samples >= 1", "hellmann_feynman": "x_samples >= 1",
-               "zero_additivity": "n_disks >= 1", "zeros_probe": "n_probes >= 1",
-               }.get(experiment, "N >= 1 and x_samples >= 1")
-    empty = [key for key, value in grid.items() if value == []]
-    if empty:
-        message = f"{empty[0]} must be a nonempty list"
+    bad = next(key for key, value in grid.items()
+               if value == [] or (value == 0 and isinstance(value, int)))
     cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
                                   "grid": grid})
     stream = io.StringIO()
     assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
-    assert message in stream.getvalue()
+    assert f"grid.{bad} " in stream.getvalue()
     assert not (tmp_path / "x").exists()
 
 
-def test_run_maps_numeric_failures_to_exit_3(tmp_path, monkeypatch):
-    def prepare(p, dyn, grid, seed):
-        def task():
-            raise ArithmeticError("synthetic blowup")
+NAN = float("nan")
+
+
+# Each grid once crashed with a traceback, ran with a silently altered
+# value, failed deep in the library, or was refused only inside a task.
+@pytest.mark.parametrize("experiment, grid, key", [
+    ("ldt_decay", {"E": [0.0]}, "E"),
+    ("zeros_probe", {"E": [0.5]}, "E"),
+    ("ids", {"E": [0.0], "N": None}, "N"),
+    ("ids", {"E": [0.0], "N": 2.7}, "N"),
+    ("ids", {"E": [1.0, 0.0]}, "E"),
+    ("ids", {"E": {"start": 3.0, "stop": -3.0, "count": 7}}, "E"),
+    ("ids", {"E": {"start": 0.0, "stop": 1.0}}, "E"),
+    ("green_decay", {"E": [0.0], "j_site": [1]}, "j_site"),
+    ("green_decay", {"E": [0.0], "N": 30, "j_site": 31}, "j_site"),
+    ("green_decay", {"E": [0.0], "eta": 0.0}, "eta"),
+    ("min_gap", {"window": [1.0]}, "window"),
+    ("min_gap", {"window": [1.0, -1.0]}, "window"),
+    ("wegner", {"E": [0.0], "H_list": [5.0, NAN]}, "H_list"),
+    ("wegner", {"E": [0.0], "H_list": [0.5]}, "H_list"),
+    ("holder_scan", {"E": [0.0], "h_list": [0.1, -0.01]}, "h_list"),
+    ("holder_scan", {"E": [0.0], "h_list": [1.0]}, "h_list"),
+    ("lyapunov_scan", {"E": [0.0], "n_list": [100, 300]}, "n_list"),
+    ("lyapunov_scan", {"E": [0.0], "sampler": "sobol"}, "sampler"),
+    ("lyapunov_scan", {"E": [0.0], "m_samples": 0}, "m_samples"),
+    ("ldt_decay", {"E": 0.0, "statistic": "trace"}, "statistic"),
+    ("ldt_decay", {"E": 0.0, "n_list": [100, "x"]}, "n_list"),
+    ("ldt_decay", {"E": 0.0, "x_samples": 0}, "x_samples"),
+    ("ldt_decay", {"E": 0.0, "exponent": 400.0}, "exponent"),
+    ("bmo_trend", {"E": 0.0, "grid_size": 100}, "grid_size"),
+    ("fourier_decay", {"E": 0.0, "grid_size": 64, "modes": 40}, "grid_size"),
+    ("hellmann_feynman", {"N": 30, "indices": [30]}, "indices"),
+    ("hellmann_feynman", {"h": 0.0}, "h"),
+    ("avalanche_fuzz", {"n": 1}, "n"),
+    ("avalanche_fuzz", {"mu": 0.0}, "mu"),
+    ("avalanche_fuzz", {"mu": 1e-320}, "mu"),
+    ("avalanche_fuzz", {"n": 5, "mu": 1e100}, "mu"),
+    ("avalanche_fuzz", {"rot": -1.0}, "rot"),
+    ("positivity_probe", {"E": [0.0], "ell": 0}, "ell"),
+    ("positivity_probe", {"E": [0.0], "sigma": NAN}, "sigma"),
+    ("thouless_check", {"E": [0.0], "N": -5}, "N"),
+    ("concatenation_bound", {"E": 0.0, "eta_list": [0.05, NAN]}, "eta_list"),
+    ("zero_additivity", {"E": 0.5, "radius": 0.0}, "radius"),
+    ("zeros_probe", {"E": 0.5, "radius": -0.1}, "radius"),
+])
+def test_a_bad_grid_value_exits_2_before_any_task(tmp_path, experiment, grid, key):
+    with pytest.raises(cli.ConfigError, match=key):
+        ex.EXPERIMENTS[experiment].prepare(AMO3, GOLDEN, grid)
+    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
+                                  "grid": grid})
+    stream = io.StringIO()
+    assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
+    assert stream.getvalue().startswith("config error: ") and key in stream.getvalue()
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("experiment, dynamics", [
+    ("bmo_trend", {"kind": "skew_shift", "omega": "golden"}),
+    ("fourier_decay", {"kind": "skew_shift", "omega": "golden"}),
+    ("hellmann_feynman", {"kind": "doubling"}),
+    ("zeros_probe", {"kind": "shift", "omega": ["golden", 0.3], "diophantine": False}),
+])
+def test_dynamics_an_experiment_cannot_run_exit_2(tmp_path, experiment, dynamics):
+    # the phase-grid statistics used to refuse a skew shift inside a task
+    grid = {"hellmann_feynman": {"N": 8}, "zeros_probe": {"E": 0.5, "N": 8}}.get(
+        experiment, {"E": 0.0})
+    with pytest.raises(cli.ConfigError, match="one-dimensional"):
+        ex.EXPERIMENTS[experiment].prepare(AMO3, cli._build_dynamics(dynamics), grid)
+    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
+                                  "dynamics": dynamics, "grid": grid})
+    stream = io.StringIO()
+    assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
+    assert "one-dimensional" in stream.getvalue()
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key, change", [
+    ("model.lam", {"model": {"potential": "almost_mathieu", "lam": "abc"}}),
+    ("model.lam", {"model": {"potential": "almost_mathieu", "lam": None}}),
+    ("model.triples", {"model": {"potential": "triples", "lam": 1.0,
+                                 "triples": [[1, 0.5]]}}),
+    ("model.triples", {"model": {"potential": "triples", "lam": 1.0,
+                                 "triples": [[1.5, 0.5, 0.0]]}}),
+    ("dynamics.omega", {"dynamics": {"kind": "shift", "omega": None}}),
+    ("dynamics.omega", {"dynamics": {"kind": "skew_shift", "omega": ["golden", 0.3]}}),
+    ("dynamics.diophantine", {"dynamics": {"kind": "shift", "omega": "golden",
+                                           "diophantine": "no"}}),
+    ("seed", {"seed": 1.5}),
+    ("threads", {"threads": 2.5}),
+    ("out", {"out": 5}),
+])
+def test_a_bad_top_level_value_exits_2(tmp_path, key, change):
+    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, **change})
+    stream = io.StringIO()
+    out = tmp_path / "x" if key != "out" else None
+    assert cli.run(cfg, out=out, stream=stream) == cli.EXIT_CONFIG
+    assert stream.getvalue().startswith("config error: ") and key in stream.getvalue()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("experiment, grid", [
+    ("ids", {"E": {"start": -3.0, "stop": 3.0, "count": 5}, "N": 40}),
+    ("hellmann_feynman", {"N": 24, "x_samples": 1}),
+    ("min_gap", {"N_list": [20]}),
+])
+def test_a_grid_rebuilt_from_the_manifest_gives_the_same_csv(tmp_path, experiment, grid):
+    # the manifest records every parameter as a typed JSON value, defaults
+    # included and the energy range expanded
+    data = {**MIN_GAP_CONFIG, "experiment": experiment, "grid": grid}
+    assert cli.run(write_config(tmp_path, data), out=tmp_path / "a",
+                   stream=io.StringIO()) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    params = manifest["results"][0]["parameters"]
+    assert sorted(params) == sorted(q.name for q in ex.EXPERIMENTS[experiment].params)
+    rebuilt = write_config(tmp_path, {**data, "grid": params}, name="rebuilt.yaml")
+    assert cli.run(rebuilt, out=tmp_path / "b", stream=io.StringIO()) == cli.EXIT_OK
+    csv_name = f"{experiment}.csv"
+    assert (tmp_path / "a" / csv_name).read_bytes() == (tmp_path / "b" / csv_name).read_bytes()
+    if experiment == "ids":
+        assert params["E"] == np.linspace(-3.0, 3.0, 5).tolist() and params["chunk"] == 64
+
+
+def failing_experiment(monkeypatch, exc):
+    """Register an experiment "blowup" whose one task raises ``exc``."""
+    def build(p, dyn):
+        def task(seed):
+            raise exc
         return [task]
 
     monkeypatch.setitem(
         ex.EXPERIMENTS, "blowup",
-        ex.ExperimentSpec(doc="always fails", columns=("x",), prepare=prepare))
-    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": "blowup"})
+        ex.ExperimentSpec(doc="always fails", columns=("x",), params=(), build=build))
+    return {**MIN_GAP_CONFIG, "experiment": "blowup", "grid": {}}
+
+
+def test_run_maps_numeric_failures_to_exit_3(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, failing_experiment(
+        monkeypatch, ArithmeticError("synthetic blowup")))
     stream = io.StringIO()
     assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_NUMERIC
     assert "synthetic blowup" in stream.getvalue()
 
 
+def test_a_value_error_from_a_task_is_not_a_config_error(tmp_path, monkeypatch):
+    # the grid is checked before any task starts, so a ValueError from a
+    # task is a defect in the program: it propagates instead of exiting 2
+    cfg = write_config(tmp_path, failing_experiment(
+        monkeypatch, ValueError("synthetic defect")))
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="synthetic defect"):
+        cli.run(cfg, out=tmp_path / "x", stream=stream)
+    assert "config error" not in stream.getvalue()
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_maps_linear_algebra_failures_to_exit_3(tmp_path, monkeypatch):
-    # LinAlgError subclasses ValueError, which the run reads as a config problem
+    # LinAlgError subclasses ValueError, yet a task's LinAlgError is numeric
     def eigvals(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -288,24 +430,75 @@ TIE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
-def test_exact_tie_runs_are_byte_identical_across_threads(tmp_path, name):
-    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, **TIE_CONFIGS[name], "seed": 5,
-                                  "model": {"potential": "almost_mathieu", "lam": 0.0}})
-    experiment = TIE_CONFIGS[name]["experiment"]
+def csvs_at_one_and_two_threads(tmp_path, data) -> list:
+    """The CSV bytes of one config run at 1 and at 2 threads, where a numpy
+    RuntimeWarning (a log of an exact zero left unguarded) fails the run."""
+    cfg = write_config(tmp_path, data)
     csvs = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for t in (1, 2):
             assert cli.run(cfg, out=tmp_path / f"t{t}", threads=t,
                            stream=io.StringIO()) == cli.EXIT_OK
-            csvs.append((tmp_path / f"t{t}" / f"{experiment}.csv").read_bytes())
+            csvs.append((tmp_path / f"t{t}" / f"{data['experiment']}.csv").read_bytes())
+    return csvs
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+def test_exact_tie_runs_are_byte_identical_across_threads(tmp_path, name):
+    csvs = csvs_at_one_and_two_threads(tmp_path, {
+        **MIN_GAP_CONFIG, **TIE_CONFIGS[name], "seed": 5,
+        "model": {"potential": "almost_mathieu", "lam": 0.0}})
     assert csvs[0] == csvs[1]
     if name == "ids_tie":
         # an eigenvalue at E is not counted: 333, 500 and 667 of 1001 lie below
         rows = list(csv.DictReader(io.StringIO(csvs[0].decode())))
         assert [float(r["ids"]) for r in rows] == [0.0, 333 / 1001, 500 / 1001,
                                                    667 / 1001, 1.0]
+
+
+DEG3_MODEL = {"potential": "triples", "lam": 2.5,
+              "triples": [[0, 0.2, 0.0], [1, 0.5, 0.0], [2, 0.1, -0.15], [3, 0.0, 0.2]]}
+# Criterion 16 on paths the bundled configs (one energy each, almost
+# Mathieu, 6 disks and 8 probes) do not reach:
+SMOKE_CONFIGS = {
+    # several energies: a grid lyapunov_scan runs them as one pass, and a
+    # doubling thouless_check reads both statistics from one pass per energy
+    "scan3": {"experiment": "lyapunov_scan",
+              "grid": {"E": [0.0, 0.5, 1.0], "n_list": [100, 200], "m_samples": 300,
+                       "sampler": "grid"}},
+    "doubling3": {"experiment": "thouless_check", "dynamics": {"kind": "doubling"},
+                  "grid": {"E": [0.0, 0.5, 1.0], "N": 400, "x_samples": 200}},
+    # workers that share handles: every zero_additivity task reads the
+    # lazily solved zeros of one handle triple, so two workers may race
+    # one eigensolve
+    "additivity12": {"experiment": "zero_additivity",
+                     "grid": {"E": 0.5, "m": 16, "n_disks": 12, "radius": 0.1,
+                              "y_scale": 0.08}},
+    "probe16": {"experiment": "zeros_probe",
+                "grid": {"E": 0.5, "N": 32, "n_probes": 16, "radius": 0.06,
+                         "annulus_y": 0.09}},
+    # a degree-3 potential (three positive harmonics) through the real
+    # stream, the energy groups of a grid scan, and the complex stream
+    # and companion eigensolve
+    "scan_deg3": {"experiment": "lyapunov_scan", "model": DEG3_MODEL,
+                  "grid": {"E": [-0.5, 0.0, 0.7], "n_list": [100, 200], "m_samples": 300,
+                           "sampler": "grid"}},
+    "ldt_deg3": {"experiment": "ldt_decay", "model": DEG3_MODEL,
+                 "grid": {"E": 0.0, "n_list": [100, 400], "exponent": 0.9,
+                          "x_samples": 1000, "statistic": "transfer_norm"}},
+    "probe_deg3": {"experiment": "zeros_probe", "model": DEG3_MODEL,
+                   "grid": {"E": 0.5, "N": 32, "n_probes": 8, "radius": 0.06,
+                            "annulus_y": 0.09}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+def test_smoke_runs_are_byte_identical_across_threads(tmp_path, name):
+    model = {"potential": "almost_mathieu", "lam": 3.0}
+    csvs = csvs_at_one_and_two_threads(tmp_path, {
+        **MIN_GAP_CONFIG, "model": model, "seed": 5, **SMOKE_CONFIGS[name]})
+    assert csvs[0] == csvs[1]
 
 
 def test_main_list_prints_the_catalogue(capsys):

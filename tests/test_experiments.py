@@ -1,11 +1,14 @@
 """The experiment registry: smoke runs, determinism, task seeding."""
 
 import hashlib
+import io
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import qplab.dynamics as dy
 import qplab.expcli as cli
@@ -89,6 +92,25 @@ def test_unknown_grid_key_is_rejected():
 def test_missing_required_parameter_is_rejected():
     with pytest.raises(ValueError):
         ex.run_experiment("green_decay", AMO3, SHIFT, {"N": 30, "eta": 1e-3})
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_odd_values_in_every_table_entry_exit_0_2_or_3(tmp_path, name):
+    # each entry of the table, in turn, set to values of the wrong type,
+    # NaN, a negative, zero and a fraction: the run may succeed, refuse
+    # the config or fail numerically, but never raises, and a refused
+    # config writes nothing
+    base = {"experiment": name, "model": {"potential": "almost_mathieu", "lam": 3.0},
+            "dynamics": {"kind": "shift", "omega": "golden"}, "seed": 4}
+    cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    for param in ex.EXPERIMENTS[name].params:
+        for value in (None, "x", [], math.nan, -1, 0, 2.5):
+            cfg.write_text(yaml.safe_dump(
+                {**base, "grid": {**SMOKE_GRIDS[name], param.name: value}}))
+            shutil.rmtree(out, ignore_errors=True)
+            code = cli.run(cfg, out=out, stream=io.StringIO())
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), (param.name, value)
+            assert code != cli.EXIT_CONFIG or not out.exists(), (param.name, value)
 
 
 @pytest.mark.parametrize("name", ["ids", "holder_scan", "wegner",

@@ -679,7 +679,7 @@ def test_convergence_scan_runs_all_energies_in_one_pass():
     (DOUBLING, "grid", 3)])
 def test_lyapunov_scan_shares_a_task_only_on_a_shared_phase_set(dyn, sampler, tasks):
     grid = {"E": [0.0, 0.5, 1.0], "n_list": [20, 40], "m_samples": 16, "sampler": sampler}
-    assert len(ex.EXPERIMENTS["lyapunov_scan"].prepare(AMO3, dyn, grid, 3)) == tasks
+    assert len(ex.EXPERIMENTS["lyapunov_scan"].prepare(AMO3, dyn, grid)) == tasks
     _, rows = ex.run_experiment("lyapunov_scan", AMO3, dyn, grid, seed=3)
     assert [r[:2] for r in rows] == [(n, E) for E in (0.0, 0.5, 1.0) for n in (20, 40)]
 

@@ -276,8 +276,10 @@ def test_wegner_measure_shrinks_with_sharper_resolution():
     m5 = sp.wegner_measure(AMO3, SHIFT, 0.0, 5.0, **kw)
     m10 = sp.wegner_measure(AMO3, SHIFT, 0.0, 10.0, **kw)
     assert 0.0 <= m10 <= m5 <= 1.0
-    with pytest.raises(ValueError):
-        sp.wegner_measure(AMO3, SHIFT, 0.0, 0.5, N=10, x_samples=4)
+    # a NaN is no resolution either: it used to pass the H >= 1 check
+    for bad in (0.5, float("nan"), [5.0, float("nan")]):
+        with pytest.raises(ValueError):
+            sp.wegner_measure(AMO3, SHIFT, 0.0, bad, N=10, x_samples=4)
 
 
 @pytest.mark.parametrize("dyn", [SHIFT, dy.Doubling()],
