@@ -10,14 +10,28 @@ operators of the form
 
 where T is an ergodic torus map (irrational shift, skew-shift, or
 doubling) and V is a real trigonometric polynomial.
+
+``import qplab`` loads ``dynamics`` and ``potential`` only.  Every other
+submodule loads on first use, as ``qplab.spectrum`` or ``import
+qplab.spectrum``, so a run pays start-up only for the numerics it calls.
 """
 
 __version__ = "0.1.0"
 
-from . import cocycle, deviations, dynamics, lyapunov, potential, spectrum, zeros
-from . import experiments, expcli
+from . import dynamics, potential
 from .dynamics import Doubling, Shift, SkewShift
 from .potential import ComplexPhase, Potential
+
+_LAZY = ("cocycle", "deviations", "expcli", "experiments", "lyapunov", "spectrum", "zeros")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        # through the import statement's machinery, which -X importtime reports
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "cocycle",

@@ -1,11 +1,22 @@
-"""Config-driven experiment runner: ``qplab run <config>``, ``qplab list``.
+"""Config-driven experiment runner: ``qplab run <config>...``, ``qplab list [name]``.
 
-A run reads one YAML config and validates all of it, the experiment's
+A run reads a YAML config and validates all of it, the experiment's
 grid included, before any task starts; it then executes the named
 experiment and writes ``<out>/<experiment>.csv`` plus
 ``<out>/manifest.json``.  Exit codes: 0 success, 2 a config problem
 (always found before the first task, so nothing is written), 3 an
 arithmetic or linear-algebra failure during computation.
+
+``qplab run a.yaml b.yaml ...`` pays the process's start-up once.  It
+reads and validates every config and builds every task list before the
+first task runs, so a config problem in any of them exits 2 and writes
+nothing.  The configs then run in the order given, each writing its own
+output directory and manifest exactly as a separate run would; they must
+name distinct output directories, so ``--out`` takes one config only.
+The batch stops at the first config that fails and exits with its code.
+
+``qplab list`` prints the catalogue; ``qplab list NAME`` prints one
+experiment's grid parameters, what each accepts, and its default.
 
 CSV cells use '.' as the decimal mark and 17 significant digits, so
 floats survive a round trip; with the seed fixed the bytes are
@@ -14,12 +25,12 @@ identical across runs and thread counts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -227,22 +238,16 @@ def _echo_config(cfg: ExperimentConfig, data: dict) -> dict:
     return echo
 
 
-def run(config_path, threads=None, out=None, seed=None,
-        stream=None) -> int:
-    """Load, validate, execute, and write; returns the process exit code."""
-    stream = stream if stream is not None else sys.stderr
-    try:
-        data = _load_config(Path(config_path))
-        cfg = validate_config(data, threads=threads, out=out, seed=seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stream)
-        return EXIT_CONFIG
+def _read(config_path, threads, out, seed) -> tuple:
+    data = _load_config(Path(config_path))
+    return data, validate_config(data, threads=threads, out=out, seed=seed)
 
+
+def _execute(cfg: ExperimentConfig, data: dict, compute, stream) -> int:
+    """Write what ``compute() -> (columns, rows)`` returns; the exit code."""
     t0 = time.perf_counter()
     try:
-        columns, rows = experiments.run_experiment(
-            cfg.experiment, cfg.potential, cfg.dynamics, cfg.grid,
-            seed=cfg.seed, threads=cfg.threads)
+        columns, rows = compute()
     except ConfigError as exc:
         # raised while the grid is read and checked, before any task starts
         print(f"config error: {exc}", file=stream)
@@ -274,31 +279,110 @@ def run(config_path, threads=None, out=None, seed=None,
     return EXIT_OK
 
 
-def list_experiments(stream=None) -> int:
+def run(config_path, threads=None, out=None, seed=None,
+        stream=None) -> int:
+    """Load, validate, execute, and write one config; returns the process exit code."""
+    stream = stream if stream is not None else sys.stderr
+    try:
+        data, cfg = _read(config_path, threads, out, seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=stream)
+        return EXIT_CONFIG
+    return _execute(cfg, data, partial(
+        experiments.run_experiment, cfg.experiment, cfg.potential, cfg.dynamics,
+        cfg.grid, seed=cfg.seed, threads=cfg.threads), stream)
+
+
+def _prepare(config_path, threads, out, seed) -> tuple:
+    """(data, config, tasks) of one config, or a ConfigError naming the file."""
+    try:
+        data, cfg = _read(config_path, threads, out, seed)
+        spec = experiments.EXPERIMENTS[cfg.experiment]
+        return data, cfg, spec.prepare(cfg.potential, cfg.dynamics, cfg.grid)
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
+
+
+def run_configs(config_paths, threads=None, out=None, seed=None,
+                stream=None) -> int:
+    """Run configs in order in one process; returns the process exit code.
+
+    Every config is read and validated and its tasks are built before
+    the first task runs.  The configs then run in order, each written as
+    :func:`run` writes it, and the first one that fails ends the batch.
+    """
+    stream = stream if stream is not None else sys.stderr
+    try:
+        if out is not None and len(config_paths) > 1:
+            raise ConfigError("--out names one output directory; "
+                              "it cannot take several configs")
+        jobs = [_prepare(path, threads, out, seed) for path in config_paths]
+        outs = [cfg.out.resolve() for _, cfg, _ in jobs]
+        shared = sorted({str(d) for d in outs if outs.count(d) > 1})
+        if shared:
+            raise ConfigError(f"several configs write to {shared}; "
+                              "give each its own out directory")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=stream)
+        return EXIT_CONFIG
+    for data, cfg, tasks in jobs:
+        spec = experiments.EXPERIMENTS[cfg.experiment]
+        code = _execute(cfg, data, lambda: (spec.columns, experiments.run_tasks(
+            cfg.experiment, tasks, seed=cfg.seed, threads=cfg.threads)), stream)
+        if code != EXIT_OK:
+            return code
+    return EXIT_OK
+
+
+def _default_text(default) -> str:
+    if default is experiments.REQUIRED:
+        return "required"
+    if callable(default):
+        return "default computed from the parameters above"
+    return f"default {json.dumps(default)}"
+
+
+def list_experiments(name=None, stream=None) -> int:
+    """The catalogue, one experiment a line, or the grid parameters of one."""
     stream = stream if stream is not None else sys.stdout
-    for name in sorted(experiments.EXPERIMENTS):
-        print(f"{name:20s} {experiments.EXPERIMENTS[name].doc}", file=stream)
+    if name is None:
+        for key in sorted(experiments.EXPERIMENTS):
+            print(f"{key:20s} {experiments.EXPERIMENTS[key].doc}", file=stream)
+        return EXIT_OK
+    spec = experiments.EXPERIMENTS.get(name)
+    if spec is None:
+        print(f"unknown experiment {name!r}; `qplab list` names them all",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"{name}: {spec.doc}", file=stream)
+    width = max((len(q.name) for q in spec.params), default=0)
+    for q in spec.params:
+        print(f"  {q.name:{width}s}  {q.kind.what} ({_default_text(q.default)})",
+              file=stream)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qplab",
         description="Run quasi-periodic operator experiments from YAML configs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="execute one experiment config")
-    run_p.add_argument("config", help="path to a YAML experiment config")
+    run_p = sub.add_parser("run", help="execute experiment configs, in order")
+    run_p.add_argument("config", nargs="+", help="path to a YAML experiment config")
     run_p.add_argument("--threads", type=int, default=None,
                        help="worker threads (overrides config)")
     run_p.add_argument("--out", default=None,
-                       help="output directory (overrides config)")
+                       help="output directory (overrides config; one config only)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="root seed (overrides config)")
-    sub.add_parser("list", help="list available experiments")
+    list_p = sub.add_parser("list", help="list available experiments")
+    list_p.add_argument("name", nargs="?", help="print this experiment's grid parameters")
     args = parser.parse_args(argv)
     if args.command == "list":
-        return list_experiments()
-    return run(args.config, threads=args.threads, out=args.out, seed=args.seed)
+        return list_experiments(args.name)
+    return run_configs(args.config, threads=args.threads, out=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -9,25 +9,26 @@ library raises.  Tasks run over a worker pool and their row tuples are
 concatenated in task order, so the table never depends on the thread
 count.  Each task is called with its own seed, hashed out of (root
 seed, experiment name, task index), the only randomness it reads.
+
+Importing this module loads no numerics beyond ``dynamics`` and
+``potential``: each builder imports the library modules its tasks call,
+and the thread pool is imported only for a run on several threads.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import re
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import cocycle
-from . import deviations as dv
-from . import lyapunov as ly
-from . import spectrum as sp
-from . import zeros as zr
 from .dynamics import Dynamics, Shift, SkewShift
 from .potential import Potential
 
@@ -199,18 +200,39 @@ def _require_line(dyn: Dynamics, experiment: str) -> None:
                           "it needs one-dimensional dynamics")
 
 
-def _grid_statistic(p: Potential, dyn: Dynamics, E: float, n: int, m: int,
-                    statistic: str, seed: int) -> np.ndarray:
-    """log|f_n| or log||M_n|| over the uniform phase grid of size m."""
-    xs = np.arange(m, dtype=float) / m
-    rng = ly._doubling_rng(seed)
-    if statistic == "det":
-        return cocycle.batched_log_absdet(p, dyn, xs, E, n, rng=rng)[n]
-    return cocycle.batched_log_norms(p, dyn, xs, E, n, rng=rng)[n]
+def _require_off_the_pole(experiment: str, radius: float, key: str, y: float) -> None:
+    """Probe disks must miss z = 0, where the determinant has its pole.
+
+    Their centres are exp(2 pi (x + i y')) with |y'| <= |y| / 2, ``y`` the
+    value of grid parameter ``key``, so the nearest lies exp(-pi |y|) from 0.
+    """
+    nearest = math.exp(-math.pi * abs(y))
+    if not radius < nearest:
+        raise ConfigError(
+            f"{experiment} needs grid.radius < exp(-pi |grid.{key}|), the least |z| "
+            f"of a probe centre, so that no disk reaches the determinant's pole at "
+            f"z = 0; got radius = {radius!r} and exp(-pi |{y!r}|) = {nearest:.6g}")
+
+
+def _grid_statistic(p: Potential, dyn: Dynamics, E: float, m: int,
+                    statistic: str) -> Callable:
+    """``u(n, seed)``: log|f_n| or log||M_n|| over the uniform phase grid of size m."""
+    from . import cocycle, lyapunov as ly
+
+    kernel = cocycle.batched_log_absdet if statistic == "det" else cocycle.batched_log_norms
+
+    def u(n, seed):
+        xs = np.arange(m, dtype=float) / m
+        return kernel(p, dyn, xs, E, n, rng=ly._doubling_rng(seed))[n]
+
+    return u
 
 
 # ---------------------------------------------------------------------------
-# experiment builders, one per registry entry; each task takes its seed
+# experiment builders, one per registry entry; each task takes its seed.
+# A builder imports the library modules its tasks call: the runner builds
+# every task in the main thread before any task starts, and a run loads
+# only the numerics it uses.
 
 
 def _prep_lyapunov_scan(p, dyn, E, n_list, m_samples, sampler):
@@ -228,6 +250,7 @@ def _prep_lyapunov_scan(p, dyn, E, n_list, m_samples, sampler):
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"lyapunov_scan needs n_list to be a doubling chain, "
                           f"each entry twice the one before, got {n_list}")
+    from . import lyapunov as ly
 
     def task(Es, s):
         scans = ly.convergence_scan(p, dyn, Es, n_list, sampler=sampler,
@@ -241,6 +264,8 @@ def _prep_lyapunov_scan(p, dyn, E, n_list, m_samples, sampler):
 
 
 def _prep_positivity_probe(p, dyn, E, ell, m_samples, sampler, sigma):
+    from . import lyapunov as ly
+
     def task(E, s):
         rep = ly.positivity_probe(p, dyn, E, ell, sampler=sampler,
                                   m_samples=m_samples, seed=s, sigma=sigma)
@@ -259,6 +284,8 @@ def _rotation(theta: float) -> np.ndarray:
 
 
 def _prep_avalanche_fuzz(p, dyn, trials, n, mu, rot, chunk):
+    from . import lyapunov as ly
+
     def task(lo, hi, s):
         rng = np.random.default_rng(s)
         rows = []
@@ -280,6 +307,8 @@ def _prep_avalanche_fuzz(p, dyn, trials, n, mu, rot, chunk):
 
 def _prep_ids(p, dyn, E, N, x_samples, chunk):
     """One task: one pivot sweep over the whole grid."""
+    from . import spectrum as sp
+
     def task(s):
         table = sp.ids(p, dyn, E, N, x_samples, seed=s)
         return [(float(e), N, float(v), x_samples)
@@ -289,6 +318,8 @@ def _prep_ids(p, dyn, E, N, x_samples, chunk):
 
 
 def _prep_holder_scan(p, dyn, E, h_list, N, x_samples):
+    from . import spectrum as sp
+
     h_list = sorted(set(h_list), reverse=True)
 
     def task(s):
@@ -309,6 +340,8 @@ def _prep_holder_scan(p, dyn, E, h_list, N, x_samples):
 
 
 def _prep_wegner(p, dyn, E, H_list, N, x_samples):
+    from . import spectrum as sp
+
     # one task per energy, all H from one sweep over one phase set: the
     # measure is then monotone in H by construction
     def task(E, s):
@@ -319,6 +352,8 @@ def _prep_wegner(p, dyn, E, H_list, N, x_samples):
 
 
 def _prep_min_gap(p, dyn, N_list, x_samples, window):
+    from . import spectrum as sp
+
     def task(N, s):
         x = np.random.default_rng(s).random(dyn.d)
         gap = sp.min_gap(p, dyn, x, N, window=window)
@@ -328,6 +363,8 @@ def _prep_min_gap(p, dyn, N_list, x_samples, window):
 
 
 def _prep_ldt_decay(p, dyn, E, n_list, exponent, x_samples, statistic):
+    from . import deviations as dv
+
     def task(n, s):
         threshold = float(n) ** exponent
         prof = dv.deviation_curve(p, dyn, E, n, (threshold,), x_samples,
@@ -339,9 +376,12 @@ def _prep_ldt_decay(p, dyn, E, n_list, exponent, x_samples, statistic):
 
 def _prep_bmo_trend(p, dyn, E, n_list, grid_size, statistic):
     _require_line(dyn, "bmo_trend")
+    from . import deviations as dv
+
+    u = _grid_statistic(p, dyn, E, grid_size, statistic)
 
     def task(n, s):
-        est = dv.bmo_estimate(_grid_statistic(p, dyn, E, n, grid_size, statistic, s))
+        est = dv.bmo_estimate(u(n, s))
         return [(statistic, n, est.grid_size, est.value, est.max_interval_level)]
 
     return [partial(task, n) for n in n_list]
@@ -352,16 +392,20 @@ def _prep_fourier_decay(p, dyn, E, n, grid_size, modes, statistic):
         raise ConfigError(f"fourier_decay needs grid_size >= 2 * modes + 2 = "
                           f"{2 * modes + 2} to resolve {modes} modes, got {grid_size}")
     _require_line(dyn, "fourier_decay")
+    from . import deviations as dv
+
+    u = _grid_statistic(p, dyn, E, grid_size, statistic)
 
     def task(s):
-        u = _grid_statistic(p, dyn, E, n, grid_size, statistic, s)
         return [(n, mode.nu, mode.amplitude, mode.ratio)
-                for mode in dv.fourier_decay(u, modes, n=float(n))]
+                for mode in dv.fourier_decay(u(n, s), modes, n=float(n))]
 
     return [task]
 
 
 def _prep_thouless_check(p, dyn, E, N, x_samples):
+    from . import cocycle, lyapunov as ly
+
     def task(E, s):
         xs = ly.sample_phases(dyn, "random", x_samples, seed=s)
         # both statistics from one pass over the same phases, so the
@@ -379,6 +423,7 @@ def _prep_thouless_check(p, dyn, E, N, x_samples):
 def _prep_green_decay(p, dyn, E, N, eta, j_site):
     if j_site > N:
         raise ConfigError(f"green_decay needs j_site <= N, got j_site = {j_site}, N = {N}")
+    from . import cocycle
 
     def task(E, s):
         x = np.random.default_rng(s).random(dyn.d)
@@ -392,6 +437,7 @@ def _prep_hellmann_feynman(p, dyn, N, x_samples, indices, h):
     if max(indices) >= N:
         raise ConfigError(f"hellmann_feynman needs indices < N = {N}, got {indices}")
     _require_shift1(dyn, "hellmann_feynman")
+    from . import spectrum as sp
 
     def task(s):
         x = float(np.random.default_rng(s).random())
@@ -409,6 +455,8 @@ def _prep_hellmann_feynman(p, dyn, N, x_samples, indices, h):
 
 
 def _prep_concatenation_bound(p, dyn, E, N, eta_list, x_samples):
+    from . import spectrum as sp
+
     def task(eta, s):
         x = np.random.default_rng(s).random(dyn.d)
         rep = sp.concatenation_bound_check(p, dyn, x, E, eta, N)
@@ -435,6 +483,9 @@ def _prep_zero_additivity(p, dyn, E, m, n_disks, radius, y_scale):
     with a smaller radius, and becomes a NaN row when the retries run out.
     """
     omega = _require_shift1(dyn, "zero_additivity")
+    _require_off_the_pole("zero_additivity", radius, "y_scale", y_scale)
+    from . import zeros as zr
+
     # shared by every task: each window's eigensolve runs at most once per run
     handles = zr.additivity_handles(p, omega, E, m)
 
@@ -459,6 +510,8 @@ def _prep_zero_additivity(p, dyn, E, m, n_disks, radius, y_scale):
 
 def _prep_zeros_probe(p, dyn, E, N, n_probes, radius, annulus_y):
     omega = _require_shift1(dyn, "zeros_probe")
+    _require_off_the_pole("zeros_probe", radius, "annulus_y", annulus_y)
+    from . import zeros as zr
 
     def task(s):
         stats = zr.zero_separation(p, omega, E, N, annulus_y=annulus_y,
@@ -471,16 +524,30 @@ def _prep_zeros_probe(p, dyn, E, N, n_probes, radius, annulus_y):
     return [task]
 
 
+def _library_constant(module: str, name: str):
+    """The literal value of ``name = ...`` in a library module's source.
+
+    The tables read a few of the library's constants; reading them from
+    the source, rather than importing the module, keeps validation from
+    loading numerics it never calls.
+    """
+    source = Path(__file__).with_name(f"{module}.py").read_text()
+    return ast.literal_eval(re.search(rf"^{name} = (.*)$", source, re.MULTILINE)[1])
+
+
+_MIN_BMO_GRID = _library_constant("deviations", "MIN_BMO_GRID")
+_ANNULUS_HALF_WIDTH = _library_constant("zeros", "ANNULUS_HALF_WIDTH")
+
 P = Param
 SAMPLER = choice("grid", "random", "orbit")
-STATISTIC = choice(*dv.STATISTICS)
+STATISTIC = choice(*_library_constant("deviations", "STATISTICS"))
 INDEX = INTEGER.where(">= 0", lambda j: j >= 0)
 NONNEGATIVE = REAL.where(">= 0", lambda v: v >= 0)
 ONE_OR_MORE = REAL.where(">= 1", lambda v: v >= 1)
 WIDTH = POSITIVE.where("and < 1", lambda h: h < 1)  # holder_scan divides by log h
 ASCENDING_ENERGIES = ENERGIES.where("in ascending order", lambda E: np.all(np.diff(E) >= 0))
-BMO_GRID = COUNT.where(f"and a power of two >= {dv.MIN_BMO_GRID}",
-                       lambda m: m >= dv.MIN_BMO_GRID and not m & (m - 1))
+BMO_GRID = COUNT.where(f"and a power of two >= {_MIN_BMO_GRID}",
+                       lambda m: m >= _MIN_BMO_GRID and not m & (m - 1))
 
 EXPERIMENTS = {
     "avalanche_fuzz": ExperimentSpec(
@@ -593,7 +660,7 @@ EXPERIMENTS = {
         ("probe", "radius", "count", "per_disk_ceiling",
          "min_pairwise_distance", "annulus_count", "annulus_ceiling"),
         (P("E", REAL), P("N", COUNT, 32), P("n_probes", COUNT, 8),
-         P("radius", POSITIVE, 0.02), P("annulus_y", POSITIVE, zr.ANNULUS_HALF_WIDTH)),
+         P("radius", POSITIVE, 0.02), P("annulus_y", POSITIVE, _ANNULUS_HALF_WIDTH)),
         _prep_zeros_probe),
 }
 
@@ -610,11 +677,18 @@ def run_experiment(name: str, p: Potential, dyn: Dynamics, grid: dict,
         available = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {name!r}; available: {available}")
     spec = EXPERIMENTS[name]
-    tasks = spec.prepare(p, dyn, grid)
+    return spec.columns, run_tasks(name, spec.prepare(p, dyn, grid), seed, threads)
+
+
+def run_tasks(name: str, tasks: list, seed: int = 0, threads: int = 1) -> list:
+    """Call task i of experiment ``name`` with ``task_seed(seed, name, i)``
+    over ``threads`` workers; the rows come back in task order."""
     seeds = [task_seed(seed, name, i) for i in range(len(tasks))]
     if threads <= 1:
         chunks = [task(s) for task, s in zip(tasks, seeds)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(lambda task, s: task(s), tasks, seeds))
-    return spec.columns, [row for chunk in chunks for row in chunk]
+    return [row for chunk in chunks for row in chunk]

@@ -287,6 +287,12 @@ NAN = float("nan")
     ("concatenation_bound", {"E": 0.0, "eta_list": [0.05, NAN]}, "eta_list"),
     ("zero_additivity", {"E": 0.5, "radius": 0.0}, "radius"),
     ("zeros_probe", {"E": 0.5, "radius": -0.1}, "radius"),
+    # a probe disk that reaches z = 0, the determinant's pole, used to exit 3
+    # (a winding unstable or "not analytic") or overflow inside a task
+    ("zeros_probe", {"E": 0.5, "radius": 1.0}, "radius"),
+    ("zeros_probe", {"E": 0.5, "annulus_y": 2.0}, "annulus_y"),
+    ("zeros_probe", {"E": 0.5, "annulus_y": 1e300}, "annulus_y"),
+    ("zero_additivity", {"E": 0.5, "y_scale": 1e300}, "y_scale"),
 ])
 def test_a_bad_grid_value_exits_2_before_any_task(tmp_path, experiment, grid, key):
     with pytest.raises(cli.ConfigError, match=key):
@@ -528,3 +534,147 @@ def test_main_run_passes_overrides(tmp_path, capsys):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"]["resolved"]["seed"] == 2
     assert manifest["config"]["resolved"]["threads"] == 2
+
+
+def test_list_name_prints_the_parameter_table(capsys):
+    assert cli.main(["list", "hellmann_feynman"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("hellmann_feynman: ")
+    rows = {line.split()[0]: line for line in lines[1:]}
+    assert list(rows) == [q.name for q in ex.EXPERIMENTS["hellmann_feynman"].params]
+    assert rows["N"].endswith("an integer >= 1 (default 60)")
+    assert "computed from the parameters above" in rows["indices"]
+    assert cli.main(["list", "ids"]) == 0
+    assert "(required)" in capsys.readouterr().out
+    assert cli.main(["list", "spectral_gap"]) == cli.EXIT_CONFIG
+    assert "spectral_gap" in capsys.readouterr().err
+
+
+def test_table_constants_read_from_the_source_match_the_library():
+    import qplab.deviations as dv
+    import qplab.zeros as zr
+
+    assert ex._library_constant("deviations", "STATISTICS") == dv.STATISTICS
+    assert ex._MIN_BMO_GRID == dv.MIN_BMO_GRID
+    assert ex._ANNULUS_HALF_WIDTH == zr.ANNULUS_HALF_WIDTH
+
+
+# ------------------------------------------------------------ start-up
+
+NUMERICS = ["qplab.cocycle", "qplab.lyapunov", "qplab.deviations", "qplab.spectrum",
+            "qplab.zeros", "scipy", "concurrent.futures"]
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+def loaded():
+    return sorted(m for m in NUMERICS if m in sys.modules)
+
+stages = {}
+import qplab
+stages["import"] = loaded()
+from qplab import expcli
+with contextlib.redirect_stdout(io.StringIO()):
+    expcli.main(["list"])
+    expcli.main(["list", "wegner"])
+stages["list"] = loaded()
+for path in sorted((Path(expcli.__file__).parent / "configs").glob("*.yaml")):
+    expcli.validate_config(expcli._load_config(path))
+stages["validate"] = loaded()
+code = expcli.main(["run", str(Path(expcli.__file__).parent / "configs" / "lyapunov_scan.yaml"),
+                    "--out", sys.argv[1]])
+stages["lyapunov_scan"] = [code, loaded()]
+stages["attribute"] = qplab.zeros.ANNULUS_HALF_WIDTH
+namespace = {}
+exec("from qplab import *", namespace)
+stages["star"] = sorted(name for name in qplab.__all__ if name not in namespace)
+print(json.dumps(stages))
+"""
+
+
+def test_import_list_and_validation_load_no_numerics(tmp_path):
+    # deterministic stand-in for start-up time: which modules a fresh
+    # interpreter has loaded after each stage
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"NUMERICS = {NUMERICS!r}\n" + STARTUP_PROBE
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scan")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    stages = json.loads(done.stdout.strip().splitlines()[-1])
+    assert stages["import"] == stages["list"] == stages["validate"] == []
+    # a one-thread lyapunov_scan loads the transfer kernels and nothing else
+    assert stages["lyapunov_scan"] == [0, ["qplab.cocycle", "qplab.lyapunov"]]
+    assert stages["attribute"] == 0.05
+    assert stages["star"] == []
+
+
+# ------------------------------------------------------- several configs
+
+def several_configs(tmp_path, third=None) -> list:
+    """Three small configs, each with its own out directory under tmp_path."""
+    grids = [
+        {**MIN_GAP_CONFIG},
+        {**MIN_GAP_CONFIG, "experiment": "lyapunov_scan",
+         "grid": {"E": [0.0, 0.5], "n_list": [50, 100], "m_samples": 50}},
+        third or {**MIN_GAP_CONFIG, "experiment": "zeros_probe",
+                  "grid": {"E": 0.5, "N": 16, "n_probes": 2, "radius": 0.05,
+                           "annulus_y": 0.05}},
+    ]
+    return [write_config(tmp_path, {**data, "out": str(tmp_path / f"out{i}")},
+                         name=f"c{i}.yaml")
+            for i, data in enumerate(grids)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_run_of_several_configs_writes_what_separate_runs_write(tmp_path, threads):
+    paths = several_configs(tmp_path)
+    for i, path in enumerate(paths):
+        assert cli.run(path, out=tmp_path / f"alone{i}", threads=threads,
+                       stream=io.StringIO()) == cli.EXIT_OK
+    assert cli.main(["run", *map(str, paths), "--threads", str(threads)]) == cli.EXIT_OK
+    for i, path in enumerate(paths):
+        name = yaml.safe_load(path.read_text())["experiment"]
+        batch, alone = tmp_path / f"out{i}", tmp_path / f"alone{i}"
+        assert (batch / f"{name}.csv").read_bytes() == (alone / f"{name}.csv").read_bytes()
+        results = [json.loads((d / "manifest.json").read_text())["results"][0]
+                   for d in (batch, alone)]
+        assert results[0]["parameters"] == results[1]["parameters"]
+
+
+@pytest.mark.parametrize("third, key", [
+    ({**MIN_GAP_CONFIG, "grid": {"N_list": [20], "x_samples": 2.5}}, "x_samples"),
+    # found by the builder, not the table: the tasks are built up front too
+    ({**MIN_GAP_CONFIG, "experiment": "zeros_probe",
+      "grid": {"E": 0.5, "radius": 1.0}}, "radius"),
+])
+def test_an_invalid_config_in_a_batch_writes_nothing(tmp_path, capsys, third, key):
+    paths = several_configs(tmp_path, third)
+    assert cli.main(["run", *map(str, paths)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(paths[2]) in err and key in err
+    assert not any((tmp_path / f"out{i}").exists() for i in range(3))
+
+
+def test_a_batch_needs_one_out_directory_per_config(tmp_path, capsys):
+    paths = several_configs(tmp_path)
+    assert cli.main(["run", *map(str, paths), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    same = write_config(tmp_path, {**MIN_GAP_CONFIG,
+                                   "out": str(tmp_path / "x" / ".." / "out0")}, name="same.yaml")
+    assert cli.main(["run", str(paths[0]), str(same)]) == cli.EXIT_CONFIG
+    assert str(tmp_path / "out0") in capsys.readouterr().err
+    assert not any(p.is_dir() for p in tmp_path.iterdir())
+
+
+def test_a_batch_stops_at_the_first_numeric_failure(tmp_path, monkeypatch, capsys):
+    blowup = write_config(tmp_path, {**failing_experiment(
+        monkeypatch, ArithmeticError("synthetic blowup")), "out": str(tmp_path / "bad")},
+        name="blowup.yaml")
+    paths = several_configs(tmp_path)
+    assert cli.main(["run", str(paths[0]), str(blowup), str(paths[2])]) == cli.EXIT_NUMERIC
+    assert "synthetic blowup" in capsys.readouterr().err
+    assert (tmp_path / "out0" / "min_gap.csv").exists()
+    assert not (tmp_path / "bad").exists() and not (tmp_path / "out2").exists()
