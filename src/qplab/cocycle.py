@@ -361,18 +361,21 @@ def _laurent_table(p: Potential, omega: float, a: int, b: int, real: bool = Fals
     return ks, vs, rows.T
 
 
-def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int):
+def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
+                   table=None):
     """(bound, blocks): v(k, z) at sites a..b for the m complex phases zs of a shift.
 
     The complex-phase site stream: the rows of :func:`_laurent_table`
-    summed against z^j, formed once per call.  ``blocks`` yields (B, m)
-    complex arrays in one reused buffer, each valid until the next is
-    drawn; ``bound`` = max_z sum_j |lam v_j| |z|^j is at least sup|v|.
+    summed against z^j.  ``table`` is that table for sites a..b, built
+    once by a caller that draws many streams from it; without one it is
+    formed here, once per call.  ``blocks`` yields (B, m) complex arrays
+    in one reused buffer, each valid until the next is drawn; ``bound`` =
+    max_z sum_j |lam v_j| |z|^j is at least sup|v|.
     """
     if np.any(zs == 0):
         raise ZeroDivisionError("Laurent evaluation needs z != 0")
-    # one coefficient table per call, so no block makes a fresh temporary
-    ks, vs, coef = _laurent_table(p, omega, a, b)
+    # one coefficient table per stream at most, so no block makes a fresh temporary
+    ks, vs, coef = _laurent_table(p, omega, a, b) if table is None else table
     rows = [zs ** int(j) for j in ks]
     bound = float(np.max(sum(abs(v) * np.abs(r) for v, r in zip(vs, rows))))
 
@@ -537,20 +540,32 @@ def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,
     return SignedLog(complex(phases[0]), float(logs[0]))
 
 
-def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int):
+def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int, *,
+                     table=None, logs_only: bool = False):
     """f_n(z) on an array of annulus points z, in signed-log pieces.
 
     Returns (phases, log_mags) arrays; exact zeros give (0, -inf).  This
     is the vectorized backbone for boundary quadrature in the zeros
     module and is restricted to shift dynamics, where f_n is analytic in z.
     Sites come from :func:`_laurent_sites` and run through :func:`_recur`.
+
+    ``table`` is ``_laurent_table(p, omega, 1, n)``, passed by a caller
+    that evaluates the same f_n many times (a determinant handle) so the
+    table is built once; without it each call builds its own.  With
+    ``logs_only`` the call returns log_mags alone, the same floats,
+    without normalising the phases: Jensen averages and circle means read
+    only log|f_n|, windings need the phases.
     """
     if n < 1:
         raise ValueError("complex_det_grid needs n >= 1")
     zs = np.asarray(zs, dtype=complex)
     pts = zs.ravel()
-    bound, blocks = _laurent_sites(p, omega, pts, 1, n)
+    bound, blocks = _laurent_sites(p, omega, pts, 1, n, table)
     f, _, log_acc = _recur(bound, E, blocks, pts.size, 1)
+    if logs_only:
+        # the logs of _read_det, without its phases
+        with np.errstate(divide="ignore"):
+            return (log_acc + np.log(np.abs(f[0]))).reshape(zs.shape)
     phases, log_mags = _read_det(f[0], log_acc)
     return phases.reshape(zs.shape), log_mags.reshape(zs.shape)
 

@@ -264,6 +264,12 @@ def _prep_lyapunov_scan(p, dyn, E, n_list, m_samples, sampler):
 
 
 def _prep_positivity_probe(p, dyn, E, ell, m_samples, sampler, sigma):
+    # the threshold S ell^(-sigma / 4) is a float power, which raises on overflow
+    try:
+        ell ** (-sigma / 4.0)
+    except OverflowError:
+        raise ConfigError(f"positivity_probe needs ell ** (-sigma / 4) to be a finite "
+                          f"float, got sigma = {sigma!r} at ell = {ell}") from None
     from . import lyapunov as ly
 
     def task(E, s):
@@ -546,6 +552,9 @@ NONNEGATIVE = REAL.where(">= 0", lambda v: v >= 0)
 ONE_OR_MORE = REAL.where(">= 1", lambda v: v >= 1)
 WIDTH = POSITIVE.where("and < 1", lambda h: h < 1)  # holder_scan divides by log h
 ASCENDING_ENERGIES = ENERGIES.where("in ascending order", lambda E: np.all(np.diff(E) >= 0))
+# the dense trace check squares eta as a float, which raises on overflow
+ETA = POSITIVE.where("and with a finite square (below 1.341e154)",
+                     lambda eta: math.isfinite(eta * eta))
 BMO_GRID = COUNT.where(f"and a power of two >= {_MIN_BMO_GRID}",
                        lambda m: m >= _MIN_BMO_GRID and not m & (m - 1))
 
@@ -569,7 +578,7 @@ EXPERIMENTS = {
         "Eigenvalue counts near E against the concatenation window bound.",
         ("x", "E", "N", "eta", "count_window", "count_full", "bound",
          "ok_window", "ok_full", "ok_trace"),
-        (P("E", REAL), P("N", COUNT, 50), P("eta_list", listof(POSITIVE), (0.05, 0.01)),
+        (P("E", REAL), P("N", COUNT, 50), P("eta_list", listof(ETA), (0.05, 0.01)),
          P("x_samples", COUNT, 4)),
         _prep_concatenation_bound),
     "fourier_decay": ExperimentSpec(

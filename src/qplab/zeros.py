@@ -5,12 +5,15 @@ point z to a :class:`~qplab.cocycle.SignedLog`, so quadrature on log|f|
 and winding numbers on the phase never touch raw magnitudes that would
 overflow for long windows.  Handles, as built by :func:`determinant_handle`,
 :func:`polynomial_handle` and :func:`rotated_handle`, also expose the
-vectorized ``eval_many`` (phases and logs) that windings and circle means
-go through, ``eval_logs`` (logs alone; a polynomial's skips its phase
-product) that Jensen averages read, and ``zeros()``, all their zeros at
-once, computed on first use and kept.  A determinant's zeros are the
-eigenvalues of one block-companion matrix; a handle shared across disks
-solves for them once.
+vectorized ``eval_many`` (phases and logs) that windings go through,
+``eval_logs`` (logs alone; a polynomial's skips its phase product, a
+determinant's the phase normalisation) that Jensen averages and circle
+means read, and ``zeros()``, all their zeros at once, computed on first
+use and kept.  A determinant handle keeps the Laurent coefficient table
+of its window, built once with the handle and read-only: every
+evaluation and the eigensolve read it.  Its zeros are the eigenvalues of
+one block-companion matrix, so a handle shared across disks solves for
+them once.
 
 The counting tools are the Jensen circle mean, the nested-disk Jensen
 average J (whose scaled value sandwiches the zero count between the
@@ -21,7 +24,9 @@ estimate reads the even samples of one 2m-point evaluation, and each
 further doubling evaluates only the new midpoints.  Circle means keep
 two offset grids that share no sample, so that their Richardson gap
 still bounds the error when a zero sits on the circle.  Every grid is
-checked for a zero on the circle.  J is computed as one radial
+checked for a zero on the circle.  The unit-circle samples of a grid
+are formed once per (size, offset) and kept, read-only, in a bounded
+cache.  J is computed as one radial
 integral: circle means of log|f| about the centre, weighted by the
 zero-mass kernel of the double disk average.
 """
@@ -29,6 +34,7 @@ zero-mass kernel of the double disk average.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +54,8 @@ SANDWICH_SLACK = 0.1
 DIP_THRESHOLD = 25.0
 NEAR_CIRCLE_GAP = 1e-4
 MAX_M_POINTS = 1 << 17
+_UNIT_CIRCLES = 16
+_CACHED_POINTS = 1 << 14
 
 
 class NearCircleZero(ArithmeticError):
@@ -194,17 +202,19 @@ def polynomial_handle(roots, leading=1.0) -> _Handle:
     return _Handle(fn, lambda: rts, lambda zs: log_sum(diffs(zs)[1]))
 
 
-def _companion_zeros(p: Potential, omega: float, E, a: int, b: int) -> np.ndarray:
+def _companion_zeros(p: Potential, omega: float, E, a: int, b: int,
+                     table=None) -> np.ndarray:
     """The zeros of f_[a,b](z) in C minus {0}: eigenvalues of one matrix.
 
-    With v(k, z) = sum_{|j| <= d} c_kj z^j from :func:`_laurent_table`,
+    With v(k, z) = sum_{|j| <= d} c_kj z^j from :func:`_laurent_table`
+    (``table``, if the caller already holds it for sites a..b),
     z^d (H(z) - E) = sum_{i <= 2d} z^i A_i is a matrix polynomial with
     determinant z^(n d) f(z): A_i = diag(c_k,i-d), plus -E and the unit
     off-diagonals in A_d.  Its 2 d n roots are the eigenvalues of the
     monic block-companion matrix, whose first block row is -A_i / A_2d
     in block 2d-1-i (Tisseur and Meerbergen, SIAM Review 43, 2001).
     """
-    ks, vs, coef = _laurent_table(p, omega, a, b)
+    ks, vs, coef = _laurent_table(p, omega, a, b) if table is None else table
     live = vs != 0
     d = int(np.max(np.abs(ks[live]), initial=0))
     if d == 0:
@@ -227,12 +237,24 @@ def _companion_zeros(p: Potential, omega: float, E, a: int, b: int) -> np.ndarra
 def determinant_handle(p: Potential, omega: float, E, n: int) -> _Handle:
     """Log-evaluable handle for z -> f_n(z, omega, E) (shift dynamics).
 
-    Its zeros are the eigenvalues of the block-companion matrix of
-    z^k0 (H_n(z) - E), the z at which E is an eigenvalue of H_n(z).
+    The Laurent coefficient table of sites 1..n is built once, here, and
+    kept read-only: every evaluation and the eigensolve read it, so a
+    handle shared across threads shares it too.  Its logs-only read skips
+    the phase normalisation.  Its zeros are the eigenvalues of the
+    block-companion matrix of z^k0 (H_n(z) - E), the z at which E is an
+    eigenvalue of H_n(z).
     """
+    table = _laurent_table(p, omega, 1, n)
+    # ks is the potential's own array; the coefficients are the handle's
+    table[1].flags.writeable = table[2].flags.writeable = False
+
     def fn(zs):
-        return complex_det_grid(p, omega, zs, E, n)
-    return _Handle(fn, lambda: _companion_zeros(p, omega, E, 1, n))
+        return complex_det_grid(p, omega, zs, E, n, table=table)
+
+    def logs(zs):
+        return complex_det_grid(p, omega, zs, E, n, table=table, logs_only=True)
+
+    return _Handle(fn, lambda: _companion_zeros(p, omega, E, 1, n, table), logs)
 
 
 def rotated_handle(f, rot: complex) -> _Handle:
@@ -246,10 +268,23 @@ def rotated_handle(f, rot: complex) -> _Handle:
 # circle quadrature
 
 
+def _unit_circle(m: int, offset: float) -> np.ndarray:
+    """e^(i theta) at theta = 2 pi (i + offset) / m, read-only."""
+    angles = 2.0 * np.pi * (np.arange(m) + offset) / m
+    unit = np.exp(1j * angles)
+    unit.flags.writeable = False
+    return unit
+
+
+# the grids of up to _CACHED_POINTS samples, shared by every handle and
+# thread: at most _UNIT_CIRCLES * 256 KiB
+_cached_unit_circle = functools.lru_cache(maxsize=_UNIT_CIRCLES)(_unit_circle)
+
+
 def _circle_points(z0: complex, R: float, m: int, offset: float = 0.0) -> np.ndarray:
     """m points z0 + R e^(i theta) at theta = 2 pi (i + offset) / m."""
-    angles = 2.0 * np.pi * (np.arange(m) + offset) / m
-    return z0 + R * np.exp(1j * angles)
+    unit = (_cached_unit_circle if m <= _CACHED_POINTS else _unit_circle)(m, offset)
+    return z0 + R * unit
 
 
 def _check_circle(logs: np.ndarray, z0: complex, R: float) -> None:
@@ -259,7 +294,12 @@ def _check_circle(logs: np.ndarray, z0: complex, R: float) -> None:
         raise NearCircleZero(
             f"zero on the circle |z - {z0}| = {R} (non-finite log sample)",
             suggested_radius=R * (1.0 + 3.0 / m))
-    dip = float(np.median(logs) - np.min(logs))
+    # np.median's value from one partition that also puts the minimum first:
+    # the middle sample, or the mean of the two middle samples
+    lo, hi = (m - 1) // 2, m // 2
+    part = np.partition(logs, (0, lo, hi))
+    median = part[hi] if lo == hi else (part[lo] + part[hi]) / 2.0
+    dip = float(median - part[0])
     if dip > DIP_THRESHOLD:
         raise NearCircleZero(
             f"modulus dips {dip:.1f} logs below the median on |z - {z0}| = {R}",
@@ -330,7 +370,7 @@ def jensen_count(f, z0, R: float, M_points: int = M_POINTS_DEFAULT) -> float:
     when the disk is zero-free, and each zero contributes positively,
     growing as it approaches the center.
     """
-    center_log = float(f.eval_many(np.array([complex(z0)]))[1][0])
+    center_log = float(f.eval_logs(np.array([complex(z0)]))[0])
     if center_log == NEG_INF or not np.isfinite(center_log):
         raise CenterIsZero(f"f vanishes at the Jensen center {z0}")
     return circle_mean_log(f, z0, R, M_points) - center_log
@@ -400,8 +440,11 @@ def jensen_average_J(u, z0, r1: float, r2: float,
 
 
 def _winding(phases: np.ndarray) -> float:
-    rot = phases * np.conj(np.roll(phases, 1))
-    return float(np.sum(np.angle(rot))) / (2.0 * math.pi)
+    # the array np.roll(phases, 1) builds, conjugated in place
+    prev = np.empty_like(phases)
+    prev[1:], prev[0] = phases[:-1], phases[-1]
+    rot = phases * np.conj(prev, out=prev)
+    return float(np.sum(np.arctan2(rot.imag, rot.real))) / (2.0 * math.pi)
 
 
 def boundary_winding(f, z0, R: float, m_points: int = M_POINTS_DEFAULT) -> float:
@@ -486,7 +529,7 @@ def locate_zeros(f, disk: Disk, tol: float = 1e-10) -> ZeroSet:
             raise WindingUnstable(
                 f"winding {mult} about the zero at {z} but {len(cl)} candidates there")
         zeros.extend([z] * mult)
-    logs = f.eval_many(np.array(zeros))[1]
+    logs = f.eval_logs(np.array(zeros))
     zeros.sort(key=lambda p: (p.real, p.imag))
     return ZeroSet(zeros=tuple(zeros), residual=float(np.max(logs)), disk=disk)
 

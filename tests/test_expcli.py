@@ -293,6 +293,9 @@ NAN = float("nan")
     ("zeros_probe", {"E": 0.5, "annulus_y": 2.0}, "annulus_y"),
     ("zeros_probe", {"E": 0.5, "annulus_y": 1e300}, "annulus_y"),
     ("zero_additivity", {"E": 0.5, "y_scale": 1e300}, "y_scale"),
+    # eta ** 2 and ell ** (-sigma / 4) used to raise OverflowError inside a task
+    ("concatenation_bound", {"E": 0.0, "eta_list": [1e300]}, "eta_list"),
+    ("positivity_probe", {"E": [0.0], "sigma": -1e300}, "sigma"),
 ])
 def test_a_bad_grid_value_exits_2_before_any_task(tmp_path, experiment, grid, key):
     with pytest.raises(cli.ConfigError, match=key):

@@ -129,9 +129,9 @@ def test_zero_additivity_solves_each_window_once_per_run(tmp_path, monkeypatch):
     # once (one handle per run and disk would solve them once per disk)
     solved = []
 
-    def counting(p, omega, E, a, b):
+    def counting(p, omega, E, a, b, *table):
         solved.append((a, b))
-        return companion(p, omega, E, a, b)
+        return companion(p, omega, E, a, b, *table)
 
     companion = zr._companion_zeros
     monkeypatch.setattr(zr, "_companion_zeros", counting)

@@ -491,3 +491,158 @@ def test_rotated_zeros_are_the_shifted_window_zeros():
     assert got.size == want.size == 2 * m
     gaps = np.abs(got[:, None] - want[None, :])
     assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) < 1e-12
+
+
+# ------------------------------------ determinant handles and winding glue
+
+def roll_winding(phases):
+    """The winding sum as np.roll and np.angle form it, the reference."""
+    rot = phases * np.conj(np.roll(phases, 1))
+    return float(np.sum(np.angle(rot))) / (2.0 * math.pi)
+
+
+def median_check_circle(logs, z0, R):
+    """_check_circle with np.median and np.min, the reference."""
+    m = logs.size
+    if not np.all(np.isfinite(logs)):
+        raise zr.NearCircleZero(
+            f"zero on the circle |z - {z0}| = {R} (non-finite log sample)",
+            suggested_radius=R * (1.0 + 3.0 / m))
+    dip = float(np.median(logs) - np.min(logs))
+    if dip > zr.DIP_THRESHOLD:
+        raise zr.NearCircleZero(
+            f"modulus dips {dip:.1f} logs below the median on |z - {z0}| = {R}",
+            suggested_radius=R * (1.0 + 3.0 / m))
+
+
+def outcome(check, logs):
+    try:
+        check(logs, 0.1 - 0.2j, 0.3)
+    except zr.NearCircleZero as exc:
+        return str(exc), exc.suggested_radius
+    return None
+
+
+SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(-4.0, 4.0, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(SIGNED_PARTS, SIGNED_PARTS), min_size=1, max_size=40),
+       stride=st.sampled_from([1, 2]))
+def test_winding_is_the_roll_and_angle_sum_bit_for_bit(parts, stride):
+    # odd and even lengths, signed zeros, and the strided even samples a
+    # nested scan reads
+    phases = np.array([complex(a, b) for a, b in parts])[::stride]
+    assert np.float64(zr._winding(phases)).tobytes() == \
+        np.float64(roll_winding(phases)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)),
+                       min_size=3, max_size=41),
+       gap=st.sampled_from([-1e-9, -1e-13, 0.0, 1e-13, 1e-9]),
+       at=st.integers(0, 40))
+def test_check_circle_raises_as_the_median_reference_does(values, gap, at):
+    # the least sample moved to a dip just below or above DIP_THRESHOLD:
+    # with at least three samples that leaves the median where it was, and
+    # a wrong middle sample moves the dip far past either side
+    logs = np.array(values)
+    logs[np.argmin(logs)] = np.median(logs) - (zr.DIP_THRESHOLD + gap)
+    logs = np.roll(logs, at)
+    assert outcome(zr._check_circle, logs) == outcome(median_check_circle, logs)
+    assert outcome(zr._check_circle, logs[::2]) == outcome(median_check_circle, logs[::2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                                  math.nan]),
+                                  st.floats(-40.0, 40.0)), min_size=1, max_size=20))
+def test_check_circle_on_any_samples_matches_the_median_reference(values):
+    logs = np.array(values)
+    assert outcome(zr._check_circle, logs) == outcome(median_check_circle, logs)
+
+
+@pytest.mark.parametrize("m, offset", [(7, 0.0), (256, 0.5), (2048, 0.0), (2048, 0.5),
+                                       (2 * zr._CACHED_POINTS, 0.5)])
+def test_circle_points_are_the_fresh_exponential_bit_for_bit(m, offset):
+    z0, R = 0.3 - 0.1j, 0.07
+    want = z0 + R * np.exp(1j * (2.0 * np.pi * (np.arange(m) + offset) / m))
+    zr._cached_unit_circle.cache_clear()
+    for _ in range(2):
+        got = zr._circle_points(z0, R, m, offset)
+        assert got.tobytes() == want.tobytes()
+    # only grids of up to _CACHED_POINTS samples are kept, a bounded number
+    # of them, and a kept grid is shared, so it cannot be written through
+    info = zr._cached_unit_circle.cache_info()
+    assert info.currsize == (m <= zr._CACHED_POINTS) and info.maxsize == zr._UNIT_CIRCLES
+    assert not zr._cached_unit_circle(m, offset).flags.writeable
+    got[0] = 0.0
+    assert zr._circle_points(z0, R, m, offset).tobytes() == want.tobytes()
+
+
+FREE = pt.from_triples([], 1.0)
+
+
+@pytest.mark.parametrize("p, E, n", [(AMO3, 0.5, 1), (AMO3, 0.5, 24), (DEG3, 0.3, 40),
+                                     (FREE, 0.0, 1), (FREE, 0.0, 3), (FREE, 0.0, 2)])
+@pytest.mark.parametrize("rot", [None, cmath.exp(0.7j)])
+def test_determinant_logs_are_the_fresh_grid_logs_bit_for_bit(p, E, n, rot):
+    # the handle's table is the one complex_det_grid builds for sites
+    # 1..n, and its logs-only read drops nothing but the phases; the free
+    # model at E = 0 has f_1 = f_3 = 0 exactly, read as -inf
+    rng = np.random.default_rng(n)
+    zs = np.exp(2j * np.pi * rng.random(50) + 2 * np.pi * 0.05 * (rng.random(50) - 0.5))
+    zs = zs.reshape(5, 10)
+    f = zr.determinant_handle(p, GOLDEN, E, n)
+    fresh = cc.complex_det_grid(p, GOLDEN, zs * (1 if rot is None else rot), E, n)
+    if rot is not None:
+        f = zr.rotated_handle(f, rot)
+    phases, logs = f.eval_many(zs)
+    got = f.eval_logs(zs)
+    assert got.shape == zs.shape
+    assert got.tobytes() == logs.tobytes() == fresh[1].tobytes()
+    assert phases.tobytes() == fresh[0].tobytes()
+    if p is FREE and n != 2:
+        assert np.all(got == -math.inf)
+
+
+def test_logs_only_grid_is_the_log_half_of_the_full_grid():
+    zs = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 300) + 0.1)
+    table = cc._laurent_table(DEG3, GOLDEN, 1, 30)
+    logs = cc.complex_det_grid(DEG3, GOLDEN, zs, 0.2, 30, logs_only=True)
+    assert logs.tobytes() == cc.complex_det_grid(DEG3, GOLDEN, zs, 0.2, 30)[1].tobytes()
+    assert logs.tobytes() == cc.complex_det_grid(DEG3, GOLDEN, zs, 0.2, 30, table=table,
+                                                 logs_only=True).tobytes()
+
+
+@pytest.mark.parametrize("p, E, n", [(AMO3, 0.5, 16), (DEG3, 0.3, 12)])
+def test_handle_zeros_are_the_eigensolve_on_a_fresh_table(p, E, n):
+    f = zr.determinant_handle(p, GOLDEN, E, n)
+    assert f.zeros().tobytes() == zr._companion_zeros(p, GOLDEN, E, 1, n).tobytes()
+    rot = cmath.exp(0.3j)
+    assert zr.rotated_handle(f, rot).zeros().tobytes() == (f.zeros() / rot).tobytes()
+
+
+def test_a_determinant_handle_builds_one_read_only_table(monkeypatch):
+    # every evaluation, logs-only read and the eigensolve, of the handle
+    # and of its rotation, read the table of sites 1..n built with it
+    built, table_of = [], cc._laurent_table
+
+    def spy(*args):
+        built.append((args, table_of(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cc, "_laurent_table", spy)
+    monkeypatch.setattr(zr, "_laurent_table", spy)
+    f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 8)
+    g = zr.rotated_handle(f, cmath.exp(0.3j))
+    zs = np.exp(2j * np.pi * np.arange(4) / 4)
+    for h in (f, g):
+        h.eval_many(zs)
+        h.eval_logs(zs)
+        h(zs[0])
+        h.zeros()
+    assert [args for args, _ in built] == [(AMO3, GOLDEN, 1, 8)]
+    _, vs, coef = built[0][1]
+    assert not vs.flags.writeable and not coef.flags.writeable
