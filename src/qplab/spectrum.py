@@ -10,15 +10,17 @@ off-diagonal -1.  Counting is done by Sturm pivots
 whose signs reproduce the signs of the determinant ratios f_k/f_{k-1};
 the number of negative pivots equals the number of eigenvalues strictly
 below E.  IDS tables, Wegner fractions and window counts take one sweep
-over all sampled phases and energies of a call.  The sweep runs the
-sites in blocks of up to 255, with at most 2^17 pivots per block: one
-subtraction writes d_k - E for a whole block into a reused record, each
-site then costs two in-place ufuncs, and one pass adds the block's
-negative pivots to the counts.  The sweep runs with division by zero
-raising, so the first division by an exact zero pivot flags its block,
-which is rerun with the zero nudged at every site; the nudge is one
-value per table, read from max(max d, -min d).  The counts equal those
-of a per-site sweep.  Eigenvalues come from
+over all sampled phases and energies of a call, reading the site stream
+of :func:`cocycle._sites` block by block with no (N, phases) table.  The
+sweep cuts the blocks into records of up to 255 sites, with at most 2^17
+pivots per record: one subtraction writes d_k - E for a record, each
+site then costs two in-place ufuncs, and one pass adds the record's
+negative pivots to the counts.  Each record runs with division by zero
+raising, so the first division by an exact zero pivot flags its record,
+which is rerun with the zero nudged at every site.  The nudge is one
+value per call, from max|d|, read only when a tie occurs: for sampled
+phases by drawing the stream once more from a copy of its rng.  The
+counts equal those of a per-site sweep.  Eigenvalues come from
 LAPACK (``stemr`` for all, ``dstebz`` bisection for a window).
 ``scipy.linalg`` is imported inside the three functions that call it,
 since importing it costs more than most experiments' compute.
@@ -26,6 +28,7 @@ since importing it costs more than most experiments' compute.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -115,75 +118,96 @@ class EigPair:
 
 
 # pivots per record of the blocked Sturm sweep (1 MiB of float64): a
-# block holds K sites with K * windows * energies at most this, and
-# K <= 255 so that a block's negative pivots add up in uint8
+# record holds K sites with K * windows * energies at most this, and
+# K <= 255 so that a record's negative pivots add up in uint8
 _PIVOT_ELEMENTS = 1 << 17
 
 
-def _sturm_counts(diags: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Negative-pivot counts, vectorized over rows of diags and energies.
+def _sturm_counts(sites, energies: np.ndarray, replay=None) -> np.ndarray:
+    """Negative-pivot counts, vectorized over windows and energies.
 
-    diags: (m, N); energies: (g,).  Returns (m, g) integer counts of
-    eigenvalues strictly below each energy.  Exact zero pivots are
-    nudged to +(max|d| + 2)*2^-52, one value for the whole table, which
-    resolves the tie the same way for every window (an eigenvalue
-    exactly at E is not counted); max|d| is read as max(max d, -min d),
-    with no |d| copy of the table.
+    sites: an iterable of (B, m) site blocks (at least one), B sites of
+    m windows, as :func:`cocycle._sites` yields them, with ``replay()``
+    drawing the same blocks again; or, with no ``replay``, an (m, N)
+    table, one window per row, swept as the one block of its transpose.
+    energies: (g,).  Returns (m, g) integer counts of eigenvalues
+    strictly below each energy.  Exact zero pivots are nudged to
+    +(max|d| + 2)*2^-52, one value for the whole call, which resolves the
+    tie the same way for every window (an eigenvalue exactly at E is not
+    counted).  max|d| is read as max(max d, -min d), with no |d| copy,
+    from the blocks of ``replay()``, called at most once and only when a
+    zero pivot is divided by.
 
-    The sites run in blocks of K <= 255, with K times the m*g pivots of a
-    site at most ``_PIVOT_ELEMENTS``.  One broadcast subtraction writes
-    d_k - E for the whole block into a (K, ...) record, each site then
+    Each block is cut into records of at most K <= 255 sites, with K
+    times the m*g pivots of a site at most ``_PIVOT_ELEMENTS`` and K at
+    most the first block's length (the longest block of a stream).  One
+    broadcast subtraction writes d_k - E for a record, each site then
     takes ``q -= 1/p`` in place, and one ``less`` and a uint8 sum along
-    the block add the block's negatives to the counts.  The sweep runs
-    with division by zero raising: an exact zero pivot is divided by at
-    the next site, in its own block or as the next block's start pivot,
-    so the block that divides by it is written again and rerun with the
-    zero start pivot nudged and the nudge at every site.  The counts are
-    then those of a per-site sweep that nudges as it goes (a zero on the
-    window's last site counts the same either way).  Two records
-    alternate, and a block starts from the last pivot of the other one.
+    the record add its negatives to the counts.  Only the pivot steps run
+    with division by zero raising: the blocks are drawn, and replayed,
+    outside it.  An exact zero pivot is divided by at the next site, in
+    its own record or as the next record's start pivot, so the record
+    that divides by it is written again and rerun with the zero start
+    pivot nudged and the nudge at every site.  The counts are then those
+    of a per-site sweep that nudges as it goes (a zero on the window's
+    last site counts the same either way).  Two records alternate, and a
+    record starts from the last pivot of the one before, which need not
+    be full.
     """
-    diags = np.atleast_2d(np.asarray(diags, dtype=float))
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    top = np.maximum(np.max(diags, initial=0.0), -np.min(diags, initial=0.0))
-    pivmin = (float(top) + 2.0) * 2.0 ** -52
-    # the pivots are laid out (g, m) for many windows and (m, g) for many
-    # energies, so each block's broadcast d - E has the longer inner loop
-    by_energy = diags.shape[0] >= energies.size
-    sites = diags.T[:, None, :] if by_energy else diags.T[:, :, None]
-    energies = energies[:, None] if by_energy else energies
-    shape = np.broadcast_shapes(sites.shape[1:], energies.shape)
-    K = max(1, min(255, sites.shape[0], _PIVOT_ELEMENTS // max(1, math.prod(shape))))
-    counts = np.zeros(shape, dtype=np.int64)
-    records = np.empty((2, K) + shape)
-    # p_0 = inf makes the first pivot d_1 - E exactly; an empty window counts 0
-    records[1, -1] = np.inf
-    inv, neg = np.empty(shape), np.empty((K,) + shape, bool)
+    if replay is None:
+        table = np.atleast_2d(np.asarray(sites, dtype=float))
+        sites = (table.T,)
+        replay = lambda: sites
+    pivmin = counts = None
 
-    def sweep(r, p, block, exact):
-        np.subtract(block, energies, out=r)
-        for q in r:
-            q -= np.divide(1.0, p, out=inv)
-            if exact:
-                q[q == 0.0] = pivmin
-            p = q
+    def sweep(r, p, chunk, nudge):
+        np.subtract(chunk, es, out=r)
+        # 1/p of a subnormal pivot overflows to inf, the recurrence's limit
+        with np.errstate(divide="raise", over="ignore"):
+            for q in r:
+                q -= np.divide(1.0, p, out=inv)
+                if nudge is not None:
+                    q[q == 0.0] = nudge
+                p = q
 
-    # 1/p of a subnormal pivot overflows to inf, the recurrence's limit
-    with np.errstate(divide="raise", over="ignore"):
-        for b, k in enumerate(range(0, sites.shape[0], K)):
-            block = sites[k:k + K]
-            r, start = records[b % 2, :len(block)], records[1 - b % 2, -1]
+    for block in sites:
+        if counts is None:
+            # the pivots are laid out (g, m) for many windows and (m, g) for
+            # many energies, so each record's broadcast d - E has the longer
+            # inner loop
+            m, g = block.shape[1], energies.size
+            by_energy = m >= g
+            es = energies[:, None] if by_energy else energies
+            shape = (g, m) if by_energy else (m, g)
+            K = max(1, min(255, len(block), _PIVOT_ELEMENTS // max(1, m * g)))
+            counts = np.zeros(shape, dtype=np.int64)
+            records = np.empty((2, K) + shape)
+            inv, neg = np.empty(shape), np.empty((K,) + shape, bool)
+            # p_0 = inf makes the first pivot d_1 - E exactly; an empty window counts 0
+            p, b = records[1, 0], 0
+            p.fill(np.inf)
+        view = block[:, None, :] if by_energy else block[:, :, None]
+        for k in range(0, len(block), K):
+            chunk = view[k:k + K]
+            r = records[b % 2, :len(chunk)]
+            b += 1
             try:
-                sweep(r, start, block, False)
+                sweep(r, p, chunk, None)
             except FloatingPointError:
-                start[start == 0.0] = pivmin
-                sweep(r, start, block, True)
-            if K == 1:
-                # a shape wider than the budget: no reduction per site
+                if pivmin is None:
+                    top = max(max(np.max(d, initial=0.0), -np.min(d, initial=0.0))
+                              for d in replay())
+                    pivmin = (float(top) + 2.0) * 2.0 ** -52
+                p[p == 0.0] = pivmin
+                sweep(r, p, chunk, pivmin)
+            if len(r) == 1:
+                # a one-site record (a shape wider than the budget): no reduction
                 counts += np.less(r[0], 0.0, out=neg[0])
             else:
                 counts += np.add.reduce(np.less(r, 0.0, out=neg[:len(r)]),
                                         axis=0, dtype=np.uint8)
+            p = r[-1]
     return counts.T if by_energy else counts
 
 
@@ -297,17 +321,29 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
                    det_vector=det_vec, collinearity=coll)
 
 
+def _site_stream(p: Potential, dyn: Dynamics, xs: np.ndarray, N: int, rng):
+    """Sites 1..N of the phases xs in (B, m) blocks: the stream that
+    :func:`_sampled_counts` sweeps, and replays when it needs max|d|."""
+    return cocycle._sites(p, dyn, xs, 1, N, rng)
+
+
 def _sampled_counts(p: Potential, dyn: Dynamics, energies: np.ndarray, N: int,
                     x_samples: int, seed: int) -> np.ndarray:
     """Sturm counts (x_samples, g) of H_[1,N](x) at the energies, x drawn by the seed.
 
-    One rng draws the phases and then supplies the doubling noise.
+    One rng draws the phases and then supplies the doubling noise.  The
+    sweep reads the site stream block by block, with no (N, x_samples)
+    table.  The nudge's max|d| is read only at an exact zero pivot, by
+    drawing the stream once more from a copy of the rng taken after the
+    phases, so the replay sees the same noise and the same sites.
     """
     if N < 1 or x_samples < 1:
         raise ValueError("sampled counts need N >= 1 and x_samples >= 1")
     rng = np.random.default_rng(seed)
     xs = rng.random((x_samples, dyn.d))
-    return _sturm_counts(_site_values(p, dyn, xs, 1, N, rng), energies)
+    replay = copy.deepcopy(rng)
+    return _sturm_counts(_site_stream(p, dyn, xs, N, rng), energies,
+                         lambda: _site_stream(p, dyn, xs, N, replay))
 
 
 def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,

@@ -436,6 +436,12 @@ TIE_CONFIGS = {
     "wegner_tie": {"experiment": "wegner",
                    "grid": {"E": [-1.0, 0.0, 1.0], "H_list": [5.0, 10.0], "N": 201,
                             "x_samples": 300}},
+    # exp(-800) = 0, so each pair E +- h is E itself, where the lam = 0
+    # pivots hit exact zeros: every sweep replays the stream for the
+    # nudge, redrawing the doubling map's rng noise
+    "wegner_doubling_tie": {"experiment": "wegner", "dynamics": {"kind": "doubling"},
+                            "grid": {"E": [-1.0, 0.0, 1.0], "H_list": [5.0, 800.0],
+                                     "N": 201, "x_samples": 300}},
 }
 
 

@@ -98,20 +98,49 @@ TIE_DIAGONALS = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -2.0 ** -60, 2.0 ** -60]
 TIE_ENERGIES = [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
 
 
+def stream_blocks(table, lengths):
+    """The (m, n) table as (B, m) site blocks of the given lengths, the
+    last block taking the sites left over, and a replay() that counts its
+    calls."""
+    sites, blocks, k = table.T, [], 0
+    for length in lengths:
+        blocks.append(sites[k:k + length])
+        k += length
+    blocks.append(sites[k:])
+    replays = []
+
+    def replay():
+        replays.append(1)
+        return iter(blocks)
+    return iter(blocks), replay, replays
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 5), n=st.integers(1, 700), seed=st.integers(0, 2 ** 32 - 1),
        energies=st.lists(st.sampled_from(TIE_ENERGIES), min_size=1, max_size=5),
-       block=st.sampled_from([1, 2, 3, 255]))
-def test_blocked_sweep_matches_the_per_site_sweep_bit_for_bit(m, n, seed, energies, block):
-    # blocks of 1, 2, 3 and 255 sites put the ties on the first, a middle
-    # and the last site of a block, and on a carried start pivot
+       block=st.sampled_from([1, 2, 3, 255]),
+       cuts=st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 1)), max_size=6))
+def test_blocked_sweep_matches_the_per_site_sweep_bit_for_bit(m, n, seed, energies, block,
+                                                             cuts):
+    # records of 1, 2, 3 and 255 sites put the ties on the first, a middle
+    # and the last site of a record, and on a carried start pivot; the
+    # table is swept whole, and as stream blocks q records +- 1 site long:
+    # shorter than a record, as long as one and longer, so ties fall on
+    # block edges and records that are not full carry their last pivot
     diags = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(m, n))
     es = np.array(energies)
+    lengths = [max(1, q * block + r) for q, r in cuts]
+    blocks, replay, replays = stream_blocks(diags, lengths)
     with pytest.MonkeyPatch.context() as mp:
         got = blocked_counts(diags, es, block, mp)
+        mp.setattr(sp, "_PIVOT_ELEMENTS", block * m * es.size)
+        streamed = sp._sturm_counts(blocks, es, replay)
     want = per_site_counts(diags, es)
     assert got.dtype == want.dtype and got.shape == (m, es.size)
     np.testing.assert_array_equal(got, want)
+    assert streamed.dtype == want.dtype
+    np.testing.assert_array_equal(streamed, want)
+    assert len(replays) <= 1
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 255])
@@ -325,13 +354,15 @@ def test_wegner_equals_the_unpruned_counts_bit_for_bit(source, lam, m, n, seed,
     # sweeps a narrower pair only over the windows a wider pair caught
     # must keep these measures (see the next test for why it cannot).
     p, dyn = pt.almost_mathieu(lam), {"doubling": dy.Doubling()}.get(source, SHIFT)
+    reads = []
     with pytest.MonkeyPatch.context() as mp:
         if source == "ties":
             table = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(m, n))
-            mp.setattr(sp, "_site_values", lambda *args: table)
+            mp.setattr(sp, "_site_stream", lambda *args: reads.append(args) or [table.T])
         got = sp.wegner_measure(p, dyn, E, H_params, n, m, seed)
         want = unpruned_wegner(p, dyn, E, H_params, n, m, seed)
     assert got.tolist() == want.tolist()
+    assert (source == "ties") == bool(reads)
 
 
 def test_a_nudged_tie_makes_the_count_non_monotone_in_the_energy(monkeypatch):
@@ -349,13 +380,17 @@ def test_a_nudged_tie_makes_the_count_non_monotone_in_the_energy(monkeypatch):
     table = np.array([[c, c, c - 3 * u]])
     counts = sp._sturm_counts(table, np.array([1.0 - h1, 1.0 - h2, 1.0 + h2, 1.0 + h1]))
     assert counts.tolist() == [[2, 1, 2, 2]]
-    monkeypatch.setattr(sp, "_site_values", lambda *args: table)
+    reads = []
+    monkeypatch.setattr(sp, "_site_stream", lambda *args: reads.append(args) or [table.T])
     assert sp.wegner_measure(AMO3, SHIFT, 1.0, [H1, H2], 3, 1).tolist() == [0.0, 1.0]
+    # the sweep, then the replay for the nudge's max|d|
+    assert len(reads) == 2
 
 
-def test_wegner_allocates_no_second_site_table():
-    # a |d| copy of the table for the nudge would double the peak; one
-    # 5000 x 200 call holds the table, the stream's blocks and two records
+def test_wegner_holds_no_site_table():
+    # the sweep reads the site stream block by block: one 5000 x 200 call
+    # holds a stream block, the two records and the phases, well under
+    # half of the 8 MB (N, x_samples) table it would otherwise build
     sp.wegner_measure(AMO3, SHIFT, 0.0, [5.0, 10.0], N=20, x_samples=50)
     table = 5000 * 200 * 8
     tracemalloc.start()
@@ -364,7 +399,60 @@ def test_wegner_allocates_no_second_site_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table < peak < table + table // 2
+    assert peak < table // 2
+
+
+def counting_stream(monkeypatch):
+    """Patch the sampled site stream to record the blocks of every draw."""
+    draws, stream = [], sp._site_stream
+
+    def recording(*args):
+        draws.append(blocks := [])
+        for block in stream(*args):
+            blocks.append(block.copy())
+            yield block
+    monkeypatch.setattr(sp, "_site_stream", recording)
+    return draws
+
+
+@pytest.mark.parametrize("N", [1, 300])
+def test_free_doubling_counts_equal_the_per_site_sweep(N, monkeypatch):
+    # lam = 0: every diagonal is a signed zero, so at E = +-0 (and E +- h
+    # for h = exp(-800) = 0) every window's first pivot is an exact zero;
+    # the sites are drawn under the doubling map's rng noise
+    p, dyn, m, seed = pt.almost_mathieu(0.0), dy.Doubling(), 70, 3
+    rng = np.random.default_rng(seed)
+    xs = rng.random((m, 1))
+    diags = sp.cocycle._site_values(p, dyn, xs, 1, N, rng)
+    grid = np.array([-1.0, -0.0, 0.0, 0.5])
+    draws = counting_stream(monkeypatch)
+    table = sp.ids(p, dyn, grid, N, m, seed)
+    np.testing.assert_array_equal(table.values, per_site_counts(diags, grid).mean(axis=0) / N)
+    H_params = [1.0, 5.0, 800.0]
+    hs = np.array([math.exp(-H) for H in H_params])
+    counts = per_site_counts(diags, np.stack([0.0 - hs, 0.0 + hs], axis=1).ravel())
+    want = np.mean((counts[:, 1::2] - counts[:, ::2]) > 0, axis=0)
+    assert sp.wegner_measure(p, dyn, 0.0, H_params, N, m, seed).tolist() == want.tolist()
+    # N = 1 divides by no pivot; N = 300 ties, sweeps, and replays once per call
+    assert len(draws) == (2 if N == 1 else 4)
+
+
+def test_the_stream_is_replayed_only_at_a_tie(monkeypatch):
+    # doubling at lam = 3 over 64 phases: blocks of 256 sites, each with
+    # its own rng noise.  At generic energies the stream is drawn once; at
+    # E = the first site of phase 0 the first pivot there is an exact
+    # zero, divided by at site 2, and the replay draws the same blocks.
+    p, dyn, m, N, seed = AMO3, dy.Doubling(), 64, 300, 8
+    draws = counting_stream(monkeypatch)
+    sp.ids(p, dyn, [-1.0, 0.3], N, m, seed)
+    assert len(draws) == 1 and len(draws[0]) == 2
+    draws.clear()
+    rng = np.random.default_rng(seed)
+    E = float(sp.cocycle._site_values(p, dyn, rng.random((m, 1)), 1, 1, rng)[0, 0])
+    sp.ids(p, dyn, [E], N, m, seed)
+    assert len(draws) == 2 and len(draws[0]) == len(draws[1]) == 2
+    for first, again in zip(*draws):
+        np.testing.assert_array_equal(first, again)
 
 
 # --------------------------------------------------------------- min gap
