@@ -9,26 +9,26 @@ off-diagonal -1.  Counting is done by Sturm pivots
 
 whose signs reproduce the signs of the determinant ratios f_k/f_{k-1};
 the number of negative pivots equals the number of eigenvalues strictly
-below E.  IDS tables, Wegner fractions and window counts take one sweep
-over all sampled phases and energies of a call, reading the site stream
-of :func:`cocycle._sites` block by block with no (N, phases) table.  The
-sweep cuts the blocks into records of up to 255 sites, with at most 2^17
-pivots per record: one subtraction writes d_k - E for a record, each
-site then costs two in-place ufuncs, and one pass adds the record's
-negative pivots to the counts.  Each record runs with division by zero
-raising, so the first division by an exact zero pivot flags its record,
-which is rerun with the zero nudged at every site.  The nudge is one
-value per call, from max|d|, read only when a tie occurs: for sampled
-phases by drawing the stream once more from a copy of its rng.  The
-counts equal those of a per-site sweep.  Eigenvalues come from
-LAPACK (``stemr`` for all, ``dstebz`` bisection for a window).
-``scipy.linalg`` is imported inside the three functions that call it,
-since importing it costs more than most experiments' compute.
+below E.  IEEE infinities carry an exact zero pivot (1/+0 = +inf, so the
+next pivot is -inf and the one after reads d - E again): this is the
+exception-handling count of Demmel & Li (1994), the left limit in E, so
+an eigenvalue at E is not counted and the count is monotone in E.  IDS
+tables, Wegner fractions and window counts take one sweep over all
+sampled phases and energies of a call, reading the site stream of
+:func:`cocycle._sites` block by block with no (N, phases) table; wegner
+sweeps its narrower pairs only over the phases its widest pair caught
+when the map is the shift.  The sweep cuts the blocks into records of up
+to 255 sites, with at most 2^17 pivots per record: one subtraction
+writes d_k - E for a record, each site then costs two in-place ufuncs,
+and one pass adds the record's negative pivots to the counts.
+Eigenvalues come from LAPACK (``stemr`` for all, ``dstebz`` bisection
+for a window).  ``scipy.linalg`` is imported inside the three functions
+that call it, since importing it costs more than most experiments'
+compute.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -123,54 +123,40 @@ class EigPair:
 _PIVOT_ELEMENTS = 1 << 17
 
 
-def _sturm_counts(sites, energies: np.ndarray, replay=None) -> np.ndarray:
+def _sturm_counts(sites, energies) -> np.ndarray:
     """Negative-pivot counts, vectorized over windows and energies.
 
     sites: an iterable of (B, m) site blocks (at least one), B sites of
-    m windows, as :func:`cocycle._sites` yields them, with ``replay()``
-    drawing the same blocks again; or, with no ``replay``, an (m, N)
-    table, one window per row, swept as the one block of its transpose.
-    energies: (g,).  Returns (m, g) integer counts of eigenvalues
-    strictly below each energy.  Exact zero pivots are nudged to
-    +(max|d| + 2)*2^-52, one value for the whole call, which resolves the
-    tie the same way for every window (an eigenvalue exactly at E is not
-    counted).  max|d| is read as max(max d, -min d), with no |d| copy,
-    from the blocks of ``replay()``, called at most once and only when a
-    zero pivot is divided by.
+    m windows, as :func:`cocycle._sites` yields them; one window's (N,)
+    sites are the one block ``[d[:, None]]``.  energies: (g,), no NaN.
+    Returns (m, g) integer counts of eigenvalues strictly below each
+    energy.
+
+    The pivots run with division by zero and overflow quiet.  A zero
+    pivot +0 gives 1/p = +inf, the next pivot is -inf (counted) and the
+    one after reads d - E exactly: the left limit E -> E0-, monotone in E
+    under monotone rounding (Demmel, Dhillon & Ren, ETNA 3, 1995).  A
+    subnormal pivot's 1/p overflows to +-inf, its limit too.  A pivot
+    -0.0 would flip the tie through 1/(-0.0) = -inf, and none occurs: a
+    zero difference is +0 in round-to-nearest, and so is +0 - (+-0),
+    except d = -0.0 at E = +0.0, which is why an energy +0.0 is swept as
+    -0.0.
 
     Each block is cut into records of at most K <= 255 sites, with K
     times the m*g pivots of a site at most ``_PIVOT_ELEMENTS`` and K at
     most the first block's length (the longest block of a stream).  One
     broadcast subtraction writes d_k - E for a record, each site then
-    takes ``q -= 1/p`` in place, and one ``less`` and a uint8 sum along
-    the record add its negatives to the counts.  Only the pivot steps run
-    with division by zero raising: the blocks are drawn, and replayed,
-    outside it.  An exact zero pivot is divided by at the next site, in
-    its own record or as the next record's start pivot, so the record
-    that divides by it is written again and rerun with the zero start
-    pivot nudged and the nudge at every site.  The counts are then those
-    of a per-site sweep that nudges as it goes (a zero on the window's
-    last site counts the same either way).  Two records alternate, and a
-    record starts from the last pivot of the one before, which need not
-    be full.
+    takes ``q -= inv`` and ``inv = 1/q`` in place, and one ``less`` and
+    a uint8 sum along the record add its negatives to the counts.  One
+    record buffer serves every record, and ``inv`` carries 1/p of the
+    last pivot into the next.  Only the pivot steps run with the quiet
+    errstate: the blocks are drawn outside it.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    if replay is None:
-        table = np.atleast_2d(np.asarray(sites, dtype=float))
-        sites = (table.T,)
-        replay = lambda: sites
-    pivmin = counts = None
-
-    def sweep(r, p, chunk, nudge):
-        np.subtract(chunk, es, out=r)
-        # 1/p of a subnormal pivot overflows to inf, the recurrence's limit
-        with np.errstate(divide="raise", over="ignore"):
-            for q in r:
-                q -= np.divide(1.0, p, out=inv)
-                if nudge is not None:
-                    q[q == 0.0] = nudge
-                p = q
-
+    if np.isnan(energies).any():
+        raise ValueError("Sturm counts need energies that are not NaN")
+    energies = np.where(energies == 0.0, -0.0, energies)
+    counts = None
     for block in sites:
         if counts is None:
             # the pivots are laid out (g, m) for many windows and (m, g) for
@@ -182,38 +168,30 @@ def _sturm_counts(sites, energies: np.ndarray, replay=None) -> np.ndarray:
             shape = (g, m) if by_energy else (m, g)
             K = max(1, min(255, len(block), _PIVOT_ELEMENTS // max(1, m * g)))
             counts = np.zeros(shape, dtype=np.int64)
-            records = np.empty((2, K) + shape)
-            inv, neg = np.empty(shape), np.empty((K,) + shape, bool)
-            # p_0 = inf makes the first pivot d_1 - E exactly; an empty window counts 0
-            p, b = records[1, 0], 0
-            p.fill(np.inf)
+            record, neg = np.empty((K,) + shape), np.empty((K,) + shape, bool)
+            # 1/p_0 = 1/inf: the first pivot is d_1 - E exactly; an empty window counts 0
+            inv = np.zeros(shape)
         view = block[:, None, :] if by_energy else block[:, :, None]
         for k in range(0, len(block), K):
             chunk = view[k:k + K]
-            r = records[b % 2, :len(chunk)]
-            b += 1
-            try:
-                sweep(r, p, chunk, None)
-            except FloatingPointError:
-                if pivmin is None:
-                    top = max(max(np.max(d, initial=0.0), -np.min(d, initial=0.0))
-                              for d in replay())
-                    pivmin = (float(top) + 2.0) * 2.0 ** -52
-                p[p == 0.0] = pivmin
-                sweep(r, p, chunk, pivmin)
+            r = record[:len(chunk)]
+            np.subtract(chunk, es, out=r)
+            with np.errstate(divide="ignore", over="ignore"):
+                for q in r:
+                    q -= inv
+                    np.divide(1.0, q, out=inv)
             if len(r) == 1:
                 # a one-site record (a shape wider than the budget): no reduction
                 counts += np.less(r[0], 0.0, out=neg[0])
             else:
                 counts += np.add.reduce(np.less(r, 0.0, out=neg[:len(r)]),
                                         axis=0, dtype=np.uint8)
-            p = r[-1]
     return counts.T if by_energy else counts
 
 
 def sturm_count(H: TridiagonalHamiltonian, E: float) -> int:
     """Number of eigenvalues of H strictly below E."""
-    return int(_sturm_counts(H.diag[None, :], np.array([E]))[0, 0])
+    return int(_sturm_counts([H.diag[:, None]], E)[0, 0])
 
 
 def eigenvalues(H: TridiagonalHamiltonian, window=None,
@@ -281,7 +259,7 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
     within 10*tol of E_j, or none does.
     """
     gap = 10.0 * tol
-    ends = _sturm_counts(H.diag[None, :], np.array([E_j - gap, E_j + gap]))[0]
+    ends = _sturm_counts([H.diag[:, None]], [E_j - gap, E_j + gap])[0]
     inside = int(ends[1] - ends[0])
     if inside > 1:
         raise AmbiguousEigenvalue(
@@ -321,29 +299,21 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
                    det_vector=det_vec, collinearity=coll)
 
 
-def _site_stream(p: Potential, dyn: Dynamics, xs: np.ndarray, N: int, rng):
-    """Sites 1..N of the phases xs in (B, m) blocks: the stream that
-    :func:`_sampled_counts` sweeps, and replays when it needs max|d|."""
-    return cocycle._sites(p, dyn, xs, 1, N, rng)
-
-
-def _sampled_counts(p: Potential, dyn: Dynamics, energies: np.ndarray, N: int,
-                    x_samples: int, seed: int) -> np.ndarray:
-    """Sturm counts (x_samples, g) of H_[1,N](x) at the energies, x drawn by the seed.
-
-    One rng draws the phases and then supplies the doubling noise.  The
-    sweep reads the site stream block by block, with no (N, x_samples)
-    table.  The nudge's max|d| is read only at an exact zero pivot, by
-    drawing the stream once more from a copy of the rng taken after the
-    phases, so the replay sees the same noise and the same sites.
-    """
+def _phases(dyn: Dynamics, N: int, x_samples: int, seed: int) -> tuple:
+    """x_samples phases drawn by the seed, and the rng that goes on to
+    supply the doubling noise of their site stream."""
     if N < 1 or x_samples < 1:
         raise ValueError("sampled counts need N >= 1 and x_samples >= 1")
     rng = np.random.default_rng(seed)
-    xs = rng.random((x_samples, dyn.d))
-    replay = copy.deepcopy(rng)
-    return _sturm_counts(_site_stream(p, dyn, xs, N, rng), energies,
-                         lambda: _site_stream(p, dyn, xs, N, replay))
+    return rng.random((x_samples, dyn.d)), rng
+
+
+def _sampled_counts(p: Potential, dyn: Dynamics, energies, N: int,
+                    x_samples: int, seed: int) -> np.ndarray:
+    """Sturm counts (x_samples, g) of H_[1,N](x) at the energies, x drawn
+    by the seed, from the site stream read block by block."""
+    xs, rng = _phases(dyn, N, x_samples, seed)
+    return _sturm_counts(cocycle._sites(p, dyn, xs, 1, N, rng), energies)
 
 
 def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
@@ -369,7 +339,7 @@ def window_count(p: Potential, dyn: Dynamics, E: float, eta: float, N: int,
     The companion quantity eta*N is what a Lipschitz IDS would predict
     up to a constant; callers form the ratio.
     """
-    if eta <= 0:
+    if not eta > 0:  # a NaN fails too
         raise ValueError("eta must be positive")
     counts = _sampled_counts(p, dyn, np.array([E - eta, E + eta]), N, x_samples, seed)
     return float(np.mean(counts[:, 1] - counts[:, 0]))
@@ -383,20 +353,42 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
     at E-h and E+h; this resolves the distance to one ulp, sharper than
     any fixed bisection depth, and differs only on the measure-zero
     event of an eigenvalue landing exactly at E+-h.  A 1d sequence of
-    H_param gives an array of measures over one phase set, in one sweep.
+    H_param gives an array of measures over one phase set.
 
-    Every pair is swept over every window.  A narrower pair cannot skip
-    the windows a wider one missed: the nudge of an exact zero pivot
-    makes the computed count non-monotone in E at that tie, so a
-    narrower pair may catch a window the wider pair does not.
+    The widest pair is swept over every phase.  Counts are monotone in
+    E, so a narrower pair catches only phases the widest pair caught, and
+    for the shift it is swept over those alone: the shift's sites are
+    exact per phase, the same bits at any batch width of two or more
+    phases.  The skew shift's sites depend on the batch's block layout
+    (by about 1e-14) and the doubling map's on the whole batch's rng
+    noise, so those maps sweep every pair over every phase once.
     """
     params = np.asarray(H_param, dtype=float)
     if params.ndim > 1 or not np.all(params >= 1):  # a NaN fails too
         raise ValueError("H_param must be >= 1, or a 1d sequence of such")
     hs = np.array([math.exp(-H) for H in params.ravel()])
-    counts = _sampled_counts(p, dyn, np.stack([E - hs, E + hs], axis=1).ravel(),
-                             N, x_samples, seed)
-    measures = np.mean((counts[:, 1::2] - counts[:, ::2]) > 0, axis=0)
+    pairs = np.stack([E - hs, E + hs], axis=1)
+    xs, rng = _phases(dyn, N, x_samples, seed)
+
+    def caught(xs, pairs):
+        counts = _sturm_counts(cocycle._sites(p, dyn, xs, 1, N, rng), pairs.ravel())
+        return (counts[:, 1::2] - counts[:, ::2]) > 0
+
+    if isinstance(dyn, Shift):
+        wide = int(np.argmax(hs))
+        rest = np.arange(hs.size) != wide
+        hit = caught(xs, pairs[[wide]])[:, 0]
+        within = np.zeros((x_samples, hs.size), bool)
+        within[:, wide] = hit
+        if hit.any() and rest.any():
+            # numpy multiplies a lone complex pair without FMA, so a lone
+            # phase's one-site blocks may round apart from the batch's: a
+            # lone catch is swept with every phase
+            rows = np.flatnonzero(hit) if hit.sum() > 1 else np.arange(x_samples)
+            within[np.ix_(rows, rest)] = caught(xs[rows], pairs[rest])
+    else:
+        within = caught(xs, pairs)
+    measures = np.mean(within, axis=0)
     return float(measures[0]) if params.ndim == 0 else measures
 
 
@@ -554,9 +546,9 @@ def concatenation_bound_check(p: Potential, dyn: Dynamics, x, E: float,
         log_f = log_acc[0] + np.log(np.abs(dets))
     _, a_best, b_best = max(zip(log_f, (1, 2, 1, 2), (1, 1, 2, 2)))
     sub = diag_full[a_best - 1: N - b_best + 1]
-    cw = _sturm_counts(sub[None, :], np.array([E - eta, E + eta]))[0]
+    cw = _sturm_counts([sub[:, None]], [E - eta, E + eta])[0]
     count_window = int(cw[1] - cw[0])
-    cf = _sturm_counts(diag_full[None, :], np.array([E - eta, E + eta]))[0]
+    cf = _sturm_counts([diag_full[:, None]], [E - eta, E + eta])[0]
     count_full = int(cf[1] - cf[0])
 
     trace_lhs = trace_rhs = ok_trace = None

@@ -428,20 +428,26 @@ def test_run_maps_linear_algebra_failures_to_exit_3(tmp_path, monkeypatch):
 
 
 # Criterion 16 where the Sturm pivots tie: at lam = 0 on 1001 sites
-# E = -1, 0, 1 are eigenvalues, so the integer pivots hit exact zeros and
-# the sweep reruns those blocks with the zeros nudged.
+# E = -1, 0, 1 are eigenvalues, so the integer pivots hit exact zeros,
+# which IEEE infinities carry through the sweep.
 TIE_CONFIGS = {
     "ids_tie": {"experiment": "ids",
                 "grid": {"E": [-2.0, -1.0, 0.0, 1.0, 2.0], "N": 1001, "x_samples": 4}},
+    # the shift sweeps the H = 10 pairs only over the phases H = 5 caught
     "wegner_tie": {"experiment": "wegner",
                    "grid": {"E": [-1.0, 0.0, 1.0], "H_list": [5.0, 10.0], "N": 201,
                             "x_samples": 300}},
     # exp(-800) = 0, so each pair E +- h is E itself, where the lam = 0
-    # pivots hit exact zeros: every sweep replays the stream for the
-    # nudge, redrawing the doubling map's rng noise
+    # pivots hit exact zeros; the doubling map sweeps every pair over
+    # every phase, under its rng noise
     "wegner_doubling_tie": {"experiment": "wegner", "dynamics": {"kind": "doubling"},
                             "grid": {"E": [-1.0, 0.0, 1.0], "H_list": [5.0, 800.0],
                                      "N": 201, "x_samples": 300}},
+    # the skew shift sweeps every pair over every phase too (no ties at lam = 3)
+    "wegner_skew": {"experiment": "wegner", "dynamics": {"kind": "skew_shift", "omega": "golden"},
+                    "model": {"potential": "almost_mathieu", "lam": 3.0},
+                    "grid": {"E": [-1.0, 0.0, 1.0], "H_list": [5.0, 10.0], "N": 201,
+                             "x_samples": 300}},
 }
 
 
@@ -462,8 +468,8 @@ def csvs_at_one_and_two_threads(tmp_path, data) -> list:
 @pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
 def test_exact_tie_runs_are_byte_identical_across_threads(tmp_path, name):
     csvs = csvs_at_one_and_two_threads(tmp_path, {
-        **MIN_GAP_CONFIG, **TIE_CONFIGS[name], "seed": 5,
-        "model": {"potential": "almost_mathieu", "lam": 0.0}})
+        **MIN_GAP_CONFIG, "seed": 5, "model": {"potential": "almost_mathieu", "lam": 0.0},
+        **TIE_CONFIGS[name]})
     assert csvs[0] == csvs[1]
     if name == "ids_tie":
         # an eigenvalue at E is not counted: 333, 500 and 667 of 1001 lie below

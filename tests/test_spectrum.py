@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,52 +69,95 @@ def test_sturm_count_matches_dense_counts():
 
 
 def per_site_counts(diags, energies):
-    """Sturm counts from a sweep that nudges each exact zero pivot as it goes.
+    """Sturm counts from a sweep one site at a time, where IEEE infinities
+    carry each exact zero pivot.
 
     The reference for the blocked sweep of ``_sturm_counts``: the same
-    pivot arithmetic, (d - E) - 1/p, and the same nudge of a zero pivot
-    to +norm*2^-52, one site at a time.
+    pivot arithmetic, (d - E) - 1/p, with every zero pivot made +0 as it
+    is formed (so 1/p = +inf), instead of the blocked sweep's one -0.0 for
+    an energy +0.0.
     """
-    pivmin = (float(np.max(np.abs(diags), initial=0.0)) + 2.0) * 2.0 ** -52
     p = np.full((diags.shape[0], energies.size), np.inf)
     counts = np.zeros(p.shape, dtype=np.int64)
-    for d in diags.T:
-        p = (d[:, None] - energies) - 1.0 / p
-        p[p == 0.0] = pivmin
-        counts += p < 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        for d in diags.T:
+            p = (d[:, None] - energies) - 1.0 / p + 0.0
+            counts += p < 0.0
     return counts
+
+
+def exact_counts(diags, energies):
+    """Eigenvalues strictly below each energy, from the pivots of H - E in
+    exact rational arithmetic, with the left limit E -> E0- at a tie.
+
+    Each pivot falls strictly in E between its poles, so a pivot that is
+    exactly 0 at E is +eps just below it; the next pivot is then -1/eps,
+    counted, and the one after that reads d - E again.  No float is
+    rounded: this depends on no IEEE rule.
+    """
+    counts = np.zeros((len(diags), len(energies)), dtype=np.int64)
+    for i, window in enumerate(diags):
+        for j, E in enumerate(energies):
+            E, inv, tie = Fraction(float(E)), Fraction(0), False
+            for d in window:
+                if tie:
+                    counts[i, j], inv, tie = counts[i, j] + 1, Fraction(0), False
+                    continue
+                q = Fraction(float(d)) - E - inv
+                tie = q == 0
+                if not tie:
+                    counts[i, j] += q < 0
+                    inv = 1 / q
+    return counts
+
+
+def table_counts(diags, energies):
+    """``_sturm_counts`` of an (m, n) table, one window per row."""
+    return sp._sturm_counts([diags.T], np.asarray(energies, dtype=float))
 
 
 def blocked_counts(diags, energies, block, monkeypatch):
     """``_sturm_counts`` with the record cut to ``block`` sites."""
     monkeypatch.setattr(sp, "_PIVOT_ELEMENTS", block * diags.shape[0] * energies.size)
-    return sp._sturm_counts(diags, energies)
+    return table_counts(diags, energies)
 
 
-# Integer pivots tie often, but with IEEE infinities an unnudged tie
-# mostly counts the same as a nudged one.  It counts differently in two
-# cases, so both are drawn: a diagonal -0.0 at E = +0.0 on the first site
-# (the pivot -0.0, whose unnudged successor is +inf), and a diagonal
-# below the nudge two sites after a tie (nudged, 1/p lifts it above 0).
+def mpmath_eigs(diag):
+    """The eigenvalues of the window, from mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        n = len(diag)
+        h = mpmath.matrix(n, n)
+        for k, d in enumerate(diag):
+            h[k, k] = mpmath.mpf(float(d))
+            if k + 1 < n:
+                h[k, k + 1] = h[k + 1, k] = -1
+        return mpmath.eigsy(h, eigvals_only=True)
+
+
+def mpmath_counts(diag, energies):
+    """Eigenvalues below each energy by more than 1e-40: one within it is
+    taken to be at E, where the tie cases of these tests put it exactly."""
+    evs = mpmath_eigs(diag)
+    with mpmath.workdps(60):
+        return [sum(1 for ev in evs if ev < float(E) - mpmath.mpf(1e-40)) for E in energies]
+
+
+# Integer pivots tie often, and so do the diagonals -0.0 (whose pivot at
+# E = +0.0 would be -0.0 without the sweep's signed-zero rule) and
+# +-2^-60 (below one ulp of the pivots they meet)
 TIE_DIAGONALS = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -2.0 ** -60, 2.0 ** -60]
 TIE_ENERGIES = [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
 
 
 def stream_blocks(table, lengths):
     """The (m, n) table as (B, m) site blocks of the given lengths, the
-    last block taking the sites left over, and a replay() that counts its
-    calls."""
+    last block taking the sites left over."""
     sites, blocks, k = table.T, [], 0
     for length in lengths:
         blocks.append(sites[k:k + length])
         k += length
     blocks.append(sites[k:])
-    replays = []
-
-    def replay():
-        replays.append(1)
-        return iter(blocks)
-    return iter(blocks), replay, replays
+    return iter(blocks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,36 +175,78 @@ def test_blocked_sweep_matches_the_per_site_sweep_bit_for_bit(m, n, seed, energi
     diags = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(m, n))
     es = np.array(energies)
     lengths = [max(1, q * block + r) for q, r in cuts]
-    blocks, replay, replays = stream_blocks(diags, lengths)
     with pytest.MonkeyPatch.context() as mp:
         got = blocked_counts(diags, es, block, mp)
         mp.setattr(sp, "_PIVOT_ELEMENTS", block * m * es.size)
-        streamed = sp._sturm_counts(blocks, es, replay)
+        streamed = sp._sturm_counts(stream_blocks(diags, lengths), es)
     want = per_site_counts(diags, es)
     assert got.dtype == want.dtype and got.shape == (m, es.size)
     np.testing.assert_array_equal(got, want)
     assert streamed.dtype == want.dtype
     np.testing.assert_array_equal(streamed, want)
-    assert len(replays) <= 1
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 255])
 def test_a_tie_counts_the_same_wherever_it_falls_in_a_block(block, monkeypatch):
     # At E = 0 the pivots of 1, 2, ..., 2 are all 1, so the next diagonal 1
-    # gives an exact zero pivot.  Two sites on, the diagonal -2^-60 gives a
-    # negative pivot unnudged and a positive one nudged, and the site after
-    # it swaps the signs back.  The tie moves through every position of a
-    # block, and the window ends on the changed sign or past it.
+    # gives an exact zero pivot and the next pivot is -inf; the diagonal 0
+    # then gives a second zero, and -2^-60 a second -inf.  The ties move
+    # through every position of a block, and the window ends on the last
+    # tie or past it.  Exact rational counts are the reference; at
+    # lead = tail = 0 they are mpmath's too, whose eigenvalue -2.9e-19
+    # lies below 0 (the nudge this sweep replaced counted 1 there).
     E = np.array([0.0, 0.5])
     for lead in range(8):
         for tail in (0, 1, 4):
             diag = np.array([[1.0] + [2.0] * lead + [1.0, 0.0, -2.0 ** -60] + [2.0] * tail])
             np.testing.assert_array_equal(blocked_counts(diag, E, block, monkeypatch),
-                                          per_site_counts(diag, E))
-    # a signed zero on the first site: nudged, the pivot -0.0 counts the
-    # eigenvalue -1 of [[-0, -1], [-1, 0]]; unnudged, its successor is +inf
-    diag = np.array([[-0.0, 0.0]])
-    assert blocked_counts(diag, np.array([0.0]), block, monkeypatch)[0, 0] == 1
+                                          exact_counts(diag, E))
+    short = [1.0, 1.0, 0.0, -2.0 ** -60]
+    assert exact_counts([short], [0.0]).tolist() == [mpmath_counts(short, [0.0])] == [[2]]
+    # a signed zero on the first site: the pivot is +0 at E = +0.0 and at
+    # E = -0.0, so the next one is -inf and the eigenvalue -1 of
+    # [[-0, -1], [-1, 0]] is counted
+    for zero in (0.0, -0.0):
+        diag = np.array([[-0.0, 0.0]])
+        assert blocked_counts(diag, np.array([zero]), block, monkeypatch)[0, 0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       energies=st.lists(st.sampled_from(TIE_ENERGIES + [0.5, -1.5]), min_size=1, max_size=4))
+def test_counts_equal_exact_counts_on_small_windows(m, n, seed, energies):
+    # integer diagonals tie often: the exact rational counts equal
+    # mpmath's at every energy, ties included, and the float counts equal
+    # both wherever no eigenvalue lies within 1e-9 of E (next to a tie a
+    # rounded pivot can change sign, so there they are left unchecked)
+    diags = np.random.default_rng(seed).choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(m, n))
+    got = table_counts(diags, energies)
+    want = exact_counts(diags, energies)
+    for d, counts, exact in zip(diags, got, want):
+        assert exact.tolist() == mpmath_counts(d, energies)
+        evs = oracle_eigs(sp.TridiagonalHamiltonian(d))
+        clear = [np.min(np.abs(evs - E)) > 1e-9 for E in energies]
+        np.testing.assert_array_equal(counts[clear], exact[clear])
+
+
+TIE_SITES = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, -2.0 ** -60, 2.0 ** -60,
+             1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, -3 * 2.0 ** -53]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       tie=st.sampled_from(TIE_SITES + TIE_ENERGIES))
+def test_counts_are_monotone_over_consecutive_floats_at_a_tie(n, seed, tie):
+    # 13 consecutive floats centred on a tie energy, over 8 windows: a
+    # nudged zero pivot (the rule this sweep replaced) made counts drop
+    # by one here; the counts of IEEE infinities never decrease in E
+    diags = np.random.default_rng(seed).choice(TIE_SITES, size=(8, n))
+    energies = [tie]
+    for _ in range(6):
+        energies = [np.nextafter(energies[0], -np.inf)] + energies + [
+            np.nextafter(energies[-1], np.inf)]
+    counts = table_counts(diags, energies)
+    assert np.all(np.diff(counts, axis=1) >= 0)
 
 
 def test_a_subnormal_pivot_overflows_quietly_to_its_limit():
@@ -169,9 +256,8 @@ def test_a_subnormal_pivot_overflows_quietly_to_its_limit():
     # eigenvalue of the first window, whose others are -1 and 2
     diag = np.array([[0.0, 1.0, 0.0], [-0.0, 2.0, -1.0]])
     E = np.array([-5e-324, 5e-324])
-    got = sp._sturm_counts(diag, E)
-    with np.errstate(over="ignore"):
-        np.testing.assert_array_equal(got, per_site_counts(diag, E))
+    got = table_counts(diag, E)
+    np.testing.assert_array_equal(got, per_site_counts(diag, E))
     assert got[0].tolist() == [1, 2]
 
 
@@ -179,12 +265,27 @@ def test_a_subnormal_pivot_overflows_quietly_to_its_limit():
 def test_free_counts_leave_out_an_eigenvalue_at_the_energy(block, monkeypatch):
     # lam = 0 on N = 1001 sites: eigenvalues -2 cos(pi j / 1002), so
     # E = -1, 0, 1 are eigenvalues j = 334, 501, 668, and the integer
-    # pivots hit exact zeros at each of them.  (Unnudged, these ties count
-    # the same through IEEE infinities; the two tests above pin the nudge.)
+    # pivots hit exact zeros at each of them; the diagonals are signed
+    # zeros, and the one at E = 0 is swept as -0.0
     if block is not None:
         monkeypatch.setattr(sp, "_PIVOT_ELEMENTS", block * 4 * 5)
     table = sp.ids(pt.almost_mathieu(0.0), SHIFT, [-2.0, -1.0, 0.0, 1.0, 2.0], 1001, 4)
     np.testing.assert_array_equal(table.values, np.array([0, 333, 500, 667, 1001]) / 1001)
+
+
+def test_nan_energies_raise():
+    H = sp.hamiltonian(AMO3, SHIFT, dy.phase(0.3), 20)
+    nan = float("nan")
+    calls = [lambda: sp.ids(AMO3, SHIFT, [0.0, nan, 1.0], 50, 4),
+             lambda: sp.ids(AMO3, SHIFT, [nan], 50, 4),
+             lambda: sp.window_count(AMO3, SHIFT, nan, 0.5, 50, 4),
+             lambda: sp.window_count(AMO3, SHIFT, 0.0, nan, 50, 4),
+             lambda: sp.wegner_measure(AMO3, SHIFT, nan, [5.0, 10.0], 50, 4),
+             lambda: sp.wegner_measure(AMO3, dy.Doubling(), nan, 5.0, 50, 4),
+             lambda: sp.sturm_count(H, nan)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_eigenvalues_match_scipy_brackets():
@@ -341,50 +442,112 @@ def unpruned_wegner(p, dyn, E, H_params, N, x_samples, seed):
 WEGNER_H = [1.0, 2.0, 5.0, 10.0, 37.0, 45.0, 700.0, 745.0, 800.0]
 
 
+def serve_table(table, seed, reads):
+    """A stand-in for ``cocycle._sites`` that yields the (m, n) table's
+    rows for the phases asked for, as one block: the full phase set drawn
+    by the seed, or any subset of it, and records each call in reads."""
+    full = np.random.default_rng(seed).random((table.shape[0], 1))[:, 0]
+    rows = {x: i for i, x in enumerate(full)}
+
+    def sites(p, dyn, xs, k0, k1, rng=None):
+        reads.append(len(xs))
+        yield table[[rows[x] for x in xs[:, 0]]].T
+    return sites
+
+
 @settings(max_examples=150, deadline=None)
-@given(source=st.sampled_from(["ties", "shift", "doubling"]),
+@given(source=st.sampled_from(["ties", "shift", "skew", "doubling"]),
        lam=st.sampled_from([0.0, 1.0, 3.0]),
        m=st.integers(1, 40), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
        E=st.sampled_from(TIE_ENERGIES),
        H_params=st.lists(st.sampled_from(WEGNER_H), min_size=1, max_size=6))
 def test_wegner_equals_the_unpruned_counts_bit_for_bit(source, lam, m, n, seed,
                                                        E, H_params):
-    # "ties" sweeps a table drawn from TIE_DIAGONALS; the maps sweep almost
-    # Mathieu, whose lam = 0 diagonals are signed zeros.  A wegner that
-    # sweeps a narrower pair only over the windows a wider pair caught
-    # must keep these measures (see the next test for why it cannot).
-    p, dyn = pt.almost_mathieu(lam), {"doubling": dy.Doubling()}.get(source, SHIFT)
+    # "ties" sweeps a table drawn from TIE_DIAGONALS on the shift's pruned
+    # path; the maps sweep almost Mathieu, whose lam = 0 diagonals are
+    # signed zeros.  The shift sweeps a narrower pair only over the phases
+    # the widest pair caught; the skew shift and doubling sweep every pair.
+    p = pt.almost_mathieu(lam)
+    dyn = {"skew": SKEW, "doubling": dy.Doubling()}.get(source, SHIFT)
     reads = []
     with pytest.MonkeyPatch.context() as mp:
         if source == "ties":
             table = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(m, n))
-            mp.setattr(sp, "_site_stream", lambda *args: reads.append(args) or [table.T])
+            mp.setattr(sp.cocycle, "_sites", serve_table(table, seed, reads))
         got = sp.wegner_measure(p, dyn, E, H_params, n, m, seed)
         want = unpruned_wegner(p, dyn, E, H_params, n, m, seed)
     assert got.tolist() == want.tolist()
     assert (source == "ties") == bool(reads)
 
 
-def test_a_nudged_tie_makes_the_count_non_monotone_in_the_energy(monkeypatch):
+def test_a_tie_count_is_monotone_in_the_energy(monkeypatch):
     # d = (c, c, c - 3u) with c = 1 - u, u = 2^-53: at E - h2 = c the first
-    # pivot is an exact zero, nudged to pivmin = 6u, so the third pivot
-    # -3u + 6u is positive and one eigenvalue is counted; at E - h1 = c - u
-    # (h1 > h2) the first pivot is u, the third -2u + u, and two are.  So
-    # the pair h2 catches the window although the wider pair h1 does not,
-    # and a wegner that swept h2 only over h1's windows would read 0 here.
+    # pivot is an exact zero, and the eigenvalue 1 - 2.78e-16 lies below
+    # both c and E - h1 = c - u (h1 > h2).  The counts at E -+ h1, E -+ h2
+    # are all 2, so neither pair catches the window.  A nudge of the zero
+    # pivot to +6u once counted 1 at c: the narrower pair caught the window
+    # and the wider one did not, which ruled out pruning.
     u = 2.0 ** -53
     c = 1.0 - u
     H1, H2 = 35.821, 36.332
     h1, h2 = math.exp(-H1), math.exp(-H2)
     assert h1 > h2 and 1.0 - h1 == c - u and 1.0 - h2 == c and 1.0 + h1 == 1.0 + 2 * u
     table = np.array([[c, c, c - 3 * u]])
-    counts = sp._sturm_counts(table, np.array([1.0 - h1, 1.0 - h2, 1.0 + h2, 1.0 + h1]))
-    assert counts.tolist() == [[2, 1, 2, 2]]
+    energies = [1.0 - h1, 1.0 - h2, 1.0 + h2, 1.0 + h1]
+    want = mpmath_counts(table[0], energies)
+    assert want == [2, 2, 2, 2] and table_counts(table, energies).tolist() == [want]
     reads = []
-    monkeypatch.setattr(sp, "_site_stream", lambda *args: reads.append(args) or [table.T])
-    assert sp.wegner_measure(AMO3, SHIFT, 1.0, [H1, H2], 3, 1).tolist() == [0.0, 1.0]
-    # the sweep, then the replay for the nudge's max|d|
-    assert len(reads) == 2
+    monkeypatch.setattr(sp.cocycle, "_sites", serve_table(table, 0, reads))
+    assert sp.wegner_measure(AMO3, SHIFT, 1.0, [H1, H2], 3, 1).tolist() == [0.0, 0.0]
+    # the widest pair caught nothing, so the narrower one sweeps nothing
+    assert reads == [1]
+
+
+def test_wegner_prunes_only_on_the_shift(monkeypatch):
+    # the shift sweeps the widest pair over every phase and the others
+    # over the phases it caught; the skew shift and doubling draw their
+    # stream once, for every pair
+    kw = dict(N=60, x_samples=400, seed=2)
+    widths, sites = [], sp.cocycle._sites
+
+    def recording(p, dyn, xs, *args):
+        widths.append(len(xs))
+        return sites(p, dyn, xs, *args)
+
+    monkeypatch.setattr(sp.cocycle, "_sites", recording)
+    shift = sp.wegner_measure(AMO3, SHIFT, 0.3, [8.0, 5.0, 10.0], **kw)
+    assert widths[0] == 400 and 0 < widths[1] < 400 and len(widths) == 2
+    assert widths[1] == round(shift[1] * 400)
+    # a lone catch is swept with every phase (see wegner_measure)
+    xs = np.random.default_rng(2).random((400, 1))
+    E = float(sp.cocycle._site_values(AMO3, SHIFT, xs[:1], 1, 1)[0, 0])
+    widths.clear()
+    lone = sp.wegner_measure(AMO3, SHIFT, E, [20.0, 30.0], 1, 400, 2)
+    assert widths == [400, 400] and lone.tolist() == [1 / 400, 1 / 400]
+    for dyn in (SKEW, dy.Doubling()):
+        widths.clear()
+        sp.wegner_measure(AMO3, dyn, 0.3, [8.0, 5.0, 10.0], **kw)
+        assert widths == [400]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([AMO3, pt.almost_mathieu(0.0), DEG3]),
+       m=st.sampled_from([1, 2, 7, 64, 300, 1000, 5000]), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_shifts_sites_are_exact_per_phase(data, p, m, seed):
+    # what the pruned wegner rests on: the stream over a subset of two or
+    # more phases is the full stream's columns bit for bit, whatever the
+    # block and run layout either batch gets (up to 2e5 sites x phases).
+    # One phase alone is left out: numpy multiplies a lone complex pair
+    # without FMA, so a one-site block of it can differ in the last bit.
+    n = data.draw(st.integers(1, max(1, 200_000 // m)), label="n")
+    rng = np.random.default_rng(seed)
+    xs = rng.random((m, 1))
+    keep = rng.random(m) < data.draw(st.sampled_from([0.01, 0.3, 1.0]), label="share")
+    keep[rng.choice(m, min(m, 2), replace=False)] = True
+    idx = np.flatnonzero(keep)
+    full = np.concatenate(list(sp.cocycle._sites(p, SHIFT, xs, 1, n)))
+    part = np.concatenate(list(sp.cocycle._sites(p, SHIFT, xs[idx], 1, n)))
+    assert np.array_equal(part, full[:, idx])
 
 
 def test_wegner_holds_no_site_table():
@@ -403,15 +566,15 @@ def test_wegner_holds_no_site_table():
 
 
 def counting_stream(monkeypatch):
-    """Patch the sampled site stream to record the blocks of every draw."""
-    draws, stream = [], sp._site_stream
+    """Patch the site stream to record the blocks of every draw."""
+    draws, stream = [], sp.cocycle._sites
 
     def recording(*args):
         draws.append(blocks := [])
         for block in stream(*args):
             blocks.append(block.copy())
             yield block
-    monkeypatch.setattr(sp, "_site_stream", recording)
+    monkeypatch.setattr(sp.cocycle, "_sites", recording)
     return draws
 
 
@@ -433,26 +596,24 @@ def test_free_doubling_counts_equal_the_per_site_sweep(N, monkeypatch):
     counts = per_site_counts(diags, np.stack([0.0 - hs, 0.0 + hs], axis=1).ravel())
     want = np.mean((counts[:, 1::2] - counts[:, ::2]) > 0, axis=0)
     assert sp.wegner_measure(p, dyn, 0.0, H_params, N, m, seed).tolist() == want.tolist()
-    # N = 1 divides by no pivot; N = 300 ties, sweeps, and replays once per call
-    assert len(draws) == (2 if N == 1 else 4)
+    # one draw of the stream per call, ties or not
+    assert len(draws) == 2
 
 
-def test_the_stream_is_replayed_only_at_a_tie(monkeypatch):
+def test_the_stream_is_drawn_once_even_at_a_tie(monkeypatch):
     # doubling at lam = 3 over 64 phases: blocks of 256 sites, each with
-    # its own rng noise.  At generic energies the stream is drawn once; at
-    # E = the first site of phase 0 the first pivot there is an exact
-    # zero, divided by at site 2, and the replay draws the same blocks.
+    # its own rng noise.  At E = the first site of phase 0 the first pivot
+    # there is an exact zero, and the sweep still draws the stream once:
+    # the infinities carry the tie, with no second look at the sites.
     p, dyn, m, N, seed = AMO3, dy.Doubling(), 64, 300, 8
     draws = counting_stream(monkeypatch)
-    sp.ids(p, dyn, [-1.0, 0.3], N, m, seed)
-    assert len(draws) == 1 and len(draws[0]) == 2
-    draws.clear()
     rng = np.random.default_rng(seed)
     E = float(sp.cocycle._site_values(p, dyn, rng.random((m, 1)), 1, 1, rng)[0, 0])
-    sp.ids(p, dyn, [E], N, m, seed)
-    assert len(draws) == 2 and len(draws[0]) == len(draws[1]) == 2
-    for first, again in zip(*draws):
-        np.testing.assert_array_equal(first, again)
+    for grid in ([-1.0, 0.3], [E]):
+        draws.clear()
+        sp.ids(p, dyn, grid, N, m, seed)
+        assert len(draws) == 1 and len(draws[0]) == 2
+    assert draws[0][0][0, 0] == E
 
 
 # --------------------------------------------------------------- min gap
