@@ -5,7 +5,8 @@ At strong coupling the resolvent entries (H - z)^{-1}(j, k) decay like
 exp(-L |j - k|) away from the diagonal.  This script measures the
 decay along one row by Cramer ratios of window determinants (no dense
 inverse anywhere) and fits the slope, then does the same for an
-eigenvector profile computed by inverse iteration.
+eigenvector profile from LAPACK (``stebz`` bisection, ``stein`` inverse
+iteration).
 """
 
 import math

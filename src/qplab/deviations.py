@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cocycle
-from .dynamics import Dynamics, mod1
+from .dynamics import Dynamics, _fracmuls, mod1
 from .lyapunov import _doubling_rng, sample_phases
 from .potential import Potential
 
@@ -201,8 +201,8 @@ def shift_sum_deviation(u_grid, omega: float, n: int, x_samples: int,
     total = np.zeros(x_samples)
     chunk = 2048
     for k0 in range(1, n + 1, chunk):
-        ks = np.arange(k0, min(k0 + chunk, n + 1))
-        pos = mod1(xs[:, None] - ks[None, :] * omega)
+        # x - k omega from the exact frac(k omega), as every site path forms it
+        pos = mod1(xs[:, None] - _fracmuls(range(k0, min(k0 + chunk, n + 1)), omega))
         scaled = pos * M
         idx = scaled.astype(np.int64)
         frac = scaled - idx

@@ -66,7 +66,8 @@ class Potential:
         case the negative side is filled in by conjugation; if both signs
         are present they must satisfy v(-k) = conj(v(k)) and v(0) real.
     lam : float
-        Coupling lambda multiplying the whole polynomial.
+        Coupling lambda multiplying the whole polynomial.  It and every
+        v(k) must be finite (ValueError otherwise).
     """
 
     coeffs: Tuple[Tuple[int, complex], ...]
@@ -75,9 +76,12 @@ class Potential:
     _vs: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __init__(self, coeffs, lam: float = 1.0):
+        lam = float(lam)
         table: Dict[int, complex] = {}
         for k, v in dict(coeffs).items():
             table[int(k)] = complex(v)
+        if not (math.isfinite(lam) and all(map(cmath.isfinite, table.values()))):
+            raise ValueError("a potential needs a finite coupling and finite coefficients")
         full: Dict[int, complex] = {}
         for k, v in table.items():
             full[k] = v
@@ -93,7 +97,7 @@ class Potential:
         ks = np.array(sorted(full), dtype=int)
         vs = np.array([full[int(k)] for k in ks], dtype=complex)
         object.__setattr__(self, "coeffs", tuple((int(k), full[int(k)]) for k in ks))
-        object.__setattr__(self, "lam", float(lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "_ks", ks)
         object.__setattr__(self, "_vs", vs)
 
@@ -111,6 +115,10 @@ class Potential:
     def sup_bound(self) -> float:
         """Upper bound for |lam * V| on the real torus (L1 of coefficients)."""
         return abs(self.lam) * float(np.sum(np.abs(self._vs)))
+
+    def derivative(self) -> Potential:
+        """(lam V)' as a potential: coefficients 2 pi i k v(k), the same lam."""
+        return Potential({k: 2j * math.pi * k * v for k, v in self.coeffs}, lam=self.lam)
 
 
 def almost_mathieu(lam: float) -> Potential:
@@ -200,26 +208,3 @@ def eval_laurent(p: Potential, z) -> complex:
         acc = acc + v * z ** int(k)
     acc = p.lam * acc
     return complex(acc) if acc.ndim == 0 else acc
-
-
-def derivative(p: Potential, x: float) -> float:
-    """d/dx of lam * V at a real phase (real part; residue contract as eval_real)."""
-    z = np.exp(2j * math.pi * float(x) * p._ks)
-    val = p.lam * complex(np.dot(p._vs * (2j * math.pi * p._ks), z))
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > IMAG_ERROR * scale:
-        raise ConsistencyError(
-            f"derivative produced imaginary residue {val.imag:.3e} at x={x}")
-    return float(val.real)
-
-
-def derivative_many(p: Potential, x: np.ndarray) -> np.ndarray:
-    """Vectorized derivative of lam * V (real trig form)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for k, v in zip(p._ks, p._vs):
-        if k <= 0:
-            continue
-        ang = (_TWO_PI * k) * x
-        out = out - (2.0 * _TWO_PI * k) * (v.real * np.sin(ang) + v.imag * np.cos(ang))
-    return p.lam * out

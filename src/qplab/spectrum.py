@@ -22,9 +22,10 @@ to 255 sites, with at most 2^17 pivots per record: one subtraction
 writes d_k - E for a record, each site then costs two in-place ufuncs,
 and one pass adds the record's negative pivots to the counts.
 Eigenvalues come from LAPACK (``stemr`` for all, ``dstebz`` bisection
-for a window).  ``scipy.linalg`` is imported inside the three functions
-that call it, since importing it costs more than most experiments'
-compute.
+for a window), and so do eigenvectors (``stebz`` bisection, then
+``stein`` inverse iteration), checked against the determinant profile.
+``scipy.linalg`` is imported inside the three functions that call it,
+since importing it costs more than most experiments' compute.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class TridiagonalHamiltonian:
     @property
     def N(self) -> int:
         return self.diag.size
-
-    def norm_bound(self) -> float:
-        """Gershgorin bound on the spectral radius."""
-        return float(np.max(np.abs(self.diag))) + 2.0
 
     def gershgorin(self) -> tuple:
         lo = float(np.min(self.diag)) - 2.0
@@ -249,41 +246,28 @@ def _det_formula_vector(H: TridiagonalHamiltonian, E: float) -> np.ndarray:
 
 
 def eigenvector(H: TridiagonalHamiltonian, E_j: float,
-                tol: float = EIG_TOL_DEFAULT, seed: int = 0) -> EigPair:
-    """Eigenvector for the eigenvalue within tol of E_j.
+                tol: float = EIG_TOL_DEFAULT) -> EigPair:
+    """Eigenvector for the eigenvalue within 10*tol of E_j.
 
-    Inverse iteration (three banded solves from a seeded random start)
-    is the authoritative result; the determinant-formula vector is
-    computed alongside and the two must agree in direction to 1e-6.
-    Raises AmbiguousEigenvalue when more than one eigenvalue lives
-    within 10*tol of E_j, or none does.
+    LAPACK's bisection (``stebz``) finds the eigenvalues in
+    (E_j - 10 tol, E_j + 10 tol] and its inverse iteration (``stein``)
+    their eigenvectors; the result is authoritative, and the
+    determinant-formula vector is computed alongside and the two must
+    agree in direction to 1e-6.  Raises AmbiguousEigenvalue unless
+    exactly one eigenvalue lies in that window.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    from scipy.linalg import eigh_tridiagonal
     gap = 10.0 * tol
-    ends = _sturm_counts([H.diag[:, None]], [E_j - gap, E_j + gap])[0]
-    inside = int(ends[1] - ends[0])
-    if inside > 1:
+    evs, vecs = eigh_tridiagonal(H.diag, -np.ones(H.N - 1), select="v",
+                                 select_range=(E_j - gap, E_j + gap))
+    if evs.size > 1:
         raise AmbiguousEigenvalue(
-            f"{inside} eigenvalues within {gap:g} of E={E_j}")
-    if inside == 0:
+            f"{evs.size} eigenvalues within {gap:g} of E={E_j}")
+    if evs.size == 0:
         raise AmbiguousEigenvalue(f"no eigenvalue within {gap:g} of E={E_j}")
-    from scipy.linalg import solve_banded
-    N = H.N
-    ab = np.zeros((3, N))
-    ab[0, 1:] = -1.0
-    ab[1, :] = H.diag - E_j
-    ab[2, :-1] = -1.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(N)
-    v /= np.linalg.norm(v)
-    # N = 1: v = +-1 already; solve_banded would divide by the zero pivot
-    for _ in range(3 if N > 1 else 0):
-        try:
-            v = solve_banded((1, 1), ab, v)
-        except np.linalg.LinAlgError:
-            # exactly singular shift: nudge by one ulp of the norm scale
-            ab[1, :] += H.norm_bound() * 2.0 ** -50
-            v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
+    v = vecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     resid = float(np.linalg.norm(H.apply(v) - E_j * v))
@@ -293,7 +277,7 @@ def eigenvector(H: TridiagonalHamiltonian, E_j: float,
     coll = 1.0 - abs(float(np.dot(v, det_vec)))
     if coll > 1e-6:
         raise ArithmeticError(
-            f"determinant-formula vector deviates from inverse iteration "
+            f"determinant-formula vector deviates from the LAPACK eigenvector "
             f"(collinearity defect {coll:.3e})")
     return EigPair(value=float(E_j), vector=v, residual=resid,
                    det_vector=det_vec, collinearity=coll)
@@ -412,10 +396,11 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
     """Phase derivative of the j-th eigenvalue, two independent ways.
 
     analytic: sum over sites of (lam V)'(x + k omega) |psi_j(k)|^2 with
-    the eigenvector from inverse iteration; fd: central difference of
-    the index-j eigenvalue under x -> x +- h, with h cut to 1% of the
-    neighbour gap over sup|(lam V)'| when that is smaller.  Shift
-    dynamics only (skew-shift and doubling phases do not translate
+    (lam V)' the potential ``p.derivative()`` and psi_j from
+    :func:`eigenvector`; fd: central difference of the index-j eigenvalue
+    under x -> x +- h, with h cut to 1% of the neighbour gap over
+    sup|(lam V)'| (that potential's ``sup_bound``) when that is smaller.
+    Shift dynamics only (skew-shift and doubling phases do not translate
     linearly).
     """
     if not isinstance(dyn, Shift) or dyn.d != 1:
@@ -432,14 +417,13 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
         raise AmbiguousEigenvalue(
             f"eigenvalue {j} is {neighbor_gap:.2e} from its neighbor")
     pair = eigenvector(H, E_j)
-    # (lam V)' is the trigonometric polynomial with coefficients 2 pi i k v(k)
-    slopes = Potential({k: 2j * math.pi * k * v for k, v in p.coeffs}, lam=p.lam)
-    analytic = float(np.sum(_site_values(slopes, dyn, x, 1, N)[0] * pair.vector ** 2))
+    dp = p.derivative()
+    analytic = float(np.sum(_site_values(dp, dyn, x, 1, N)[0] * pair.vector ** 2))
     x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
     # every eigenvalue moves at most sup|(lam V)'| per unit of phase; keep
     # that move within 1% of the neighbour gap so the index-j branch
     # cannot swap inside the difference
-    slope = abs(p.lam) * 2.0 * math.pi * float(np.sum(np.abs(p._ks * p._vs)))
+    slope = dp.sup_bound()
     if slope > 0.0:
         h = min(h, 1e-2 * neighbor_gap / slope)
 

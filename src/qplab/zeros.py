@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -588,22 +589,19 @@ def zero_separation(p: Potential, omega: float, E, N: int,
         y = (rng.random() - 0.5) * annulus_y
         center = cmath.exp(complex(2.0 * math.pi * y, 2.0 * math.pi * x))
         r_try = radius
-        for attempt in range(4):
+        for attempt in range(5):
             try:
                 zs = locate_zeros(f, Disk(center, r_try), tol)
                 break
             except NearCircleZero:
+                if attempt == 4:
+                    raise
                 r_try *= 0.963
-        else:
-            zs = locate_zeros(f, Disk(center, r_try), tol)
         counts.append(zs.count)
         all_zeros.extend(zs.zeros)
-    min_dist = math.inf
-    for i in range(len(all_zeros)):
-        for j in range(i + 1, len(all_zeros)):
-            d = abs(all_zeros[i] - all_zeros[j])
-            if 0.0 < d < min_dist:
-                min_dist = d
+    # Python's complex abs, not numpy's, which rounds apart in the last bit
+    min_dist = min((d for a, b in itertools.combinations(all_zeros, 2)
+                    if (d := abs(a - b)) > 0.0), default=math.inf)
     m_hint = max(4096, 4 * (2 * N * max(p.k0, 1) + 16))
     total = annulus_zero_count(f, annulus_y, m_hint)
     return SeparationStats(

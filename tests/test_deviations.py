@@ -140,6 +140,23 @@ def test_shift_sums_of_a_cosine_stay_dirichlet_bounded():
         assert frac == 0.0
 
 
+def test_shift_sums_read_the_exact_phases():
+    # reference: x - k omega mod 1 from the exact frac(k omega) of fracmul,
+    # then the same linear interpolation; the float product k * omega
+    # put mean_abs_dev 9e-11 off at n = 1e5
+    n, M = 100_000, 4096
+    grid = np.cos(2 * np.pi * np.arange(M) / M)
+    rep = dv.shift_sum_deviation(grid, dy.GOLDEN_MEAN, n, 4, (0.1,), seed=7)
+    xs = np.random.default_rng(7).random(4)
+    fracs = np.array([dy.fracmul(k, dy.GOLDEN_MEAN) for k in range(1, n + 1)])
+    scaled = dy.mod1(xs[:, None] - fracs) * M
+    idx = scaled.astype(np.int64)
+    t = scaled - idx
+    sums = np.sum(grid[idx] * (1.0 - t) + grid[(idx + 1) % M] * t, axis=1)
+    assert rep.mean_abs_dev == pytest.approx(np.mean(np.abs(sums - n * np.mean(grid))),
+                                             rel=0, abs=1e-12)
+
+
 def test_shift_sum_validation():
     with pytest.raises(ValueError):
         dv.shift_sum_deviation(np.zeros((4, 4)), 0.5, 10, 10, (0.1,))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,16 +130,29 @@ def test_eval_complex_rejects_phases_outside_the_strip():
 
 def test_derivative_against_central_differences():
     p = pt.Potential({1: 0.5, 2: 0.125 + 0.2j}, lam=2.5)
+    dp = p.derivative()
+    assert dp.lam == p.lam
     h = 1e-6
     for x in (0.11, 0.43, 0.88):
         fd = (pt.eval_real(p, x + h) - pt.eval_real(p, x - h)) / (2 * h)
-        assert pt.derivative(p, x) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+        assert pt.eval_real(dp, x) == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
-def test_derivative_many_matches_scalar():
+def test_derivative_scalar_and_vector_evaluations_agree():
     xs = np.linspace(0, 1, 11, endpoint=False)
-    np.testing.assert_allclose(pt.derivative_many(AMO, xs),
-                               [pt.derivative(AMO, x) for x in xs], atol=1e-12)
+    for p in (AMO, pt.Potential({1: 0.5, 2: 0.125 + 0.2j}, lam=2.5)):
+        dp = p.derivative()
+        np.testing.assert_allclose(pt.eval_real_many(dp, xs),
+                                   [pt.eval_real(dp, x) for x in xs], atol=1e-12)
+
+
+def test_derivative_coefficients_are_conjugate_symmetric():
+    p = pt.Potential({0: 0.4, 1: 0.5, 2: 0.125 + 0.2j, 3: -0.3j}, lam=2.5)
+    v, w = dict(p.coeffs), dict(p.derivative().coeffs)
+    assert w[0] == 0
+    for k in (1, 2, 3):
+        assert w[-k] == w[k].conjugate()
+        assert w[k] == pytest.approx(2j * math.pi * k * v[k], rel=1e-15)
 
 
 def test_laurent_eval_vectorizes_over_arrays():
@@ -148,3 +162,29 @@ def test_laurent_eval_vectorizes_over_arrays():
     assert vec.shape == zs.shape
     np.testing.assert_allclose(vec, [pt.eval_laurent(p, z) for z in zs],
                                atol=1e-13)
+
+
+@pytest.mark.parametrize("coeffs, lam", [
+    ({1: 0.5}, -math.inf), ({1: complex(math.nan, 0.0)}, 1.0), ({0: math.inf}, 1.0),
+    ({2: complex(0.1, -math.inf)}, 1.0)])
+def test_non_finite_potentials_are_refused(coeffs, lam):
+    with pytest.raises(ValueError, match="finite"):
+        pt.Potential(coeffs, lam=lam)
+
+
+def test_non_finite_couplings_fail_before_any_sweep():
+    # a NaN pivot is never negative, so a NaN coupling once gave an IDS of
+    # zeros; the batched norms failed on the NaN rescale cadence, and an
+    # infinite coupling warned
+    from qplab import cocycle as cc
+    from qplab import dynamics as dy
+    from qplab import spectrum as sp
+    shift = dy.Shift((dy.GOLDEN_MEAN,))
+    with pytest.raises(ValueError, match="finite"):
+        sp.ids(pt.almost_mathieu(math.nan), shift, [-1.0, 0.0, 1.0], 50, 4)
+    with pytest.raises(ValueError, match="finite"):
+        cc.batched_log_norms(pt.almost_mathieu(math.nan), shift, [[0.1]], 0.5, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            pt.almost_mathieu(math.inf)

@@ -611,7 +611,7 @@ def test_folded_stop_reads_match_the_site_by_site_pass(case, seed, E, lam, n, ev
 
 def test_folded_eigenvectors_pass_the_collinearity_gate():
     # at N = 200 the eigenvector's determinant profile folds; its Cramer
-    # vector must stay within eigenvector's 1e-6 gate of inverse iteration
+    # vector must stay within eigenvector's 1e-6 gate of the LAPACK vector
     x, N = dy.phase(0.2), 200
     H = sp.hamiltonian(AMO3, SHIFT, x, N)
     evs = sp.eigenvalues(H)

@@ -363,6 +363,41 @@ def test_eigenvector_rejects_empty_and_crowded_targets():
         sp.eigenvector(H, mid, tol=0.01)
 
 
+@pytest.mark.parametrize("p", [pt.almost_mathieu(0.0), AMO3, AMO5], ids=["lam0", "lam3", "lam5"])
+@pytest.mark.parametrize("N", [1, 2, 80, 200])
+def test_eigenvector_matches_the_dense_eigh_vector(p, N):
+    H = sp.hamiltonian(p, SHIFT, dy.phase(0.37), N)
+    evs, vecs = np.linalg.eigh(H.dense())
+    assert N == 1 or np.min(np.diff(evs)) > 1e-6
+    for j in range(N):
+        pair = sp.eigenvector(H, float(evs[j]))
+        w = vecs[:, j]
+        assert min(np.linalg.norm(pair.vector - w), np.linalg.norm(pair.vector + w)) < 1e-10
+        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
+        assert pair.value == float(evs[j])
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 101])
+def test_free_eigenvector_at_an_exactly_singular_shift(N):
+    # odd N puts the eigenvalue 0 of the free Laplacian exactly at E = 0,
+    # where H - E is singular; the eigenvector is (1, 0, -1, 0, ...)
+    pair = sp.eigenvector(sp.TridiagonalHamiltonian(np.zeros(N)), 0.0)
+    ref = np.zeros(N)
+    ref[::4], ref[2::4] = 1.0, -1.0
+    np.testing.assert_allclose(pair.vector, ref / np.linalg.norm(ref), rtol=0, atol=1e-15)
+    if N <= 7:
+        assert pair.residual == 0.0
+    assert pair.residual < 1e-29 and pair.collinearity <= 1e-15
+
+
+def test_eigenvector_needs_a_positive_tolerance():
+    H = sp.hamiltonian(AMO3, SHIFT, dy.phase(0.13), 20)
+    E = float(sp.eigenvalues(H)[5])
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            sp.eigenvector(H, E, tol=tol)
+
+
 def test_one_site_eigenvector_is_the_unit_vector():
     # at the exact eigenvalue of a 1x1 H the shifted matrix is 0; the
     # suite's error::RuntimeWarning filter fails any division by it

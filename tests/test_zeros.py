@@ -437,6 +437,30 @@ def test_zero_separation_statistics():
         assert stats.min_pairwise_distance == math.inf
 
 
+@pytest.mark.parametrize("misses", [4, 5])
+def test_zero_separation_tries_five_shrinking_radii_then_raises(monkeypatch, misses):
+    locate, radii = zr.locate_zeros, []
+
+    def near_circle(f, disk, tol):
+        radii.append(disk.radius)
+        if len(radii) <= misses:
+            raise zr.NearCircleZero("zero on the circle", disk.radius)
+        return locate(f, disk, tol)
+
+    monkeypatch.setattr(zr, "locate_zeros", near_circle)
+    args, kw = (AMO3, GOLDEN, 0.5, 12), dict(n_probes=1, radius=0.05, seed=2)
+    if misses < 5:
+        assert len(zr.zero_separation(*args, **kw).counts) == 1
+    else:
+        with pytest.raises(zr.NearCircleZero):
+            zr.zero_separation(*args, **kw)
+    radius, expected = 0.05, []
+    for _ in range(5):
+        expected.append(radius)
+        radius *= 0.963
+    assert radii == expected
+
+
 # ----------------------------------- determinant zeros from the companion matrix
 
 DEG3 = pt.Potential({1: 0.5, 2: 0.3 - 0.1j, 3: 0.2}, lam=2.0)
