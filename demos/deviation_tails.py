@@ -44,8 +44,8 @@ def main():
         rows = dv.deviation_curve(AMO, SHIFT, 0.0, n, [1.0, 2.0, 4.0, 8.0],
                                   5000, seed=7)
         print(f"{n:>6} " + "".join(f"{r.measure:>9.4f}" for r in rows))
-    prof = dv.deviation_measure(AMO, SHIFT, 0.0, 1600, 1600.0 ** 0.9,
-                                5000, seed=7)
+    prof, = dv.deviation_curve(AMO, SHIFT, 0.0, 1600, (1600.0 ** 0.9,),
+                               5000, seed=7)
     print(f"at the sublinear threshold n^0.9 the measure is "
           f"{prof.measure:.4f}")
 

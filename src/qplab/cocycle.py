@@ -30,10 +30,10 @@ Both shift streams read their per-site coefficients, built on the exact
 frac(t omega), from one table, :func:`_laurent_table`.  Both streams run
 through one recurrence core, :func:`_recur`, vectorized over starting
 phases.  The batched kernels (``batched_log_norms``,
-``batched_log_absdet``, ``batched_sup_rate``), the single-phase products
-and determinants, the Green entries and rows, and ``complex_det_grid``
-under the zeros module are thin wrappers over it.  The zeros module's
-block-companion matrix reads the same table.  The core rescales only every
+``batched_log_absdet``), the single-phase products and determinants, the
+Green entries and rows, and ``complex_det_grid`` under the zeros module
+are thin wrappers over it.  The zeros module's block-companion matrix
+reads the same table.  The core rescales only every
 r = max(1, floor(600 / log(sup|v| + max|E| + 2))) sites and at checkpoints,
 and each column on its own.  So a window and its reversal run as two
 columns of one pass: :func:`_det_profile` gives both Cramer families
@@ -54,9 +54,9 @@ identity, run as 2 g m columns of one multiply-subtract loop that keeps
 every partial product, and are then applied to the carried pair in site
 order, vectorized over the m phases.  A stop is the partial product up
 to it times the pair carried into its segment, so the stops of a block,
-a stop at every site included (the determinant profiles,
-``batched_sup_rate``, the eigenvalue-count bound), are read in one batch
-without a rescale.  With m > 128 (the phase sweeps), or a block of fewer
+a stop at every site included (the determinant profiles, the sup-rate
+scan, the eigenvalue-count bound), are read in one batch without a
+rescale.  With m > 128 (the phase sweeps), or a block of fewer
 than 64 sites, each site is one step, rescaled and read at each stop.
 """
 
@@ -71,7 +71,7 @@ import numpy as np
 from . import dynamics as dyn_mod
 from . import potential as pot_mod
 from .dynamics import Dynamics, Shift
-from .potential import ComplexPhase, Potential
+from .potential import Potential
 
 NEG_INF = float("-inf")
 
@@ -251,7 +251,7 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
     if isinstance(dyn, Shift):
         c0 = p.lam * p.coeff(0).real
         # the harmonics alone, from a table of no sites
-        ks = _laurent_table(p, dyn.omega[0], t0, t0 - 1, real=True)[0]
+        ks = _laurent_table(p, dyn.omega, t0, t0 - 1, real=True)[0]
         ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
         # one coefficient table per run of whole blocks, at most 2^12 sites
         # unless one block is longer: 64 KiB complex rows, as in
@@ -262,7 +262,7 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
         term = np.empty((min(size, t1 - t0), m), complex)
         for lo in range(t0, t1, run):
             hi = min(lo + run, t1)
-            coef = _laurent_table(p, dyn.omega[0], lo, hi - 1, real=True)[2]
+            coef = _laurent_table(p, dyn.omega, lo, hi - 1, real=True)[2]
             for start in range(lo, hi, size):
                 rows = slice(start - lo, min(start + size, hi) - lo)
                 # a fresh block, written by c0 plus the first term: the
@@ -401,21 +401,14 @@ def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
 # products and determinants at a single phase
 
 
-def transfer_product(p: Potential, dyn: Dynamics, x, E: float, n: int) -> ScaledProduct:
-    """M_n(x, E) = M_[1,n] as a scaled product.
-
-    The log of the operator norm of the true product is
-    ``result.log_scale + log ||result.mat||``, exact up to accumulated
-    rounding; the product runs in :func:`_recur`, which rescales every r
-    sites and leaves the residual with operator norm in [1, 2].
-    """
-    if n < 1:
-        raise ValueError("transfer_product needs n >= 1")
-    return transfer_product_window(p, dyn, x, E, 1, n)
-
-
 def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int) -> ScaledProduct:
-    """M_[a,b](x, E); the empty window (b = a-1) gives the identity."""
+    """M_[a,b](x, E) as a scaled product; the empty window (b = a-1) gives the identity.
+
+    M_n(x, E) is the window [1, n].  The log of the operator norm of the
+    true product is ``result.log_norm``, exact up to accumulated rounding;
+    the product runs in :func:`_recur`, which rescales every r sites and
+    leaves the residual with operator norm in [1, 2].
+    """
     if b < a - 1:
         raise ValueError("window must satisfy b >= a-1")
     if b < a:
@@ -525,19 +518,6 @@ def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int) -> tuple:
     right = slice(N - j, None, -1)
     return (ph[j - 1, 0] * ph[right, 1] / ph[N, 0],
             logs[j - 1, 0] + logs[right, 1] - logs[N, 0])
-
-
-def complex_det(p: Potential, omega: float, z: ComplexPhase, E, n: int,
-                rho0: float = pot_mod.RHO0_DEFAULT) -> SignedLog:
-    """f_n at a complexified phase (shift dynamics only).
-
-    The determinant is evaluated with V at z e(k omega) for the window
-    sites k; analyticity in z is what the zero-counting module exploits.
-    """
-    if abs(z.y) > rho0:
-        raise ValueError(f"complex phase leaves the strip: |y|={abs(z.y)} > {rho0}")
-    phases, logs = complex_det_grid(p, omega, np.array([z.to_z()]), E, n)
-    return SignedLog(complex(phases[0]), float(logs[0]))
 
 
 def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int, *,
@@ -857,23 +837,6 @@ def batched_log_norms(p: Potential, dyn: Dynamics, xs, E: float, n: int,
     if n < 1:
         raise ValueError("batched_log_norms needs n >= 1")
     return _sweep(p, dyn, xs, E, n, checkpoints, rng, 2)
-
-
-def batched_sup_rate(p: Potential, dyn: Dynamics, xs, E: float, n: int,
-                     rng=None) -> np.ndarray:
-    """sup over 1 <= k <= n of (1/k) log ||M_k(x_i, E)||, per phase.
-
-    Every site is a stop of :func:`_recur`, whose reads come in batches;
-    the rng contract is that of :func:`batched_log_norms`.
-    """
-    if n < 1:
-        raise ValueError("batched_sup_rate needs n >= 1")
-    xs = _phase_batch(dyn, xs)
-    best = np.full(xs.shape[0], NEG_INF)
-    _recur(p.sup_bound(), E, _sites(p, dyn, xs, 1, n, rng), xs.shape[0], 2,
-           range(1, n + 1),
-           lambda ks, logs: np.maximum(best, np.max(logs / ks[:, None], axis=0), out=best))
-    return best
 
 
 def batched_log_absdet(p: Potential, dyn: Dynamics, xs, E, n: int,

@@ -22,7 +22,6 @@ from .lyapunov import _doubling_rng, sample_phases
 from .potential import Potential
 
 C_RHO_DEFAULT = 10.0
-LOGDET_MEAN_GATE_DEFAULT = 5.0
 MIN_BMO_GRID = 256
 MIN_BMO_BLOCK = 8
 
@@ -96,7 +95,11 @@ def _statistic_samples(p: Potential, dyn: Dynamics, E, n: int,
 def deviation_curve(p: Potential, dyn: Dynamics, E, n: int,
                     thresholds: Sequence[float], x_samples: int,
                     statistic: str = "transfer_norm", seed: int = 0) -> list:
-    """Tail fractions at several thresholds from one shared sample set."""
+    """Empirical measures of {x : |u_n(x) - n*L_hat_n| > t}, one per threshold t.
+
+    All thresholds read one shared sample set, and L_hat_n is
+    self-normalized: the mean of u_n/n over those same phases.
+    """
     for t in thresholds:
         if not t > 0.0:
             raise ValueError("thresholds must be positive")
@@ -106,17 +109,6 @@ def deviation_curve(p: Potential, dyn: Dynamics, E, n: int,
                              measure=float(np.mean(dev > t)),
                              x_samples=x_samples, statistic=statistic)
             for t in thresholds]
-
-
-def deviation_measure(p: Potential, dyn: Dynamics, E, n: int, threshold: float,
-                      x_samples: int, statistic: str = "transfer_norm",
-                      seed: int = 0) -> DeviationProfile:
-    """Empirical measure of {x : |u_n(x) - n*L_hat_n| > threshold}.
-
-    L_hat_n is self-normalized: the mean of u_n over the same sampled
-    phases, matching the centering the tail estimate is about.
-    """
-    return deviation_curve(p, dyn, E, n, (threshold,), x_samples, statistic, seed)[0]
 
 
 def _bmo_values(samples) -> np.ndarray:

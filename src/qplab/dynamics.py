@@ -2,7 +2,8 @@
 
 Three maps are provided, matching the models the library supports:
 
-* :class:`Shift` -- rotation ``x -> x + omega`` on T^d,
+* :class:`Shift` -- rotation ``x -> x + omega`` on T^1 (a potential is a
+  polynomial in one variable, so a shift has one frequency),
 * :class:`SkewShift` -- ``(x, y) -> (x + y, y + omega)`` on T^2, iterated
   through the closed form ``T^n(x,y) = (x + n y + n(n-1)/2 * omega, y + n omega)``,
 * :class:`Doubling` -- ``x -> 2x`` on T^1.
@@ -122,19 +123,23 @@ def _as_phase(x, d: int) -> Phase:
 
 @dataclass(frozen=True)
 class Shift:
-    """Rotation x -> x + omega on T^d (omega per coordinate)."""
+    """Rotation x -> x + omega on T^1.
 
-    omega: tuple
+    ``omega`` is a float or a one-element sequence; more frequencies
+    raise ValueError.
+    """
+
+    omega: float
 
     def __init__(self, omega: Union[float, Sequence[float]]):
         om = np.atleast_1d(np.asarray(omega, dtype=float))
-        if om.ndim != 1 or om.size < 1:
-            raise ValueError("Shift needs at least one frequency")
-        object.__setattr__(self, "omega", tuple(float(w) for w in om))
+        if om.shape != (1,):
+            raise ValueError(f"Shift takes one frequency, got shape {om.shape}")
+        object.__setattr__(self, "omega", float(om[0]))
 
     @property
     def d(self) -> int:
-        return len(self.omega)
+        return 1
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,7 @@ def iterate(dyn: Dynamics, x, n: int) -> Phase:
     if n == 0:
         return p
     if isinstance(dyn, Shift):
-        return mod1(p + np.array([fracmul(n, w) for w in dyn.omega]))
+        return mod1(p + fracmul(n, dyn.omega))
     if isinstance(dyn, SkewShift):
         xx, yy = p
         quad = fracmul(n * (n - 1) // 2, dyn.omega)
@@ -288,21 +293,19 @@ def diophantine_check(omega: float, a: float, n_max: int,
     ``variant="power"`` weights by ``n^a`` (lower bounds of the form
     ``||n omega|| >= c/n^a``); ``variant="log"`` weights by
     ``n (log n)^a`` and starts the scan at n = 2, since log 1 = 0 would
-    make the n = 1 term vacuous.
+    make the n = 1 term vacuous, so it needs n_max >= 2.  Each
+    ``||n omega||`` is read from the exact frac(n omega) of ``fracmul``.
     """
     if a <= 1.0:
         raise ValueError("exponent a must exceed 1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if variant == "power":
-        n = np.arange(1, n_max + 1, dtype=float)
-        weights = n ** a
-    elif variant == "log":
-        n = np.arange(2, max(n_max, 2) + 1, dtype=float)
-        weights = n * np.log(n) ** a
-    else:
+    if variant not in ("power", "log"):
         raise ValueError(f"unknown variant {variant!r}")
-    values = torus_distance(n * omega) * weights
+    first = 1 if variant == "power" else 2
+    if n_max < first:
+        raise ValueError(f"n_max must be >= {first} for the {variant} variant")
+    n = np.arange(first, n_max + 1, dtype=float)
+    weights = n ** a if variant == "power" else n * np.log(n) ** a
+    values = torus_distance(_fracmuls(range(first, n_max + 1), omega)) * weights
     i = int(np.argmin(values))
     worst = float(values[i])
     return DiophantineReport(c=worst, a=a, worst_n=int(n[i]),

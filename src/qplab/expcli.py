@@ -132,10 +132,6 @@ def _build_potential(model) -> pot_mod.Potential:
         raise ConfigError(f"potential coefficients rejected: {exc}") from exc
 
 
-def _parse_omega(raw) -> float:
-    return _OMEGA.read("dynamics.omega", raw)
-
-
 def _gate_frequency(w: float) -> None:
     """Reject frequencies without a usable Diophantine lower bound.
 
@@ -165,14 +161,10 @@ def _build_dynamics(dspec):
     gate = _FLAG.read("dynamics.diophantine", dspec.get("diophantine", True))
     if kind == "doubling":
         return Doubling()
-    if kind == "shift":
-        omegas = tuple(listof(_OMEGA).read("dynamics.omega", dspec.get("omega")))
-    else:
-        omegas = (_parse_omega(dspec.get("omega")),)
+    omega = _OMEGA.read("dynamics.omega", dspec.get("omega"))
     if gate:
-        for w in omegas:
-            _gate_frequency(w)
-    return Shift(omega=omegas) if kind == "shift" else SkewShift(omega=omegas[0])
+        _gate_frequency(omega)
+    return Shift(omega) if kind == "shift" else SkewShift(omega)
 
 
 def validate_config(data: dict, threads=None, out=None, seed=None) -> ExperimentConfig:

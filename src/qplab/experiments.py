@@ -188,10 +188,10 @@ class ExperimentSpec:
         return self.build(p, dyn, **self.resolve(grid))
 
 
-def _require_shift1(dyn: Dynamics, experiment: str) -> float:
-    if not isinstance(dyn, Shift) or dyn.d != 1:
-        raise ConfigError(f"{experiment} needs one-dimensional shift dynamics")
-    return float(dyn.omega[0])
+def _require_shift(dyn: Dynamics, experiment: str) -> float:
+    if not isinstance(dyn, Shift):
+        raise ConfigError(f"{experiment} needs shift dynamics")
+    return dyn.omega
 
 
 def _require_line(dyn: Dynamics, experiment: str) -> None:
@@ -442,7 +442,7 @@ def _prep_green_decay(p, dyn, E, N, eta, j_site):
 def _prep_hellmann_feynman(p, dyn, N, x_samples, indices, h):
     if max(indices) >= N:
         raise ConfigError(f"hellmann_feynman needs indices < N = {N}, got {indices}")
-    _require_shift1(dyn, "hellmann_feynman")
+    _require_shift(dyn, "hellmann_feynman")
     from . import spectrum as sp
 
     def task(s):
@@ -488,7 +488,7 @@ def _prep_zero_additivity(p, dyn, E, m, n_disks, radius, y_scale):
     whose windings see a zero on the circle, or do not settle, is retried
     with a smaller radius, and becomes a NaN row when the retries run out.
     """
-    omega = _require_shift1(dyn, "zero_additivity")
+    omega = _require_shift(dyn, "zero_additivity")
     _require_off_the_pole("zero_additivity", radius, "y_scale", y_scale)
     from . import zeros as zr
 
@@ -515,7 +515,7 @@ def _prep_zero_additivity(p, dyn, E, m, n_disks, radius, y_scale):
 
 
 def _prep_zeros_probe(p, dyn, E, N, n_probes, radius, annulus_y):
-    omega = _require_shift1(dyn, "zeros_probe")
+    omega = _require_shift(dyn, "zeros_probe")
     _require_off_the_pole("zeros_probe", radius, "annulus_y", annulus_y)
     from . import zeros as zr
 

@@ -212,13 +212,13 @@ def _norms_and_dets(mats):
     return log_norms, log_pairs, log_dets, log_full, det_slack
 
 
-def avalanche_check(mats, mu: float, C_gate: float = C_GATE_DEFAULT) -> ApReport:
+def avalanche_check(mats, mu: float) -> ApReport:
     """Check the avalanche-principle hypotheses and discrepancy.
 
     Hypotheses: every |det A_j| <= 1, every ||A_j|| >= mu with mu > n,
     and no adjacent cancellation, meaning log||A_{j+1}|| + log||A_j|| -
     log||A_{j+1}A_j|| stays below (1/2) log mu.  When they hold the
-    discrepancy must be below C_gate * n / mu.
+    discrepancy must be below C_GATE_DEFAULT * n / mu.
 
     ``mats`` is a sequence of 2x2 arrays or of ScaledProduct (for
     factors too large to store densely).
@@ -237,7 +237,7 @@ def avalanche_check(mats, mu: float, C_gate: float = C_GATE_DEFAULT) -> ApReport
     lhs = abs(log_full + float(np.sum(log_norms[1:-1])) - float(np.sum(log_pairs)))
     return ApReport(n=n, mu=mu, hyp_det_ok=hyp_det_ok, hyp_large_ok=hyp_large_ok,
                     hyp_diff_ok=hyp_diff_ok, lhs_discrepancy=lhs,
-                    bound=C_gate * n / mu)
+                    bound=C_GATE_DEFAULT * n / mu)
 
 
 def ap_extrapolate(l_k: float, l_2k: float) -> float:
@@ -247,14 +247,14 @@ def ap_extrapolate(l_k: float, l_2k: float) -> float:
 
 def convergence_scan(p: Potential, dyn: Dynamics, E, n_list,
                      sampler: str = "grid", m_samples: int = 500,
-                     seed: int = 0, c_scan: float = C_SCAN_DEFAULT) -> list:
+                     seed: int = 0) -> list:
     """Track |L_2N - L_N| along a doubling chain of scales.
 
     All scales are read off one batched run over the same phase set
     (checkpoints of the same products), so differences are free of
     independent sampling noise.  A row is flagged when the difference
-    exceeds c_scan * (log N)/N.  E may be a 1-D array of energies: they
-    then run as column groups of that one run (see
+    exceeds C_SCAN_DEFAULT * (log N)/N.  E may be a 1-D array of
+    energies: they then run as column groups of that one run (see
     :func:`cocycle.batched_log_norms`), and one list of rows comes back
     per energy.
     """
@@ -266,12 +266,12 @@ def convergence_scan(p: Potential, dyn: Dynamics, E, n_list,
     logs = cocycle.batched_log_norms(p, dyn, xs, E, scales[-1], checkpoints=scales,
                                      rng=_doubling_rng(seed))
     if np.ndim(E):
-        return [_scan_rows({k: v[i] for k, v in logs.items()}, n_list, c_scan)
+        return [_scan_rows({k: v[i] for k, v in logs.items()}, n_list)
                 for i in range(len(E))]
-    return _scan_rows(logs, n_list, c_scan)
+    return _scan_rows(logs, n_list)
 
 
-def _scan_rows(logs: dict, n_list: list, c_scan: float) -> list:
+def _scan_rows(logs: dict, n_list: list) -> list:
     """The ScanRows of one energy, from its {scale: log-norms over phases}."""
     m = len(logs[n_list[0]])
     means = {k: float(np.mean(v / k)) for k, v in logs.items()}
@@ -282,23 +282,25 @@ def _scan_rows(logs: dict, n_list: list, c_scan: float) -> list:
         diff = abs(means[2 * n] - means[n])
         rate = math.log(n) / n
         rows.append(ScanRow(n=n, mean=means[n], stderr=errs[n], diff_2n=diff,
-                            rate=rate, flagged=diff > c_scan * rate))
+                            rate=rate, flagged=diff > C_SCAN_DEFAULT * rate))
     return rows
 
 
 def sup_growth_rate(p: Potential, dyn: Dynamics, E: float, ell: int,
-                    grid: int = S_GRID_SIZE, seed: int = 0) -> float:
+                    seed: int = 0) -> float:
     """Estimate S = sup over x and 1 <= n <= ell of (1/n) log ||M_n(x,E)||.
 
-    The sup over x runs over an offset phase grid; the true sup can only
-    be larger, which makes the positivity condition harder to satisfy,
-    never easier (the conservative direction).
+    The sup over x runs over an offset grid of S_GRID_SIZE phases, every
+    n a checkpoint of one batched run; the true sup can only be larger,
+    which makes the positivity condition harder to satisfy, never easier
+    (the conservative direction).
     """
     if ell < 1:
         raise ValueError("sup_growth_rate needs ell >= 1")
-    xs = sample_phases(dyn, "grid", grid)
-    best = cocycle.batched_sup_rate(p, dyn, xs, E, ell, rng=_doubling_rng(seed))
-    return float(np.max(best))
+    xs = sample_phases(dyn, "grid", S_GRID_SIZE)
+    logs = cocycle.batched_log_norms(p, dyn, xs, E, ell, checkpoints=range(1, ell + 1),
+                                     rng=_doubling_rng(seed))
+    return float(np.max([v / k for k, v in logs.items()]))
 
 
 def positivity_probe(p: Potential, dyn: Dynamics, E: float, ell: int,

@@ -12,10 +12,11 @@ Complexified phases use the coordinate convention
 
     (x, y)  ->  z = e(x) * exp(2 pi y),
 
-so positive y inflates the unit circle (|z| = exp(2 pi y)) and the strip
-|y| <= rho0 maps to the annulus exp(-2 pi rho0) <= |z| <= exp(2 pi rho0).
-For the cosine potential this gives cosh(2 pi t) at (x, y) = (0, t) and
-i sinh(2 pi t) at (0.25, t).
+so positive y inflates the unit circle (|z| = exp(2 pi y)), and a strip
+|y| <= h maps to the annulus exp(-2 pi h) <= |z| <= exp(2 pi h).  V
+continues to the whole punctured plane as the Laurent polynomial
+``eval_laurent(p, ComplexPhase(x, y).to_z())``.  For the cosine potential
+this gives cosh(2 pi t) at (x, y) = (0, t) and i sinh(2 pi t) at (0.25, t).
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
-
-#: default half-width of the analyticity strip |y| <= rho0
-RHO0_DEFAULT = 0.1
 
 _TWO_PI = 2.0 * math.pi
 
@@ -185,13 +183,6 @@ def eval_real_many(p: Potential, x: np.ndarray) -> np.ndarray:
             term = v.real * np.cos(ang) - v.imag * np.sin(ang)
         out = out + 2.0 * term
     return p.lam * out
-
-
-def eval_complex(p: Potential, zp: ComplexPhase, rho0: float = RHO0_DEFAULT) -> complex:
-    """lam * V at a complexified phase; requires |y| <= rho0."""
-    if abs(zp.y) > rho0:
-        raise ValueError(f"complex phase leaves the strip: |y|={abs(zp.y)} > rho0={rho0}")
-    return eval_laurent(p, zp.to_z())
 
 
 def eval_laurent(p: Potential, z) -> complex:

@@ -403,8 +403,8 @@ def hellmann_feynman(p: Potential, dyn: Dynamics, x, j: int, N: int,
     Shift dynamics only (skew-shift and doubling phases do not translate
     linearly).
     """
-    if not isinstance(dyn, Shift) or dyn.d != 1:
-        raise ValueError("hellmann_feynman needs the 1d shift")
+    if not isinstance(dyn, Shift):
+        raise ValueError("hellmann_feynman needs the shift")
     if not (0 <= j < N):
         raise ValueError("eigenvalue index out of range")
     H = hamiltonian(p, dyn, x, N)

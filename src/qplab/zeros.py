@@ -585,9 +585,8 @@ def zero_separation(p: Potential, omega: float, E, N: int,
     counts = []
     all_zeros: list = []
     for _ in range(n_probes):
-        x = rng.random()
-        y = (rng.random() - 0.5) * annulus_y
-        center = cmath.exp(complex(2.0 * math.pi * y, 2.0 * math.pi * x))
+        # x is drawn before y: the seeded probe centres depend on the order
+        center = ComplexPhase(rng.random(), (rng.random() - 0.5) * annulus_y).to_z()
         r_try = radius
         for attempt in range(5):
             try:
@@ -638,19 +637,14 @@ def _scaled_norm_logs(p: Potential, omega: float, zs: np.ndarray, E, n: int):
 
 
 def concatenation_w_grid(p: Potential, omega: float, zs, E, m: int) -> np.ndarray:
-    """w_m(z) = log ||M_2m(z)|| - log ||M_m(z e(m omega))|| - log ||M_m(z)||."""
+    """w_m(z) = log ||M_2m(z)|| - log ||M_m(z e(m omega))|| - log ||M_m(z)||.
+
+    Submultiplicativity of the operator norm makes w_m nonpositive; in
+    scaled arithmetic it stays below 1e-9 for any window length.
+    """
     log_n, log_shift, log_2n = _scaled_norm_logs(p, omega, np.asarray(zs, dtype=complex),
                                                  E, m)
     return log_2n - log_shift - log_n
-
-
-def concatenation_w(p: Potential, omega: float, z: ComplexPhase, E, m: int) -> float:
-    """The concatenation defect at one complexified phase.
-
-    Submultiplicativity of the operator norm makes this nonpositive; in
-    scaled arithmetic it stays below 1e-9 for any window length.
-    """
-    return float(concatenation_w_grid(p, omega, np.array([z.to_z()]), E, m)[0])
 
 
 def additivity_handles(p: Potential, omega: float, E, m: int) -> tuple:

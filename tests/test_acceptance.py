@@ -352,8 +352,8 @@ def test_c14_large_deviation_decay():
     # n = 100 -> 400 -> 1600, 5000 phases
     measures = []
     for n in (100, 400, 1600):
-        prof = dv.deviation_measure(AMO3, SHIFT, 0.0, n, float(n) ** 0.9,
-                                    5000, seed=14)
+        prof, = dv.deviation_curve(AMO3, SHIFT, 0.0, n, (float(n) ** 0.9,),
+                                   5000, seed=14)
         measures.append(prof.measure)
     ok = measures[0] >= measures[1] >= measures[2]
     report(14, "large-deviation decay", ok,

@@ -1,0 +1,46 @@
+"""Every qplab name the benchmark workloads read must exist.
+
+``perfbench/workloads.py`` changes only with the benchmark itself, so a
+library change that deletes or renames a name a workload calls would
+otherwise show only when the benchmark runs.  ``perfbench/tracer.py`` is
+left out: it skips the names it cannot find, by design.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _module_aliases(tree) -> dict:
+    """{alias: module name} for every ``import qplab.x as y`` and ``from qplab import x``."""
+    aliases = {}
+
+    def bind(alias, module):
+        assert aliases.setdefault(alias, module) == module, (
+            f"{alias} names both {aliases[alias]} and {module}")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "qplab":
+                    bind(a.asname or "qplab", a.name if a.asname else "qplab")
+        elif isinstance(node, ast.ImportFrom) and node.module == "qplab":
+            for a in node.names:
+                bind(a.asname or a.name, f"qplab.{a.name}")
+    return aliases
+
+
+def test_workloads_read_only_names_the_library_has():
+    tree = ast.parse(WORKLOADS.read_text())
+    aliases = _module_aliases(tree)
+    assert {"cc", "dy", "pt", "sp", "zr", "ex", "expcli"} <= set(aliases)
+    modules = {alias: importlib.import_module(name) for alias, name in aliases.items()}
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert len(reads) >= 15
+    missing = sorted(f"{alias}.{attr} ({aliases[alias]})" for alias, attr in reads
+                     if not hasattr(modules[alias], attr))
+    assert not missing, f"perfbench/workloads.py reads names qplab lacks: {missing}"

@@ -18,7 +18,7 @@ def dense_window(p, dyn, x, a, b):
     x0 = np.atleast_1d(np.asarray(x, float))[0]
     for i in range(n):
         k = a + i
-        xi = dy.mod1(x0 + k * dyn.omega[0])
+        xi = dy.mod1(x0 + k * dyn.omega)
         H[i, i] = p.lam * pt.eval_real(pt.Potential(dict(p.coeffs)), xi)
     for i in range(n - 1):
         H[i, i + 1] = H[i + 1, i] = -1.0
@@ -95,7 +95,7 @@ def test_transfer_entries_are_window_determinants():
     """M_[1,n] = [[f_[1,n], -f_[2,n]], [f_[1,n-1], -f_[2,n-1]]]."""
     x, E = dy.phase(0.29), 0.15
     n = 12
-    M = cc.transfer_product(AMO3, SHIFT, x, E, n).reconstruct()
+    M = cc.transfer_product_window(AMO3, SHIFT, x, E, 1, n).reconstruct()
     f_1n = cc.det_window(AMO3, SHIFT, x, E, 1, n).value.value()
     f_2n = cc.det_window(AMO3, SHIFT, x, E, 2, n).value.value()
     f_1m = cc.det_window(AMO3, SHIFT, x, E, 1, n - 1).value.value()
@@ -140,7 +140,7 @@ def test_batched_log_norms_checkpoints_match_scalar_path():
     assert set(out) == {100, 300}
     for i, x in enumerate(xs[:, 0]):
         for n in (100, 300):
-            sp = cc.transfer_product(AMO3, SHIFT, dy.phase(x), 0.5, n)
+            sp = cc.transfer_product_window(AMO3, SHIFT, dy.phase(x), 0.5, 1, n)
             assert out[n][i] == pytest.approx(sp.log_norm, abs=1e-8)
 
 
@@ -172,15 +172,21 @@ def test_complex_det_grid_reduces_to_real_values_on_the_circle():
         assert phases[i].imag == pytest.approx(0.0, abs=1e-9)
 
 
-def test_complex_det_strip_validation():
-    with pytest.raises(ValueError):
-        cc.complex_det(AMO3, dy.GOLDEN_MEAN, pt.ComplexPhase(0.1, 0.5), 0.0, 8)
-
-
 def test_complex_det_agrees_with_grid_version():
-    zp = pt.ComplexPhase(0.23, 0.03)
-    got = cc.complex_det(AMO3, dy.GOLDEN_MEAN, zp, 0.1, 16)
-    phases, logmags = cc.complex_det_grid(AMO3, dy.GOLDEN_MEAN,
-                                          np.array([zp.to_z()]), 0.1, 16)
-    assert got.log_mag == pytest.approx(logmags[0], abs=1e-9)
-    assert got.phase == pytest.approx(phases[0], abs=1e-9)
+    # one complex phase, alone and inside a grid, against the dense
+    # determinant with diagonal lam V(z e(k omega)) for sites k = 1..n;
+    # f_n is analytic on all of C minus 0, so y = 0.5 is as good as y = 0.03
+    n, E = 16, 0.1
+    for zp in (pt.ComplexPhase(0.23, 0.03), pt.ComplexPhase(0.1, 0.5)):
+        z = zp.to_z()
+        sites = [pt.eval_laurent(AMO3, z * np.exp(2j * np.pi * dy.fracmul(k, dy.GOLDEN_MEAN)))
+                 for k in range(1, n + 1)]
+        H = np.diag(sites) - np.eye(n, k=1) - np.eye(n, k=-1)
+        ref = np.linalg.det(H - E * np.eye(n))
+        one = cc.complex_det_grid(AMO3, dy.GOLDEN_MEAN, np.array([z]), E, n)
+        grid = cc.complex_det_grid(AMO3, dy.GOLDEN_MEAN, np.array([0.5, z, 2j]), E, n)
+        # the grid's larger sup|v| rescales on another cadence: equal to rounding
+        assert one[0][0] == pytest.approx(grid[0][1], abs=1e-12)
+        assert one[1][0] == pytest.approx(grid[1][1], abs=1e-12)
+        assert one[1][0] == pytest.approx(math.log(abs(ref)), abs=1e-9)
+        assert one[0][0] == pytest.approx(ref / abs(ref), abs=1e-9)

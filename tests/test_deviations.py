@@ -21,8 +21,8 @@ OFFSET_GRID = (np.arange(4096) + 0.5) / 4096
 def test_constant_cocycle_has_no_deviations():
     # V = 0, E = 3: u_n is the same number at every phase
     for stat in dv.STATISTICS:
-        prof = dv.deviation_measure(FREE, SHIFT, 3.0, 50, 1e-9, 200,
-                                    statistic=stat, seed=1)
+        prof, = dv.deviation_curve(FREE, SHIFT, 3.0, 50, (1e-9,), 200,
+                                   statistic=stat, seed=1)
         assert prof.measure == 0.0
         assert prof.statistic == stat
 
@@ -35,18 +35,18 @@ def test_deviation_curve_is_monotone_in_threshold():
     assert measures[0] > 0.0          # some mass deviates at small thresholds
 
 
-def test_deviation_measure_is_seeded():
-    a = dv.deviation_measure(AMO3, SHIFT, 0.0, 80, 3.0, 500, seed=9)
-    b = dv.deviation_measure(AMO3, SHIFT, 0.0, 80, 3.0, 500, seed=9)
+def test_deviation_curve_is_seeded():
+    a, = dv.deviation_curve(AMO3, SHIFT, 0.0, 80, (3.0,), 500, seed=9)
+    b, = dv.deviation_curve(AMO3, SHIFT, 0.0, 80, (3.0,), 500, seed=9)
     assert a.measure == b.measure
 
 
 def test_deviation_inputs_validated():
     with pytest.raises(ValueError):
-        dv.deviation_measure(AMO3, SHIFT, 0.0, 50, 0.0, 100)
+        dv.deviation_curve(AMO3, SHIFT, 0.0, 50, (0.0,), 100)
     with pytest.raises(ValueError):
-        dv.deviation_measure(AMO3, SHIFT, 0.0, 50, 1.0, 100,
-                             statistic="entropy")
+        dv.deviation_curve(AMO3, SHIFT, 0.0, 50, (1.0,), 100,
+                           statistic="entropy")
 
 
 # -------------------------------------------------------------------- bmo

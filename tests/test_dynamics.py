@@ -199,6 +199,44 @@ def test_diophantine_check_rejects_bad_exponent():
         dy.diophantine_check(GOLDEN, a=1.0, n_max=10)
 
 
+def test_diophantine_log_variant_needs_a_second_term():
+    # the log variant starts at n = 2; n_max = 1 used to scan n = 2 anyway
+    with pytest.raises(ValueError, match="n_max"):
+        dy.diophantine_check(GOLDEN, a=2.0, n_max=1, variant="log")
+    assert dy.diophantine_check(GOLDEN, a=2.0, n_max=1).worst_n == 1
+
+
+def test_diophantine_check_reads_the_exact_distances():
+    # omega = [0; 1 (29 times), 10^6, 1, 1, ...] as a float: ||q omega|| at
+    # the convergent q = F_30 = 832040 is about 1e-12, which the float
+    # product q * omega rounds to exactly 0
+    import mpmath as mp
+
+    with mp.workdps(60):
+        x = mp.mpf(10 ** 6) + (mp.sqrt(5) - 1) / 2
+        for _ in range(29):
+            x = 1 + 1 / x
+        omega = float(1 / x)
+    q = 832040
+    f = Fraction(omega) * q % 1
+    exact = float(min(f, 1 - f)) * q * math.log(q) ** 2
+    rep = dy.diophantine_check(omega, a=2.0, n_max=2_000_000, variant="log")
+    assert rep.worst_n == q
+    assert rep.c == pytest.approx(exact, rel=1e-12)
+    assert rep.c > 1e-3
+
+
+def test_shift_has_one_frequency():
+    for shift in (dy.Shift(GOLDEN), dy.Shift((GOLDEN,)), dy.Shift(omega=(GOLDEN,)),
+                  dy.Shift(np.array([GOLDEN]))):
+        assert shift.omega == GOLDEN and isinstance(shift.omega, float)
+        assert shift.d == 1
+    assert dy.Shift((GOLDEN,)) == dy.Shift(GOLDEN)
+    for bad in ((GOLDEN, 0.3), [GOLDEN, 0.3], (), [[GOLDEN]]):
+        with pytest.raises(ValueError, match="one frequency"):
+            dy.Shift(bad)
+
+
 def test_shift_validates_phase_shape():
     with pytest.raises(ValueError):
         dy.iterate(dy.Shift(omega=(GOLDEN,)), dy.phase(0.1, 0.2), 3)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,14 +41,16 @@ def write_config(tmp_path, data, name="cfg.yaml"):
 # ---------------------------------------------------------------- parsing
 
 def test_parse_omega_forms():
-    assert cli._parse_omega("golden") == dy.GOLDEN_MEAN
-    assert cli._parse_omega("1/3") == pytest.approx(1.0 / 3.0)
-    assert cli._parse_omega("0.31") == 0.31
-    assert cli._parse_omega(0.25) == 0.25
-    with pytest.raises(cli.ConfigError):
-        cli._parse_omega("about half")
-    with pytest.raises(cli.ConfigError):
-        cli._parse_omega("1/0")
+    def parse(raw):
+        return cli._OMEGA.read("dynamics.omega", raw)
+
+    assert parse("golden") == dy.GOLDEN_MEAN
+    assert parse("1/3") == pytest.approx(1.0 / 3.0)
+    assert parse("0.31") == 0.31
+    assert parse(0.25) == 0.25
+    for bad in ("about half", "1/0", ["golden"], ["golden", 0.3]):
+        with pytest.raises(cli.ConfigError, match="dynamics.omega"):
+            parse(bad)
 
 
 def test_diophantine_gate_rejects_rationals():
@@ -60,7 +63,7 @@ def test_diophantine_gate_rejects_rationals():
 def test_gate_can_be_disabled_per_config():
     spec = {"kind": "shift", "omega": 0.5, "diophantine": False}
     d = cli._build_dynamics(spec)
-    assert isinstance(d, dy.Shift) and d.omega == (0.5,)
+    assert isinstance(d, dy.Shift) and d.omega == 0.5
     with pytest.raises(cli.ConfigError):
         cli._build_dynamics({"kind": "shift", "omega": 0.5})
 
@@ -312,19 +315,34 @@ def test_a_bad_grid_value_exits_2_before_any_task(tmp_path, experiment, grid, ke
     ("bmo_trend", {"kind": "skew_shift", "omega": "golden"}),
     ("fourier_decay", {"kind": "skew_shift", "omega": "golden"}),
     ("hellmann_feynman", {"kind": "doubling"}),
-    ("zeros_probe", {"kind": "shift", "omega": ["golden", 0.3], "diophantine": False}),
+    ("zeros_probe", {"kind": "skew_shift", "omega": "golden"}),
 ])
 def test_dynamics_an_experiment_cannot_run_exit_2(tmp_path, experiment, dynamics):
     # the phase-grid statistics used to refuse a skew shift inside a task
     grid = {"hellmann_feynman": {"N": 8}, "zeros_probe": {"E": 0.5, "N": 8}}.get(
         experiment, {"E": 0.0})
-    with pytest.raises(cli.ConfigError, match="one-dimensional"):
+    refusal = "needs (shift|one-dimensional) dynamics"
+    with pytest.raises(cli.ConfigError, match=refusal):
         ex.EXPERIMENTS[experiment].prepare(AMO3, cli._build_dynamics(dynamics), grid)
     cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment,
                                   "dynamics": dynamics, "grid": grid})
     stream = io.StringIO()
     assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
-    assert "one-dimensional" in stream.getvalue()
+    assert re.search(refusal, stream.getvalue())
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_shift_with_two_frequencies_exits_2(tmp_path):
+    # a potential is a polynomial in one variable, so a second frequency
+    # would change nothing; the config is refused instead of run on T^1
+    cfg = write_config(tmp_path, {
+        "experiment": "lyapunov_scan",
+        "model": {"potential": "almost_mathieu", "lam": 3.0},
+        "dynamics": {"kind": "shift", "omega": ["golden", 0.3]},
+        "grid": {"E": [0.0], "n_list": [50, 100], "m_samples": 20}})
+    stream = io.StringIO()
+    assert cli.run(cfg, out=tmp_path / "x", stream=stream) == cli.EXIT_CONFIG
+    assert stream.getvalue().startswith("config error: dynamics.omega must be ")
     assert not (tmp_path / "x").exists()
 
 

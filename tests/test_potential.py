@@ -115,17 +115,17 @@ def test_eval_laurent_on_the_unit_circle_equals_eval_real():
         assert lau.real == pytest.approx(pt.eval_real(p, x), abs=1e-13)
 
 
-def test_eval_complex_matches_laurent_inside_the_strip():
+def test_complex_phase_laurent_values_match_the_closed_forms():
+    # cos(2 pi (x + i y)) continues to cosh(2 pi y) at x = 0 and to
+    # i sinh(2 pi y) at x = 1/4, in the (x, y) -> e(x) exp(2 pi y) convention
     p = pt.almost_mathieu(1.0)
-    zp = pt.ComplexPhase(0.3, 0.02)
-    z = zp.to_z()
-    assert abs(z) == pytest.approx(math.exp(2 * math.pi * 0.02), abs=1e-12)
-    assert pt.eval_complex(p, zp) == pytest.approx(pt.eval_laurent(p, z), abs=1e-12)
-
-
-def test_eval_complex_rejects_phases_outside_the_strip():
-    with pytest.raises(ValueError):
-        pt.eval_complex(pt.almost_mathieu(1.0), pt.ComplexPhase(0.3, 0.2))
+    for y in (-0.3, 0.02, 0.2, 0.7):
+        z = pt.ComplexPhase(0.3, y).to_z()
+        assert abs(z) == pytest.approx(math.exp(2 * math.pi * y), rel=1e-14)
+        at_0 = pt.eval_laurent(p, pt.ComplexPhase(0.0, y).to_z())
+        at_quarter = pt.eval_laurent(p, pt.ComplexPhase(0.25, y).to_z())
+        assert at_0 == pytest.approx(math.cosh(2 * math.pi * y), rel=1e-13)
+        assert at_quarter == pytest.approx(1j * math.sinh(2 * math.pi * y), abs=1e-12)
 
 
 def test_derivative_against_central_differences():

@@ -234,7 +234,7 @@ def exact_phase(dyn, x, t):
     """The first coordinate of T^t x as an exact rational."""
     x = [Fraction(float(c)) for c in x]
     if isinstance(dyn, dy.Shift):
-        return (x[0] + t * Fraction(dyn.omega[0])) % 1
+        return (x[0] + t * Fraction(dyn.omega)) % 1
     if isinstance(dyn, dy.SkewShift):
         return (x[0] + t * x[1] + (t * (t - 1) // 2) * Fraction(dyn.omega)) % 1
     return (2 ** t * x[0]) % 1
@@ -473,6 +473,12 @@ def test_concatenation_norms_match_mpmath(monkeypatch):
 
 # ------------------------------------------------- single-phase references
 
+def sup_rates(p, dyn, xs, E, n, rng=None):
+    """max over k <= n of (1/k) log||M_k|| per phase, every site a checkpoint."""
+    logs = cc.batched_log_norms(p, dyn, xs, E, n, range(1, n + 1), rng=rng)
+    return np.max([v / k for k, v in logs.items()], axis=0)
+
+
 def sup_loop(p, dyn, x, E, n):
     """sup_k (1/k) log||M_k||: dense 2x2 products, divided by their norm at every site."""
     prod, log_scale, best = np.eye(2), 0.0, -math.inf
@@ -495,9 +501,9 @@ def test_batched_kernels_match_single_phase_paths(name, seeds, E, lam, n):
     xs = np.array([np.random.default_rng(s).random(dyn.d) for s in seeds])
     norms = cc.batched_log_norms(p, dyn, xs, E, n)[n]
     dets = cc.batched_log_absdet(p, dyn, xs, E, n)[n]
-    sups = cc.batched_sup_rate(p, dyn, xs, E, n)
+    sups = sup_rates(p, dyn, xs, E, n)
     for i, x in enumerate(xs):
-        prod = cc.transfer_product(p, dyn, x, E, n)
+        prod = cc.transfer_product_window(p, dyn, x, E, 1, n)
         f = cc.det_window(p, dyn, x, E, 1, n).value
         assert abs(norms[i] - prod.log_norm) <= 1e-9
         assert abs(dets[i] - f.log_mag) <= 1e-9
@@ -560,9 +566,22 @@ def test_folded_sup_rate_matches_the_dense_loop(m):
     # 819 at m = 20, and runs too short to fold at n < 64
     xs = np.random.default_rng(14).random((m, 1))
     for n in (1, 63, 64, 820, 3000):
-        sups = cc.batched_sup_rate(AMO3, SHIFT, xs, 0.7, n)
+        sups = sup_rates(AMO3, SHIFT, xs, 0.7, n)
         for i in sorted({0, m - 1}):
             assert abs(sups[i] - sup_loop(AMO3, SHIFT, xs[i], 0.7, n)) <= 1e-9, n
+
+
+@pytest.mark.parametrize("name", ["shift", "skew", "doubling"])
+def test_sup_growth_rate_is_the_max_of_single_phase_rates_on_its_grid(name):
+    # 256 phases never fold, so every stop is read site by site; the
+    # doubling rng adds 2^-52-scale bits the single-phase products lack,
+    # which move 8 sites by far less than the tolerance
+    dyn, ell, E = MAPS[name], 8, 0.7
+    xs = ly.sample_phases(dyn, "grid", ly.S_GRID_SIZE)
+    assert len(xs) == 256
+    ref = max(cc.transfer_product_window(AMO3, dyn, x, E, 1, k).log_norm / k
+              for x in xs for k in range(1, ell + 1))
+    assert abs(ly.sup_growth_rate(AMO3, dyn, E, ell) - ref) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -582,11 +601,10 @@ def test_folded_stop_reads_match_the_site_by_site_pass(case, seed, E, lam, n, ev
     checks = list(range(1, n + 1)) if every else sorted({n} | {c for c in picks if c <= n})
 
     def reads():
-        rngs = [np.random.default_rng(seed) if case == "doubling" else None for _ in range(3)]
+        rngs = [np.random.default_rng(seed) if case == "doubling" else None for _ in range(2)]
         norms = cc.batched_log_norms(p, dyn, x[None], E, n, checks, rng=rngs[0])
         dets = cc.batched_log_absdet(p, dyn, x[None], E, n, checks, rng=rngs[1])
-        out = [np.array([norms[k][0] for k in checks]), np.array([dets[k][0] for k in checks]),
-               cc.batched_sup_rate(p, dyn, x[None], E, n, rng=rngs[2])]
+        out = [np.array([norms[k][0] for k in checks]), np.array([dets[k][0] for k in checks])]
         if case != "doubling":
             # off the real axis unless exact zeros are the point
             E_c = E if case == "free" else complex(E, 0.05)
@@ -597,9 +615,8 @@ def test_folded_stop_reads_match_the_site_by_site_pass(case, seed, E, lam, n, ev
     with mock.patch.object(cc, "_SEGMENT_COLUMNS", 1):
         stepped, stepped_states = reads()
     assert folded_states == stepped_states
-    (norms, dets, sup, *profile), (norms_s, dets_s, sup_s, *profile_s) = folded, stepped
+    (norms, dets, *profile), (norms_s, dets_s, *profile_s) = folded, stepped
     np.testing.assert_allclose(norms, norms_s, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(sup, sup_s, rtol=0, atol=1e-9)
     np.testing.assert_allclose(profile, profile_s, rtol=0, atol=1e-9)
     # log|f_k| is well conditioned unless |f_k| << ||M_k||
     assert np.array_equal(np.isneginf(dets), np.isneginf(dets_s))
@@ -719,7 +736,7 @@ def test_checkpoints_outside_the_window_are_rejected():
 def test_empty_windows_are_rejected():
     # n = 0 used to give a sup of -inf, or a message about checkpoints
     xs = np.array([[0.2]])
-    for kernel in (cc.batched_log_norms, cc.batched_log_absdet, cc.batched_sup_rate):
+    for kernel in (cc.batched_log_norms, cc.batched_log_absdet):
         with pytest.raises(ValueError, match="needs n >= 1"):
             kernel(AMO3, SHIFT, xs, 0.0, 0)
     with pytest.raises(ValueError, match="needs ell >= 1"):
@@ -750,7 +767,8 @@ def test_doubling_draws_one_uniform_per_phase_and_step(first):
     if a == 1:
         runs += [lambda rng: cc.batched_log_norms(AMO3, DOUBLING, xs, 0.3, n, rng=rng),
                  lambda rng: cc.batched_log_absdet(AMO3, DOUBLING, xs, 0.3, n, rng=rng),
-                 lambda rng: cc.batched_sup_rate(AMO3, DOUBLING, xs, 0.3, n, rng=rng)]
+                 lambda rng: cc.batched_log_norms(AMO3, DOUBLING, xs, 0.3, n, range(1, n + 1),
+                                                  rng=rng)]
     for run in runs:
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         run(rng)

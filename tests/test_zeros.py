@@ -83,8 +83,10 @@ def test_determinant_handle_matches_the_scalar_evaluator():
     import qplab.cocycle as cc
     f = zr.determinant_handle(AMO3, GOLDEN, 0.5, 20)
     z = cmath.exp(complex(2 * math.pi * 0.01, 2 * math.pi * 0.23))
-    direct = cc.complex_det(AMO3, GOLDEN, pt.ComplexPhase(0.23, 0.01), 0.5, 20)
-    assert f(z).log_mag == pytest.approx(direct.log_mag, rel=1e-10)
+    # the handle reads its own coefficient table; the one-point grid builds one
+    _, direct = cc.complex_det_grid(AMO3, GOLDEN, np.array([pt.ComplexPhase(0.23, 0.01).to_z()]),
+                                    0.5, 20)
+    assert f(z).log_mag == pytest.approx(direct[0], rel=1e-10)
 
 
 # ---------------------------------------------------- circle means, jensen
@@ -404,7 +406,7 @@ def test_concatenation_defect_strictly_negative_for_constant_potential():
     # the free transfer matrix is not normal, so even a commuting family
     # loses a fixed factor against submultiplicativity
     free = pt.from_triples([], 1.0)
-    w = zr.concatenation_w(free, GOLDEN, pt.ComplexPhase(0.3, 0.0), 3.0, 50)
+    w, = zr.concatenation_w_grid(free, GOLDEN, [pt.ComplexPhase(0.3, 0.0).to_z()], 3.0, 50)
     assert w < -0.1
 
 
