@@ -19,10 +19,12 @@ and the two are linked entrywise:
 
 Everything here is carried in log scale.  A :class:`ScaledProduct` is
 the record of one transfer product from the recurrence core, a residual
-2x2 matrix and the log of the scale factored out of it; a
-:class:`SignedLog` keeps a phase (sign, in the real case) and a log
-magnitude.  Long products never overflow, and log-norms are exact up to
-accumulated rounding.
+2x2 matrix and the log of the scale factored out of it.  Determinants
+come back as (phase, log|f|): arrays from :func:`_det_profile`,
+:func:`green_row` and :func:`complex_det_grid`, one :class:`SignedLog`
+record from :func:`det_window`.  The phase is f/|f| (the sign, for real
+f), and an exact zero is (0, -inf).  Long products never overflow, and
+log-norms are exact up to accumulated rounding.
 
 Real phases have one site stream, :func:`_sites`, exact to rounding for
 all three maps; complex phases of a shift have :func:`_laurent_sites`.
@@ -31,8 +33,8 @@ frac(t omega), from one table, :func:`_laurent_table`.  Both streams run
 through one recurrence core, :func:`_recur`, vectorized over starting
 phases.  The batched kernels (``batched_log_norms``,
 ``batched_log_absdet``), the single-phase products and determinants, the
-Green entries and rows, and ``complex_det_grid`` under the zeros module
-are thin wrappers over it.  The zeros module's block-companion matrix
+Green rows, and ``complex_det_grid`` under the zeros module are thin
+wrappers over it.  The zeros module's block-companion matrix
 reads the same table.  The core rescales only every
 r = max(1, floor(600 / log(sup|v| + max|E| + 2))) sites and at checkpoints,
 and each column on its own.  So a window and its reversal run as two
@@ -62,7 +64,6 @@ than 64 sites, each site is one step, rescaled and read at each stop.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -97,67 +98,19 @@ def op_norm_2x2(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# signed-log scalars
+# determinant and product records
 
 
 @dataclass(frozen=True)
 class SignedLog:
-    """A scalar phase * exp(log_mag), with phase of unit modulus.
+    """A scalar phase * exp(log_mag), as :func:`det_window` returns it.
 
-    The exact zero is the marker (phase=0, log_mag=-inf); it absorbs
-    through multiplication and only a division by it raises.  For real
-    quantities the phase is +-1 (as a complex number).
+    The phase has unit modulus (+-1 for real values); the exact zero is
+    (0, -inf).
     """
 
     phase: complex
     log_mag: float
-
-    @staticmethod
-    def of(value) -> "SignedLog":
-        value = complex(value)
-        if value == 0:
-            return SignedLog(0j, NEG_INF)
-        mag = abs(value)
-        return SignedLog(value / mag, math.log(mag))
-
-    @staticmethod
-    def one() -> "SignedLog":
-        return SignedLog(1.0 + 0j, 0.0)
-
-    @staticmethod
-    def zero() -> "SignedLog":
-        return SignedLog(0j, NEG_INF)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == NEG_INF
-
-    def value(self) -> complex:
-        """Collapse back to an ordinary complex number (may over/underflow)."""
-        if self.is_zero:
-            return 0j
-        return self.phase * cmath.exp(self.log_mag)
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        if self.is_zero or other.is_zero:
-            return SignedLog.zero()
-        ph = self.phase * other.phase
-        ph /= abs(ph)
-        return SignedLog(ph, self.log_mag + other.log_mag)
-
-    def __neg__(self) -> "SignedLog":
-        if self.is_zero:
-            return self
-        return SignedLog(-self.phase, self.log_mag)
-
-    def __truediv__(self, other: "SignedLog") -> "SignedLog":
-        if other.is_zero:
-            raise SingularEnergy("division by an exactly-zero determinant")
-        if self.is_zero:
-            return self
-        ph = self.phase / other.phase
-        ph /= abs(ph)
-        return SignedLog(ph, self.log_mag - other.log_mag)
 
 
 @dataclass(frozen=True)
@@ -167,10 +120,6 @@ class DetWindow:
     a: int
     b: int
     value: SignedLog
-
-
-# ---------------------------------------------------------------------------
-# scaled 2x2 products
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,20 +139,14 @@ class ScaledProduct:
         return math.exp(self.log_scale) * self.mat
 
     def det_value(self) -> complex:
-        """det M, which is 1: every transfer factor has determinant 1 exactly."""
-        return 1 + 0j
+        """det M, which is 1: every transfer factor has determinant 1 exactly.
 
-    def residual_det_scaled(self) -> SignedLog:
-        """det(mat) * exp(2 log_scale) computed from the residual entries.
-
-        Meaningful only while 2*log_scale stays within float resolution of
-        the residual entries (roughly log_scale < 17); beyond that the
-        small singular value is lost to rounding and ``det_value``, the
-        exact 1, is the honest quantity.
+        det(mat) * exp(2 log_scale) from the residual entries resolves it
+        only while 2 log_scale stays within float resolution of them
+        (roughly log_scale < 17); past that the small singular value is
+        lost to rounding.
         """
-        d = self.mat[0, 0] * self.mat[1, 1] - self.mat[0, 1] * self.mat[1, 0]
-        entry = SignedLog.of(d)
-        return SignedLog(entry.phase, entry.log_mag + 2.0 * self.log_scale)
+        return 1 + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +361,14 @@ def transfer_product_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int) -
     return ScaledProduct(np.array([cur[:, 0], prev[:, 0]]), float(log_scale[0]))
 
 
-def det_sequence(p: Potential, dyn: Dynamics, x, E, n: int) -> list:
-    """Dirichlet determinants f_1 .. f_n as SignedLog values.
-
-    Conventions f_0 = 1 and f_{-1} = 0 seed the recurrence; exact zeros
-    come back with the -inf marker.
-    """
-    if n < 1:
-        raise ValueError("det_sequence needs n >= 1")
-    phases, logs = _det_profile(_site_values(p, dyn, x, 1, n)[0], E)
-    return [SignedLog(complex(ph), float(lg)) for ph, lg in zip(phases[1:, 0], logs[1:, 0])]
-
-
 def det_window(p: Potential, dyn: Dynamics, x, E, a: int, b: int) -> DetWindow:
     """f_[a,b] with the window conventions f_[a,a-1]=1, f_[a,a-2]=0."""
     if b < a - 2:
         raise ValueError("window must satisfy b >= a-2")
     if b == a - 2:
-        return DetWindow(a, b, SignedLog.zero())
+        return DetWindow(a, b, SignedLog(0j, NEG_INF))
     if b == a - 1:
-        return DetWindow(a, b, SignedLog.one())
+        return DetWindow(a, b, SignedLog(1 + 0j, 0.0))
     blocks = _sites(p, dyn, _one_phase(dyn, x), a, b)
     cur, _, log_scale = _recur(p.sup_bound(), E, blocks, 1, 1)
     phase, log_mag = _read_det(cur[0], log_scale)
@@ -468,46 +399,14 @@ def _det_profile(vs: np.ndarray, E) -> tuple:
     return _read_det(resid, 0.0)[0], logs
 
 
-def monodromy_from_dets(p: Potential, dyn: Dynamics, x, E, a: int, n_prime: int):
-    """M_[a, n_prime] assembled from four determinant windows.
-
-    Returns a 2x2 nested list of SignedLog:
-    [[f_[a,N'], -f_[a+1,N']], [f_[a,N'-1], -f_[a+1,N'-1]]].
-    """
-    if n_prime < a:
-        raise ValueError("monodromy window needs n_prime >= a")
-    f_a = det_window(p, dyn, x, E, a, n_prime).value
-    f_a1 = det_window(p, dyn, x, E, a + 1, n_prime).value
-    f_a_m = det_window(p, dyn, x, E, a, n_prime - 1).value
-    f_a1_m = det_window(p, dyn, x, E, a + 1, n_prime - 1).value
-    return [[f_a, -f_a1], [f_a_m, -f_a1_m]]
-
-
-def green_entry(p: Potential, dyn: Dynamics, x, E, j: int, k: int, N: int) -> SignedLog:
-    """(H_[1,N] - E)^{-1}(j, k) for j <= k, by Cramer's rule.
-
-    The magnitude is the ratio |f_[1,j-1]| |f_[k+1,N]| / |f_[1,N]|; no
-    dense inversion is ever performed.  E may be complex (eta >= 0); at a
-    real eigenvalue the denominator is exactly zero and SingularEnergy is
-    raised.
-    """
-    if not (1 <= j <= k <= N):
-        raise ValueError("green_entry needs 1 <= j <= k <= N")
-    top_left = det_window(p, dyn, x, E, 1, j - 1).value
-    top_right = det_window(p, dyn, x, E, k + 1, N).value
-    bottom = det_window(p, dyn, x, E, 1, N).value
-    if bottom.is_zero:
-        raise SingularEnergy("E is an eigenvalue of the finite window")
-    return (top_left * top_right) / bottom
-
-
 def green_row(p: Potential, dyn: Dynamics, x, E, j: int, N: int) -> tuple:
     """(H_[1,N] - E)^{-1}(j, k) for k = j..N as (phases, log_mags) arrays.
 
-    The Cramer ratios of :func:`green_entry` in O(N) sites: one two-sided
-    :func:`_det_profile` of sites 1..N gives f_[1,j-1] and f_[1,N] from its
-    first column and every f_[k+1,N] from its second.  Exact zeros give
-    (0, -inf); f_[1,N] = 0 raises SingularEnergy.
+    Cramer's rule gives G(j, k) = f_[1,j-1] f_[k+1,N] / f_[1,N]; no dense
+    inversion is performed.  One two-sided :func:`_det_profile` of sites
+    1..N gives f_[1,j-1] and f_[1,N] from its first column and every
+    f_[k+1,N] from its second.  E may be complex.  Exact zeros give
+    (0, -inf); f_[1,N] = 0 (E a real eigenvalue) raises SingularEnergy.
     """
     if not 1 <= j <= N:
         raise ValueError("green_row needs 1 <= j <= N")

@@ -1,10 +1,10 @@
 """Zero counting for determinants on the complexified phase annulus.
 
-Everything works through log-evaluable handles: a handle maps a complex
-point z to a :class:`~qplab.cocycle.SignedLog`, so quadrature on log|f|
+Everything works through log-evaluable handles: a handle maps an array
+of complex points z to (phase, log|f|) arrays, so quadrature on log|f|
 and winding numbers on the phase never touch raw magnitudes that would
 overflow for long windows.  Handles, as built by :func:`determinant_handle`,
-:func:`polynomial_handle` and :func:`rotated_handle`, also expose the
+:func:`polynomial_handle` and :func:`rotated_handle`, expose the
 vectorized ``eval_many`` (phases and logs) that windings go through,
 ``eval_logs`` (logs alone; a polynomial's skips its phase product, a
 determinant's the phase normalisation) that Jensen averages and circle
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (NEG_INF, SignedLog, _laurent_sites, _laurent_table, _op_norms, _recur,
+from .cocycle import (NEG_INF, _laurent_sites, _laurent_table, _op_norms, _recur,
                       complex_det_grid)
 from .dynamics import fracmul
 from .potential import ComplexPhase, Potential
@@ -135,18 +135,17 @@ class AdditivityReport:
 
 
 class _Handle:
-    """Wrap a vectorized (phases, log_mags) evaluator as a scalar handle.
+    """A vectorized (phases, log_mags) evaluator, its log|f| alone, and its zeros.
 
+    ``fn`` maps an array of points to (phases, log_mags) arrays, and
+    ``logs`` to log|f| alone, for reads that never look at the phase.
     ``zeros_of()`` lists every zero of the function in C minus {0}, with
-    multiplicity; :meth:`zeros` calls it once and keeps the array.  An
-    optional ``logs`` evaluator gives log|f| alone, for reads that never
-    look at the phase; without one, :meth:`eval_logs` drops the phases of
-    ``fn``.
+    multiplicity; :meth:`zeros` calls it once and keeps the array.
     """
 
     __slots__ = ("_fn", "_zeros_of", "_zeros", "_logs")
 
-    def __init__(self, fn, zeros_of, logs=None):
+    def __init__(self, fn, zeros_of, logs):
         self._fn = fn
         self._zeros_of = zeros_of
         self._zeros = None
@@ -161,14 +160,7 @@ class _Handle:
         return self._fn(np.asarray(zs, dtype=complex))
 
     def eval_logs(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        return self._fn(zs)[1] if self._logs is None else self._logs(zs)
-
-    def __call__(self, z) -> SignedLog:
-        phases, logs = self._fn(np.array([complex(z)]))
-        if logs[0] == NEG_INF or not np.isfinite(logs[0]):
-            return SignedLog.zero()
-        return SignedLog(complex(phases[0]), float(logs[0]))
+        return self._logs(np.asarray(zs, dtype=complex))
 
 
 def polynomial_handle(roots, leading=1.0) -> _Handle:

@@ -1,14 +1,23 @@
-"""Every qplab name the benchmark workloads read must exist.
+"""The benchmark workloads must run against the library as it is.
 
 ``perfbench/workloads.py`` changes only with the benchmark itself, so a
-library change that deletes or renames a name a workload calls would
-otherwise show only when the benchmark runs.  ``perfbench/tracer.py`` is
-left out: it skips the names it cannot find, by design.
+library change that deletes or renames a name a workload calls, or a
+field of a record it reads (``det_window(...).value.log_mag``, a transfer
+product's ``mat``, ``log_scale``, ``log_norm`` and ``det_value()``), would
+otherwise show only when the benchmark runs.  One test checks every
+module attribute a workload reads by parsing the file; the other runs
+each workload once, in process, at its tiny sizes.
+``perfbench/tracer.py`` is left out: it skips the names it cannot find,
+by design.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -44,3 +53,21 @@ def test_workloads_read_only_names_the_library_has():
     missing = sorted(f"{alias}.{attr} ({aliases[alias]})" for alias, attr in reads
                      if not hasattr(modules[alias], attr))
     assert not missing, f"perfbench/workloads.py reads names qplab lacks: {missing}"
+
+
+def _workloads_module(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look the module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["phase_sweep", "deep_window", "spectral", "zero_count"])
+def test_tiny_workload_runs_every_item_without_failure(name, tmp_path, monkeypatch):
+    wl = _workloads_module(monkeypatch).Workload(name, 1, tmp_path, tiny=True)
+    wl.setup()
+    assert wl.items
+    failures = [f for item in wl.items for f in item.run()]
+    assert not failures

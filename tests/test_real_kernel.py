@@ -283,30 +283,14 @@ def test_kernels_match_mpmath(name):
         for k in checks:
             assert norms[k][i] == pytest.approx(ref_norm[k][0], abs=1e-10)
             assert dets[k][i] == pytest.approx(ref_det[k][1], abs=1e-10)
-        # signs (real E) and phases (complex E) of det_sequence at every k
+        # signs (real E) and phases (complex E) of f_[1,k] at every k, from
+        # column 0 of the determinant profile
+        vs = cc._site_values(p, dyn, x, 1, 200)[0]
         for E, ref in ((0.7, ref_norm), (0.7 + 0.05j, ref_det)):
-            for k, f in enumerate(cc.det_sequence(p, dyn, x, E, 200), start=1):
-                assert f.log_mag == pytest.approx(ref[k][1], abs=1e-10), k
-                assert abs(f.phase - mp_phase(ref[k][2])) <= 1e-9, k
-
-
-def test_green_entries_match_the_mpmath_cramer_ratio():
-    p = pt.Potential(dict(DEG3.coeffs), lam=2.0)
-    N, E = 200, 0.7 + 0.05j
-    x = np.random.default_rng(11).random(1)
-
-    def f(a, b):
-        """f_[a,b] at 50 digits, with f_[a,a-1] = 1."""
-        return mp.mpf(1) if b < a else mp_logs(p, SHIFT, x, E, (b,), start=a)[b][2]
-
-    full = f(1, N)
-    for j, k in ((1, 1), (1, N), (5, 40), (60, 60), (90, 170), (150, N)):
-        g = cc.green_entry(p, SHIFT, x, E, j, k, N)
-        with mp.workdps(50):
-            ref = f(1, j - 1) * f(k + 1, N) / full
-            log_ref = float(mp.log(abs(ref)))
-        assert g.log_mag == pytest.approx(log_ref, abs=1e-10), (j, k)
-        assert abs(g.phase - mp_phase(ref)) <= 1e-9, (j, k)
+            phases, logs = cc._det_profile(vs, E)
+            for k in range(1, 201):
+                assert logs[k, 0] == pytest.approx(ref[k][1], abs=1e-10), k
+                assert abs(phases[k, 0] - mp_phase(ref[k][2])) <= 1e-9, k
 
 
 def test_green_row_matches_its_entries_and_the_mpmath_cramer_ratio():
@@ -324,13 +308,10 @@ def test_green_row_matches_its_entries_and_the_mpmath_cramer_ratio():
         for t in reversed(ts):
             right.append(t * right[-1] - right[-2])
         left, right = left[1:], right[:0:-1]
-    for j in (1, 5, 90, N):
+    for j in (1, 5, 60, 90, 150, N):
         phases, logs = cc.green_row(p, SHIFT, x, E, j, N)
         assert phases.shape == logs.shape == (N - j + 1,)
         for k in range(j, N + 1):
-            g = cc.green_entry(p, SHIFT, x, E, j, k, N)
-            assert logs[k - j] == pytest.approx(g.log_mag, abs=1e-12 * N), (j, k)
-            assert abs(phases[k - j] - g.phase) <= 1e-10, (j, k)
             with mp.workdps(50):
                 ref = left[j - 1] * right[k] / left[N]
                 log_ref = float(mp.log(abs(ref)))
