@@ -29,13 +29,14 @@ log-norms are exact up to accumulated rounding.
 Real phases have one site stream, :func:`_sites`, exact to rounding for
 all three maps; complex phases of a shift have :func:`_laurent_sites`.
 Both shift streams read their per-site coefficients, built on the exact
-frac(t omega), from one table, :func:`_laurent_table`.  Both streams run
-through one recurrence core, :func:`_recur`, vectorized over starting
-phases.  The batched kernels (``batched_log_norms``,
+frac(t omega), from one table, :func:`_laurent_table`: the real stream
+as one BLAS product per block, the complex one as elementwise sums.
+Both run through one recurrence core, :func:`_recur`, vectorized over
+starting phases.  The batched kernels (``batched_log_norms``,
 ``batched_log_absdet``), the single-phase products and determinants, the
 Green rows, and ``complex_det_grid`` under the zeros module are thin
-wrappers over it.  The zeros module's block-companion matrix
-reads the same table.  The core rescales only every
+wrappers over it, and the zeros module's block-companion matrix reads
+the same table.  The core rescales only every
 r = max(1, floor(600 / log(sup|v| + max|E| + 2))) sites and at checkpoints,
 and each column on its own.  So a window and its reversal run as two
 columns of one pass: :func:`_det_profile` gives both Cramer families
@@ -170,12 +171,12 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
     2^14 (or B = 1), and site k equals ``eval_real(p, iterate(dyn, x, k)[0])``
     to rounding:
 
-    * shift: V is summed by angle addition, with e(j x_i) once per call
-      and the coefficients lam v_j e(j frac(t omega)) of the positive
-      harmonics read from :func:`_laurent_table`, once per run of whole
-      blocks of at most 2^12 sites (or one longer block); frac(t omega) is
-      exact, from the integer ratio of omega as in ``fracmul``.  Each
-      block is a fresh array, written in one pass per harmonic;
+    * shift: V is summed by angle addition, each block one real matrix
+      product of the rows of :func:`_laurent_table` (built once per run
+      of whole blocks of at most 2^12 sites, or one longer block) with
+      [1, Re e(j x_i), Im e(j x_i)], formed once per call; frac(t omega)
+      is exact, from the integer ratio of omega as in ``fracmul``.  Each
+      block is fresh, and its last bits depend on its shape;
     * skew shift: the closed form x + t y + t(t-1)/2 omega (valid for
       t < 0 too), with frac(t(t-1)/2 omega) exact per site and t y exact
       up to one rounding: frac(start y) per block, exact and vectorized
@@ -192,31 +193,19 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
     m = xs.shape[0]
     size = max(1, _BLOCK_ELEMENTS // m)
     if isinstance(dyn, Shift):
-        c0 = p.lam * p.coeff(0).real
-        # the harmonics alone, from a table of no sites
+        # P's rows [1, Re e(k x), Im e(k x)], k from a table of no sites
         ks = _laurent_table(p, dyn.omega, t0, t0 - 1, real=True)[0]
         ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
-        # one coefficient table per run of whole blocks, at most 2^12 sites
-        # unless one block is longer: 64 KiB complex rows, as in
-        # _laurent_sites, since malloc maps larger ones afresh per call
+        P = np.concatenate([np.ones((1, m)), ux.real, ux.imag])
+        # a table per run of whole blocks (2^12 sites or one block), fresh blocks
         run = size * max(1, _BLOCK_ELEMENTS // 4 // size)
-        # one buffer for the complex terms: a fresh 256 KiB temporary per
-        # harmonic and block can make malloc map and unmap pages each time
-        term = np.empty((min(size, t1 - t0), m), complex)
         for lo in range(t0, t1, run):
-            hi = min(lo + run, t1)
-            coef = _laurent_table(p, dyn.omega, lo, hi - 1, real=True)[2]
-            for start in range(lo, hi, size):
-                rows = slice(start - lo, min(start + size, hi) - lo)
-                # a fresh block, written by c0 plus the first term: the
-                # consumer may hold it while the next is drawn
-                block = np.empty((rows.stop - rows.start, m))
-                if not ks.size:
-                    block.fill(c0)
-                for i, u in enumerate(ux):
-                    real = np.multiply.outer(coef[rows, i], u, out=term[:len(block)]).real
-                    np.add(block if i else c0, real, out=block)
-                yield block
+            table = _laurent_table(p, dyn.omega, lo, min(lo + run, t1) - 1, real=True)[2]
+            for i in range(0, len(table), size):
+                # a lone phase or site makes a matrix-vector product, which
+                # OpenBLAS rounds apart with its thread count: numpy's loop forms it
+                A = table[i:i + size]
+                yield A @ P if min(len(A), m) > 1 else np.einsum("ij,jk->ik", A, P)
     elif isinstance(dyn, dyn_mod.SkewShift):
         # y_hi has at most 27 bits, so j * y_hi is exact for j < size <= 2^14
         y_hi = np.round(xs[:, 1] * 2.0 ** 26) / 2.0 ** 26
@@ -280,10 +269,11 @@ def _laurent_table(p: Potential, omega: float, a: int, b: int, real: bool = Fals
     Site k reads lam V at z e(k omega), as in :func:`_sites`, so
     v(k, z) = sum_j coef[k - a, i] z^ks[i] with coef[:, i] = lam v_j
     e(j frac(k omega)), j = ks[i], and vs = lam v_j; frac is exact.  With
-    ``real`` the table keeps only the harmonics j > 0 with v_j != 0, and
-    vs = 2 lam v_j: then v(k, e(x)) = lam v_0 + sum_i Re(coef[k - a, i]
-    e(ks[i] x)), the form the real stream sums.  This is the one place
-    that forms e(j frac(k omega)).
+    ``real`` only the h harmonics j > 0 with v_j != 0 are kept, vs =
+    2 lam v_j, and the table is the real (b - a + 1, 2h + 1) array of
+    columns [lam v_0, Re c, -Im c], c = vs[i] e(j frac(k omega)): v(k, e(x))
+    is its row k - a times [1, Re e(ks x), Im e(ks x)].  This is the one
+    place that forms e(j frac(k omega)).
     """
     if real:
         pos = (p._ks > 0) & (p._vs != 0)
@@ -294,6 +284,18 @@ def _laurent_table(p: Potential, omega: float, a: int, b: int, real: bool = Fals
         # V = 0 stores no harmonic; one zero term gives the table a first column
         ks, vs = np.zeros(1, int), np.zeros(1)
     frac = dyn_mod._fracmuls(range(a, b + 1), omega)
+    if real:
+        table = np.full((frac.size, 2 * ks.size + 1), p.lam * p.coeff(0).real)
+        # Re c = v_r cos - v_i sin and -Im c = -v_r sin - v_i cos, in two buffers
+        for re, im, k, v in zip(table[:, 1:].T, table[:, ks.size + 1:].T, ks, vs):
+            cos = np.multiply(2.0 * math.pi * k, frac)
+            sin = np.sin(cos)
+            np.cos(cos, out=cos)
+            np.multiply(-v.real, sin, out=im)
+            np.multiply(v.real, cos, out=re)
+            re -= np.multiply(v.imag, sin, out=sin)
+            im -= np.multiply(v.imag, cos, out=cos)
+        return ks, vs, table
     # one contiguous row per harmonic, the exponent as (2 pi i j) frac and
     # v times the row into the table: numpy's fused complex multiply rounds
     # other orders and layouts apart in the last bit
@@ -330,8 +332,8 @@ def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
         for start in range(0, len(coef), size):
             c = coef[start:start + size]
             blk, tmp = out[:len(c)], term[:len(c)]
-            # elementwise sums, not a BLAS product: a threaded BLAS stalls
-            # badly on small products when other threads compete for cores
+            # elementwise sums: a complex BLAS product measured level on the almost
+            # Mathieu grids the zeros items run (faster only with several harmonics)
             np.multiply(c[:, :1], rows[0], out=blk)
             for i in range(1, len(rows)):
                 blk += np.multiply(c[:, i:i + 1], rows[i], out=tmp)

@@ -341,11 +341,11 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
 
     The widest pair is swept over every phase.  Counts are monotone in
     E, so a narrower pair catches only phases the widest pair caught, and
-    for the shift it is swept over those alone: the shift's sites are
-    exact per phase, the same bits at any batch width of two or more
-    phases.  The skew shift's sites depend on the batch's block layout
-    (by about 1e-14) and the doubling map's on the whole batch's rng
-    noise, so those maps sweep every pair over every phase once.
+    for the shift it is swept over those alone, as the caught columns of
+    a second draw of the same stream (a sub-batch's blocks could round
+    apart: a product's last bits depend on its shape).  The skew shift's
+    second draw would cost a cosine per site and the doubling map's its
+    rng noise again, so those maps sweep every pair over every phase once.
     """
     params = np.asarray(H_param, dtype=float)
     if params.ndim > 1 or not np.all(params >= 1):  # a NaN fails too
@@ -354,24 +354,22 @@ def wegner_measure(p: Potential, dyn: Dynamics, E: float, H_param,
     pairs = np.stack([E - hs, E + hs], axis=1)
     xs, rng = _phases(dyn, N, x_samples, seed)
 
-    def caught(xs, pairs):
-        counts = _sturm_counts(cocycle._sites(p, dyn, xs, 1, N, rng), pairs.ravel())
+    def caught(pairs, cols=None):
+        blocks = cocycle._sites(p, dyn, xs, 1, N, rng)
+        counts = _sturm_counts(blocks if cols is None else (
+            np.take(block, cols, axis=1) for block in blocks), pairs.ravel())
         return (counts[:, 1::2] - counts[:, ::2]) > 0
 
     if isinstance(dyn, Shift):
         wide = int(np.argmax(hs))
         rest = np.arange(hs.size) != wide
-        hit = caught(xs, pairs[[wide]])[:, 0]
+        hit = caught(pairs[[wide]])[:, 0]
         within = np.zeros((x_samples, hs.size), bool)
         within[:, wide] = hit
         if hit.any() and rest.any():
-            # numpy multiplies a lone complex pair without FMA, so a lone
-            # phase's one-site blocks may round apart from the batch's: a
-            # lone catch is swept with every phase
-            rows = np.flatnonzero(hit) if hit.sum() > 1 else np.arange(x_samples)
-            within[np.ix_(rows, rest)] = caught(xs[rows], pairs[rest])
+            within[np.ix_(hit, rest)] = caught(pairs[rest], np.flatnonzero(hit))
     else:
-        within = caught(xs, pairs)
+        within = caught(pairs)
     measures = np.mean(within, axis=0)
     return float(measures[0]) if params.ndim == 0 else measures
 

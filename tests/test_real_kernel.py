@@ -14,7 +14,11 @@ must give each energy what a pass of its own gives.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
@@ -163,23 +167,28 @@ def test_stream_blocks_are_capped_and_checked():
 
 
 def per_block_shift_sites(p, omega, xs, k0, k1):
-    """The shift stream's blocks with frac, e(j frac) and the sum formed per block.
+    """The shift stream's blocks with each block's coefficient table built alone.
 
-    The reference for the table-fed stream of ``_sites``: the same block
-    cut, lam v_0 filled in first, then per positive harmonic j the real
-    part of (2 lam v_j e(j frac(k omega))) e(j x_i) added in turn.
+    The reference for the run-fed stream of ``_sites``: the same block
+    cut, and per block the columns [lam v_0, Re c, -Im c] of
+    c = (2 lam v_j) e(j frac(k omega)) for the positive harmonics j, from
+    the cosine and sine of 2 pi j frac(k omega), times the rows
+    [1, Re e(j x_i), Im e(j x_i)] in one matrix product.
     """
     m = xs.shape[0]
     size = max(1, cc._BLOCK_ELEMENTS // m)
     pos = (p._ks > 0) & (p._vs != 0)
-    ks, coef = p._ks[pos], 2.0 * p.lam * p._vs[pos]
-    ux = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
+    ks, vs = p._ks[pos], 2.0 * p.lam * p._vs[pos]
+    u = np.exp(2j * math.pi * ks[:, None] * xs[None, :, 0])
+    rows = np.concatenate([np.ones((1, m)), u.real, u.imag])
     for start in range(k0, k1 + 1, size):
         frac = dy._fracmuls(range(start, min(start + size, k1 + 1)), omega)
-        out = np.full((frac.size, m), p.lam * p.coeff(0).real)
-        for k, c, u in zip(ks, coef, ux):
-            out += np.multiply.outer(c * np.exp(2j * math.pi * k * frac), u).real
-        yield out
+        angles = [2.0 * math.pi * k * frac for k in ks]
+        re = [v.real * np.cos(a) - v.imag * np.sin(a) for a, v in zip(angles, vs)]
+        im = [-v.real * np.sin(a) - v.imag * np.cos(a) for a, v in zip(angles, vs)]
+        table = np.column_stack([np.full(frac.size, p.lam * p.coeff(0).real)] + re + im)
+        # a matrix-vector product by numpy's own loop, not BLAS
+        yield table @ rows if min(frac.size, m) > 1 else np.einsum("ij,jk->ik", table, rows)
 
 
 @st.composite
@@ -198,13 +207,14 @@ def trig_potentials(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=trig_potentials(), m=st.sampled_from([1, 2, 3, 300, 2000, 5000]),
+@given(p=trig_potentials(), m=st.sampled_from([1, 2, 3, 20, 300, 2000, 5000]),
        elements=st.sampled_from([cc._BLOCK_ELEMENTS, 64]), data=st.data())
-def test_shift_stream_keeps_the_per_block_bits(p, m, elements, data):
+def test_shift_stream_is_one_product_per_block(p, m, elements, data):
     # _BLOCK_ELEMENTS = 64 cuts the coefficient table into runs of at most
-    # 64 sites, so wide batches cross a run boundary on a short window too
+    # 16 sites (or one block), so wide batches cross a run boundary on a short
+    # window too
     size = max(1, elements // m)
-    run = size * max(1, elements // size)
+    run = size * max(1, elements // 4 // size)
     k0 = data.draw(st.integers(-3 * run, 3 * run), label="k0")
     n = data.draw(st.integers(1, min(2 * run + 3, (1 << 18) // m)), label="n")
     xs = np.random.default_rng(m + n).random((m, 1))
@@ -213,7 +223,36 @@ def test_shift_stream_keeps_the_per_block_bits(p, m, elements, data):
         got = list(cc._sites(p, SHIFT, xs, k0, k0 + n - 1))
         ref = list(per_block_shift_sites(p, GOLDEN, xs, k0, k0 + n - 1))
     assert [b.shape for b in got] == [b.shape for b in ref]
+    assert not any(np.shares_memory(a, b) for a, b in zip(got, got[1:]))
     assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes()
+
+
+# one process per BLAS thread count: the sha256 of the shift stream's sites
+# for almost Mathieu, DEG3 and a degree-40 potential, whose 81-column
+# products are large enough for OpenBLAS to split over threads; one phase,
+# one-site blocks (m > 8192) and one-site last blocks included
+SITES_DIGEST = """
+import hashlib, numpy as np, qplab.cocycle as cc, qplab.dynamics as dy, qplab.potential as pt
+shift = dy.Shift((dy.GOLDEN_MEAN,))
+deg3 = pt.Potential({0: 0.4, 1: 0.3 + 0.2j, 2: -0.1j, 3: 0.25}, lam=1.0)
+wide = pt.Potential({j: 1.0 / (1 + j) for j in range(41)}, lam=2.0)
+for p in (pt.almost_mathieu(3.0), deg3, wide):
+    for m, n in ((1, 40_000), (20, 4909), (2000, 59), (9001, 2)):
+        xs = np.random.default_rng(m).random((m, 1))
+        print(hashlib.sha256(cc._site_values(p, shift, xs, -5, n).tobytes()).hexdigest())
+"""
+
+
+def test_site_values_keep_their_bits_at_one_and_two_blas_threads():
+    src = str(Path(cc.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", SITES_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 12 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("lam", [0.5, 3.0, -7.0])
@@ -266,6 +305,41 @@ def mp_logs(p, dyn, x, E, checkpoints, start=1):
 def mp_phase(f):
     with mp.workdps(50):
         return complex(f / abs(f))
+
+
+SITE_POTENTIALS = {"amo3": AMO3, "deg3": DEG3,
+                   "complex": pt.Potential({2: 0.6 - 0.8j, 5: -0.3j}, lam=-2.5),
+                   "zero": pt.Potential({}, lam=3.0)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 2000, 5000])
+@pytest.mark.parametrize("name", list(SITE_POTENTIALS))
+def test_shift_stream_sites_match_mpmath(name, m):
+    # a window from t = -2 across the first run of the coefficient table
+    # (at most 2^12 sites, or one longer block): the sites at the block and
+    # run edges and at random times, for a few phases, against 50 digits
+    p = SITE_POTENTIALS[name]
+    size = max(1, cc._BLOCK_ELEMENTS // m)
+    run = size * max(1, cc._BLOCK_ELEMENTS // 4 // size)
+    k0, k1 = -2, run + 2 * size
+    rng = np.random.default_rng(m)
+    xs = rng.random((m, 1))
+    ts = {k0, k1, k0 + size - 1, k0 + size, k0 + run - 1, k0 + run, k0 + run + 1}
+    ts = np.array(sorted(ts | set(rng.integers(k0, k1 + 1, 12).tolist())))
+    cols = np.unique([0, m - 1, *rng.integers(0, m, 3)])
+    got, t = [], k0
+    for block in cc._sites(p, SHIFT, xs, k0, k1):
+        inside = ts[(ts >= t) & (ts < t + len(block))]
+        got.extend(block[inside - t][:, cols])
+        t += len(block)
+    assert t == k1 + 1 and len(got) == len(ts)
+    with mp.workdps(50):
+        for row, k in zip(got, ts):
+            for v, x in zip(row, xs[cols]):
+                th = exact_phase(SHIFT, x, int(k))
+                th = mp.mpf(th.numerator) / th.denominator
+                exact = p.lam * mp.fsum(mp.mpc(vj) * mp.expjpi(2 * j * th) for j, vj in p.coeffs)
+                assert abs(v - exact.real) <= 1e-12, (k, x)
 
 
 @pytest.mark.parametrize("name", ["shift", "skew", "doubling"])

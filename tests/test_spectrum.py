@@ -1,5 +1,6 @@
 """Counting, IDS, eigenvectors, and trace inequalities on finite windows."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -540,49 +541,74 @@ def test_a_tie_count_is_monotone_in_the_energy(monkeypatch):
 
 def test_wegner_prunes_only_on_the_shift(monkeypatch):
     # the shift sweeps the widest pair over every phase and the others
-    # over the phases it caught; the skew shift and doubling draw their
-    # stream once, for every pair
+    # over the phases it caught, read as columns of a second draw of the
+    # full stream; the skew shift and doubling draw their stream once, for
+    # every pair
     kw = dict(N=60, x_samples=400, seed=2)
-    widths, sites = [], sp.cocycle._sites
+    draws, swept = [], []
+    sites, counts = sp.cocycle._sites, sp._sturm_counts
 
     def recording(p, dyn, xs, *args):
-        widths.append(len(xs))
+        draws.append(len(xs))
         return sites(p, dyn, xs, *args)
 
+    def sweeping(blocks, energies):
+        blocks = iter(blocks)
+        first = next(blocks)
+        swept.append(first.shape[1])
+        return counts(itertools.chain([first], blocks), energies)
+
     monkeypatch.setattr(sp.cocycle, "_sites", recording)
+    monkeypatch.setattr(sp, "_sturm_counts", sweeping)
     shift = sp.wegner_measure(AMO3, SHIFT, 0.3, [8.0, 5.0, 10.0], **kw)
-    assert widths[0] == 400 and 0 < widths[1] < 400 and len(widths) == 2
-    assert widths[1] == round(shift[1] * 400)
-    # a lone catch is swept with every phase (see wegner_measure)
+    assert draws == [400, 400] and swept[0] == 400 and 0 < swept[1] < 400
+    assert swept[1] == round(shift[1] * 400)
+    # a lone catch is one column of the second draw
     xs = np.random.default_rng(2).random((400, 1))
     E = float(sp.cocycle._site_values(AMO3, SHIFT, xs[:1], 1, 1)[0, 0])
-    widths.clear()
+    del draws[:], swept[:]
     lone = sp.wegner_measure(AMO3, SHIFT, E, [20.0, 30.0], 1, 400, 2)
-    assert widths == [400, 400] and lone.tolist() == [1 / 400, 1 / 400]
+    assert draws == [400, 400] and swept == [400, 1]
+    assert lone.tolist() == [1 / 400, 1 / 400]
     for dyn in (SKEW, dy.Doubling()):
-        widths.clear()
+        del draws[:], swept[:]
         sp.wegner_measure(AMO3, dyn, 0.3, [8.0, 5.0, 10.0], **kw)
-        assert widths == [400]
+        assert draws == swept == [400]
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), p=st.sampled_from([AMO3, pt.almost_mathieu(0.0), DEG3]),
-       m=st.sampled_from([1, 2, 7, 64, 300, 1000, 5000]), seed=st.integers(0, 2 ** 32 - 1))
-def test_the_shifts_sites_are_exact_per_phase(data, p, m, seed):
-    # what the pruned wegner rests on: the stream over a subset of two or
-    # more phases is the full stream's columns bit for bit, whatever the
-    # block and run layout either batch gets (up to 2e5 sites x phases).
-    # One phase alone is left out: numpy multiplies a lone complex pair
-    # without FMA, so a one-site block of it can differ in the last bit.
-    n = data.draw(st.integers(1, max(1, 200_000 // m)), label="n")
-    rng = np.random.default_rng(seed)
-    xs = rng.random((m, 1))
-    keep = rng.random(m) < data.draw(st.sampled_from([0.01, 0.3, 1.0]), label="share")
-    keep[rng.choice(m, min(m, 2), replace=False)] = True
-    idx = np.flatnonzero(keep)
-    full = np.concatenate(list(sp.cocycle._sites(p, SHIFT, xs, 1, n)))
-    part = np.concatenate(list(sp.cocycle._sites(p, SHIFT, xs[idx], 1, n)))
-    assert np.array_equal(part, full[:, idx])
+@given(p=st.sampled_from([AMO3, DEG3]), m=st.sampled_from([1, 2, 3, 20, 300, 2000, 5000]),
+       catches=st.sampled_from([0, 1, 2, "all"]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_the_pruned_shift_wegner_is_the_unpruned_sweep(p, m, catches, seed, data):
+    # the widest pair is set between the distances of the phases' spectra
+    # to E so that it catches 0, 1, 2 or all of them; the narrower pairs
+    # then read the caught columns of a second draw of the stream.  Every
+    # phase is caught when lam = 0, where all windows are the free one.
+    n = data.draw(st.integers(1, min(300, 20_000 // m)), label="n")
+    if catches == "all":
+        p = pt.almost_mathieu(0.0)
+    xs = np.random.default_rng(seed).random((m, 1))
+    diags = sp.cocycle._site_values(p, SHIFT, xs, 1, n)
+    eigs = [eigh_tridiagonal(d, -np.ones(n - 1), eigvals_only=True) for d in diags]
+    target = min(m, {"all": m}.get(catches, catches))
+    # no catch: an energy above every spectrum, else an eigenvalue of a drawn phase
+    E = 10.0 if not target else float(
+        data.draw(st.sampled_from(eigs[data.draw(st.integers(0, m - 1), label="i")].tolist()),
+                  label="E"))
+    dist = np.sort([np.min(np.abs(e - E)) for e in eigs])
+    # h midway between the target-th and the next distance, and H >= 1
+    lo = max(dist[target - 1], 1e-12) if target else 0.0
+    hi = dist[target] if target < m else 1.0
+    h = min((lo + hi) / 2, math.exp(-1.0))
+    H = -math.log(h)
+    H_params = [H, H + 0.5, H + 3.0, H + 30.0, 745.0][:data.draw(st.integers(1, 5), label="pairs")]
+    got = sp.wegner_measure(p, SHIFT, E, H_params, n, m, seed)
+    assert got.tolist() == unpruned_wegner(p, SHIFT, E, H_params, n, m, seed).tolist()
+    # the widest pair catches the target unless the H = 1 clip or the
+    # eigenvalues' rounding leaves h too close to a distance
+    if h - lo > 1e-9 and hi - h > 1e-9:
+        assert round(got[0] * m) == target
 
 
 def test_wegner_holds_no_site_table():
