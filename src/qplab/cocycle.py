@@ -82,22 +82,6 @@ class SingularEnergy(ZeroDivisionError):
     """A determinant in a denominator is exactly zero (E hit an eigenvalue)."""
 
 
-def op_norm_2x2(m) -> float:
-    """Largest singular value of a 2x2 matrix, by the closed form.
-
-    Works for real and complex entries: with F the squared Frobenius norm
-    and D = |det|, the top singular value is sqrt((F + sqrt(F^2-4D^2))/2).
-    """
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det = abs(a * d - b * c)
-    gap = fro2 * fro2 - 4.0 * det * det
-    if gap < 0.0:
-        gap = 0.0
-    return math.sqrt(0.5 * (fro2 + math.sqrt(gap)))
-
-
 # ---------------------------------------------------------------------------
 # determinant and product records
 
@@ -133,7 +117,7 @@ class ScaledProduct:
     @property
     def log_norm(self) -> float:
         """log of the operator norm of the full product."""
-        return self.log_scale + math.log(op_norm_2x2(self.mat))
+        return self.log_scale + math.log(_op_norms(self.mat))
 
     def reconstruct(self) -> np.ndarray:
         """exp(log_scale) * mat as a dense matrix (overflows for long products)."""
@@ -465,7 +449,8 @@ def _phase_batch(dyn: Dynamics, xs) -> np.ndarray:
 
 
 def _op_norms(mats: np.ndarray) -> np.ndarray:
-    """op_norm_2x2 over a stack of matrices of shape (2, 2, m)."""
+    """Top singular values of the 2x2 matrices mats[:, :, ...], real or complex:
+    sqrt((F + sqrt(F^2 - 4D^2)) / 2), F the squared Frobenius norm, D = |det|."""
     # squared in place and dropped before the determinant's temporaries
     sq = np.abs(mats)
     fro2 = np.sum(np.square(sq, out=sq), axis=(0, 1))

@@ -284,29 +284,24 @@ def _prep_positivity_probe(p, dyn, E, ell, m_samples, sampler, sigma):
     return [partial(task, e) for e in E.tolist()]
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def _prep_avalanche_fuzz(p, dyn, trials, n, mu, rot, chunk):
+    """Each task checks a chunk of trials as one stack of factors R(2 pi b) diag(s, 1/s)
+    R(2 pi a), s = mu e^u, with (u, b, a) one uniform draw and libm's exp, cos and sin.
+    A task peaks near 300 bytes per factor (libm's values pass through object arrays)."""
     from . import lyapunov as ly
 
     def task(lo, hi, s):
-        rng = np.random.default_rng(s)
-        rows = []
-        for trial in range(lo, hi):
-            mats = []
-            for _ in range(n):
-                stretch = mu * math.exp(rng.uniform(0.0, 0.5))
-                left = _rotation(2.0 * math.pi * rng.uniform(-rot, rot))
-                right = _rotation(2.0 * math.pi * rng.uniform(-rot, rot))
-                mats.append(left @ np.diag([stretch, 1.0 / stretch]) @ right)
-            rep = ly.avalanche_check(mats, mu)
-            verdict = float("nan") if rep.passes is None else int(rep.passes)
-            rows.append((trial, n, mu, rep.lhs_discrepancy, rep.bound,
-                         int(rep.hypotheses_ok), verdict))
-        return rows
+        u = np.random.default_rng(s).uniform([0.0, -rot, -rot], [0.5, rot, rot], (hi - lo, n, 3))
+        stretch = mu * ly._libm(math.exp, u[..., 0])
+        theta = 2.0 * math.pi * u[..., 1:]
+        cos, sin = ly._libm(math.cos, theta), ly._libm(math.sin, theta)
+        # axes (trial, factor, left/right, row, column)
+        rotations = np.stack([cos, -sin, sin, cos], axis=-1).reshape(theta.shape + (2, 2))
+        diag = np.stack([stretch, 1.0 / stretch], axis=-1)[..., None] * np.eye(2)
+        rep = ly.avalanche_check((rotations[..., 0, :, :] @ diag) @ rotations[..., 1, :, :], mu)
+        return [(trial, n, mu, lhs, rep.bound, ok, verdict) for trial, lhs, ok, verdict
+                in zip(range(lo, hi), rep.lhs_discrepancy.tolist(),
+                       rep.hypotheses_ok.astype(int).tolist(), rep.passes.tolist())]
 
     return [partial(task, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
 
@@ -555,6 +550,8 @@ ASCENDING_ENERGIES = ENERGIES.where("in ascending order", lambda E: np.all(np.di
 # the dense trace check squares eta as a float, which raises on overflow
 ETA = POSITIVE.where("and with a finite square (below 1.341e154)",
                      lambda eta: math.isfinite(eta * eta))
+# avalanche_fuzz draws angles uniform on [-rot, rot], a width that must be finite
+ROTATION = NONNEGATIVE.where("and at most 8.988e307", lambda rot: math.isfinite(2.0 * rot))
 BMO_GRID = COUNT.where(f"and a power of two >= {_MIN_BMO_GRID}",
                        lambda m: m >= _MIN_BMO_GRID and not m & (m - 1))
 
@@ -566,7 +563,7 @@ EXPERIMENTS = {
          # the op-norm of a product of two factors squares their squared
          # norms, about mu^8, in floats
          P("mu", REAL.where("in [1, 1e30]", lambda mu: 1 <= mu <= 1e30), 1e4),
-         P("rot", NONNEGATIVE, 0.1), P("chunk", COUNT, 50)),
+         P("rot", ROTATION, 0.1), P("chunk", COUNT, 50)),
         _prep_avalanche_fuzz),
     "bmo_trend": ExperimentSpec(
         "Dyadic oscillation estimate of the chosen log statistic as n grows.",

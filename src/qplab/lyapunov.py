@@ -4,9 +4,10 @@ positivity criterion.
 The central quantity is L_n(E) = (1/n) * integral of log ||M_n(x, E)||
 over the phase x.  Everything here estimates that integral by sampling
 (grid, single orbit, or seeded random phases), checks the avalanche
-principle on explicit matrix sequences, and probes the one-scale
-positivity criterion: if L_ell clears the a-priori growth rate S by a
-factor ell^(-sigma/4) and the drop from L_ell to L_2ell is below
+principle on a stack of matrix sequences (..., n, 2, 2) in one array
+pass (about three float arrays of 32 bytes per factor), and probes the
+one-scale positivity criterion: if L_ell clears the a-priori growth rate
+S by a factor ell^(-sigma/4) and the drop from L_ell to L_2ell is below
 L_ell/8, the limiting exponent is at least L_ell/2.
 """
 
@@ -41,31 +42,30 @@ class LyapunovEstimate:
 
 @dataclass(frozen=True)
 class ApReport:
-    """Outcome of one avalanche-principle check on a matrix sequence.
+    """Outcome of the avalanche-principle check on a stack of sequences.
 
     ``lhs_discrepancy`` is |log||A_n...A_1|| + sum_{j=2..n-1} log||A_j||
     - sum_{j=1..n-1} log||A_{j+1}A_j|||; the principle promises it stays
-    below C*n/mu whenever the hypotheses hold.
+    below C*n/mu whenever the hypotheses hold.  All but n, mu and bound
+    run over the stack's leading axes (numpy scalars for one sequence).
     """
 
     n: int
     mu: float
-    hyp_det_ok: bool
-    hyp_large_ok: bool
-    hyp_diff_ok: bool
-    lhs_discrepancy: float
+    hyp_det_ok: np.ndarray
+    hyp_large_ok: np.ndarray
+    hyp_diff_ok: np.ndarray
+    lhs_discrepancy: np.ndarray
     bound: float
 
     @property
-    def hypotheses_ok(self) -> bool:
-        return self.hyp_det_ok and self.hyp_large_ok and self.hyp_diff_ok
+    def hypotheses_ok(self):
+        return self.hyp_det_ok & self.hyp_large_ok & self.hyp_diff_ok
 
     @property
     def passes(self):
-        """True/False verdict, or None when the hypotheses fail."""
-        if not self.hypotheses_ok:
-            return None
-        return self.lhs_discrepancy <= self.bound
+        """The verdict as 1.0 or 0.0, NaN where the hypotheses fail."""
+        return np.where(self.hypotheses_ok, self.lhs_discrepancy <= self.bound, np.nan)[()]
 
 
 @dataclass(frozen=True)
@@ -168,43 +168,44 @@ def finite_lyapunov(p: Potential, dyn: Dynamics, E: float, n: int,
                             sampler=sampler)
 
 
-def _norms_and_dets(mats):
+def _libm(f, x) -> np.ndarray:
+    """libm's f (from ``math``) on each element of x: numpy's SIMD exp and log round apart."""
+    return np.asarray(np.frompyfunc(f, 1, 1)(x), dtype=float)
+
+
+def _norms_and_dets(arr, scales):
     """(log norms, log pair-product norms, log |dets|, full log norm, det slack).
 
-    Dense matrices and ScaledProduct records run one path, as residuals
-    with log scales (zero for dense input).
+    ``arr`` is a stack (..., n, 2, 2) of residual factors with log scales
+    ``scales`` (..., n), None for dense input.  The logs come back with
+    shapes (..., n), (..., n-1), (..., n) and (...).  The full products run
+    one site at a time over the whole stack, each rescaled whenever its
+    norm leaves [1/2, 2], and are -inf where they reach the zero matrix.
     """
-    n = len(mats)
-    scaled = n > 0 and isinstance(mats[0], cocycle.ScaledProduct)
-    if scaled:
-        arr = np.array([sp.mat for sp in mats])
-        scales = np.array([sp.log_scale for sp in mats])
-    else:
-        arr = np.asarray(mats, dtype=float)
-        if arr.ndim != 3 or arr.shape[1:] != (2, 2):
-            raise ValueError("expected a sequence of 2x2 matrices")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrices must be finite")
-        scales = np.zeros(n)
-    log_norms = scales + np.log(cocycle._op_norms(arr.transpose(1, 2, 0)))
-    log_pairs = scales[1:] + scales[:-1] + np.log(
-        cocycle._op_norms(np.matmul(arr[1:], arr[:-1]).transpose(1, 2, 0)))
-    # the full product, rescaled whenever its norm leaves [1/2, 2]
-    total, log_total, log_extra = np.eye(2), 0.0, 0.0
-    for a, s in zip(arr, scales.tolist()):
-        total = a @ total
-        log_extra += s
-        nrm = cocycle.op_norm_2x2(total)
-        if nrm > 0.0 and not 0.5 <= nrm <= 2.0:
-            log_total += math.log(nrm)
-            total = total / nrm
-    log_full = log_total + math.log(cocycle.op_norm_2x2(total)) + log_extra
-    if scaled:
+    def norms(m):
+        return cocycle._op_norms(np.moveaxis(m, (-2, -1), (0, 1)))
+
+    dense = scales is None
+    scales = np.zeros(arr.shape[-3]) if dense else scales
+    log_norms = scales + np.log(norms(arr))
+    log_pairs = scales[..., 1:] + scales[..., :-1] + np.log(
+        norms(arr[..., 1:, :, :] @ arr[..., :-1, :, :]))
+    total = np.broadcast_to(np.eye(2), arr.shape[:-3] + (2, 2)).copy()
+    log_total, log_extra = np.zeros(arr.shape[:-3]), 0.0
+    for j in range(arr.shape[-3]):
+        total = arr[..., j, :, :] @ total
+        log_extra = log_extra + scales[..., j]
+        nrm = norms(total)
+        out = (nrm > 0.0) & ((nrm < 0.5) | (nrm > 2.0))
+        log_total[out] += _libm(math.log, nrm[out])
+        total[out] /= nrm[out][:, None, None]
+    log_full = log_total + _libm(lambda v: math.log(v) if v else -math.inf,
+                                 norms(total)) + log_extra
+    if not dense:
         # transfer products have determinant 1 exactly; a flat slack covers
         # families built to sit exactly on the |det| = 1 boundary
-        return log_norms, log_pairs, np.zeros(n), log_full, np.full(n, 1e-9)
-    with np.errstate(divide="ignore"):
-        log_dets = np.log(np.abs(arr[:, 0, 0] * arr[:, 1, 1] - arr[:, 0, 1] * arr[:, 1, 0]))
+        return log_norms, log_pairs, np.zeros(scales.shape), log_full, 1e-9
+    log_dets = np.log(np.abs(arr[..., 0, 0] * arr[..., 1, 1] - arr[..., 0, 1] * arr[..., 1, 0]))
     # ad - bc read off a dense matrix cancels down to eps * ||A||^2 in
     # absolute terms, so a unit det is only resolvable to that scale
     resolution = 2.0 * log_norms + math.log(64.0 * float(np.finfo(float).eps))
@@ -220,24 +221,39 @@ def avalanche_check(mats, mu: float) -> ApReport:
     log||A_{j+1}A_j|| stays below (1/2) log mu.  When they hold the
     discrepancy must be below C_GATE_DEFAULT * n / mu.
 
-    ``mats`` is a sequence of 2x2 arrays or of ScaledProduct (for
-    factors too large to store densely).
+    ``mats`` is a stack (..., n, 2, 2) of sequences, or nested sequences
+    (..., n) of ScaledProduct for factors too large to store densely; a
+    sequence's report has the same bits in any stack.  Besides its input
+    the check holds about three float arrays of 32 bytes per factor.
     """
-    n = len(mats)
+    first, scales = mats, None
+    while isinstance(first, (list, tuple)) and first:
+        first = first[0]
+    if isinstance(first, cocycle.ScaledProduct):
+        recs = np.asarray(mats, dtype=object)
+        arr = np.array([sp.mat for sp in recs.flat]).reshape(recs.shape + (2, 2))
+        scales = np.array([sp.log_scale for sp in recs.flat]).reshape(recs.shape)
+    else:
+        arr = np.asarray(mats, dtype=float)
+        if arr.ndim < 3 or arr.shape[-2:] != (2, 2) or not np.all(np.isfinite(arr)):
+            raise ValueError("expected a stack of finite 2x2 matrices, shape (..., n, 2, 2)")
+    n = arr.shape[-3]
     if n < 2:
         raise ValueError("avalanche_check needs at least two factors")
-    log_norms, log_pairs, log_dets, log_full, det_slack = _norms_and_dets(mats)
-    # hypothesis comparisons get slack in log scale: families built to
-    # sit exactly on the boundary (norm exactly mu, det exactly 1) land
-    # a rounding error to either side of it in floats
-    hyp_det_ok = bool(np.all(log_dets <= det_slack))
-    hyp_large_ok = bool(np.min(log_norms) >= math.log(mu) - 1e-9) and mu > n
-    diffs = log_norms[1:] + log_norms[:-1] - log_pairs
-    hyp_diff_ok = bool(np.max(diffs) < 0.5 * math.log(mu))
-    lhs = abs(log_full + float(np.sum(log_norms[1:-1])) - float(np.sum(log_pairs)))
+    # a zero factor or adjacent product (log norm -inf) fails a hypothesis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norms, log_pairs, log_dets, log_full, det_slack = _norms_and_dets(arr, scales)
+        # hypothesis comparisons get slack in log scale: families built to
+        # sit exactly on the boundary (norm exactly mu, det exactly 1) land
+        # a rounding error to either side of it in floats
+        hyp_det_ok = np.all(log_dets <= det_slack, axis=-1)
+        hyp_large_ok = (np.min(log_norms, axis=-1) >= math.log(mu) - 1e-9) & (mu > n)
+        diffs = log_norms[..., 1:] + log_norms[..., :-1] - log_pairs
+        hyp_diff_ok = np.max(diffs, axis=-1) < 0.5 * math.log(mu)
+        lhs = np.abs(log_full + np.sum(log_norms[..., 1:-1], axis=-1)
+                     - np.sum(log_pairs, axis=-1))
     return ApReport(n=n, mu=mu, hyp_det_ok=hyp_det_ok, hyp_large_ok=hyp_large_ok,
-                    hyp_diff_ok=hyp_diff_ok, lhs_discrepancy=lhs,
-                    bound=C_GATE_DEFAULT * n / mu)
+                    hyp_diff_ok=hyp_diff_ok, lhs_discrepancy=lhs, bound=C_GATE_DEFAULT * n / mu)
 
 
 def ap_extrapolate(l_k: float, l_2k: float) -> float:

@@ -14,7 +14,12 @@ does, and each CSV is compared with its frozen copy cell by cell:
 
 Last-bit moves of the site stream (up to about 3e-15 per site) move the
 float columns by at most 1.5e-13 relative, except the two columns that
-difference eigenvalues over a phase step of 1e-6, in ``LOOSE``.  A PR
+difference eigenvalues over a phase step of 1e-6, in ``LOOSE``, and
+avalanche_fuzz's ``discrepancy``.  That column is a cancellation: about
+120 log norms of size about 9 sum to values of at most 7.5e-8, whose
+rounding floor is near 1e-11.  Against it the tolerance of 1e-9 of the
+column scale (7.5e-17 absolute) is in effect a bitwise comparison, so
+the avalanche path keeps the operation order of every value.  A PR
 that changes bundled values updates the frozen copies and says why.
 """
 

@@ -30,15 +30,19 @@ def dense_window(p, dyn, x, a, b):
     return H
 
 
-def test_op_norm_2x2_against_numpy_svd():
+def test_op_norms_against_numpy_svd():
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        m = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4)
-        assert cc.op_norm_2x2(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                  rel=1e-12, abs=1e-300)
-    for _ in range(50):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert cc.op_norm_2x2(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+    real = np.array([rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4)
+                     for _ in range(200)])
+    cplx = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                     for _ in range(50)])
+    for mats in (real, cplx):
+        # _op_norms reads a stack with the matrix axes first
+        got = cc._op_norms(mats.transpose(1, 2, 0))
+        np.testing.assert_allclose(got, np.linalg.norm(mats, 2, axis=(1, 2)),
+                                   rtol=1e-12, atol=1e-300)
+        assert got[0] == cc._op_norms(mats[0])
+        assert cc.ScaledProduct(mats[0], 2.0).log_norm == 2.0 + math.log(got[0])
 
 
 def test_transfer_window_concatenation():

@@ -299,6 +299,8 @@ NAN = float("nan")
     # eta ** 2 and ell ** (-sigma / 4) used to raise OverflowError inside a task
     ("concatenation_bound", {"E": 0.0, "eta_list": [1e300]}, "eta_list"),
     ("positivity_probe", {"E": [0.0], "sigma": -1e300}, "sigma"),
+    # a finite rot whose draw width 2 * rot overflowed and exited 3
+    ("avalanche_fuzz", {"rot": 1e308}, "grid.rot"),
 ])
 def test_a_bad_grid_value_exits_2_before_any_task(tmp_path, experiment, grid, key):
     with pytest.raises(cli.ConfigError, match=key):

@@ -1,9 +1,13 @@
 """Finite-scale Lyapunov estimates, the avalanche principle, positivity."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qplab.cocycle as cc
 import qplab.dynamics as dy
@@ -114,7 +118,7 @@ def test_avalanche_exact_for_aligned_diagonal_family():
            for u in rng.uniform(0.0, 1.0, size=10)]
     rep = ly.avalanche_check(fam, mu=1e4)
     assert rep.hypotheses_ok
-    assert rep.passes is True
+    assert rep.passes == 1.0
     assert rep.lhs_discrepancy <= 1e-12
 
 
@@ -125,7 +129,7 @@ def test_avalanche_on_transfer_windows():
             for j in range(12)]
     rep = ly.avalanche_check(mats, mu=1e4)
     assert rep.hypotheses_ok
-    assert rep.passes is True
+    assert rep.passes == 1.0
     assert rep.lhs_discrepancy <= rep.bound
     assert rep.bound == pytest.approx(100.0 * 12 / 1e4)
     # the records and their dense matrices give the same report
@@ -151,13 +155,13 @@ def test_avalanche_telescopes_where_the_dense_product_overflows():
 def test_avalanche_rejects_large_determinants():
     rep = ly.avalanche_check([np.diag([1e4, 2.0])] * 5, mu=1e4)
     assert not rep.hyp_det_ok
-    assert rep.passes is None
+    assert np.isnan(rep.passes)
 
 
 def test_avalanche_rejects_norms_below_mu():
     rep = ly.avalanche_check([np.diag([50.0, 0.02])] * 5, mu=1e4)
     assert not rep.hyp_large_ok
-    assert rep.passes is None
+    assert np.isnan(rep.passes)
 
 
 def test_avalanche_requires_mu_above_length():
@@ -172,7 +176,7 @@ def test_avalanche_rejects_adjacent_cancellation():
     rep = ly.avalanche_check([a, b, a, b], mu=s)
     assert rep.hyp_det_ok and rep.hyp_large_ok
     assert not rep.hyp_diff_ok
-    assert rep.passes is None
+    assert np.isnan(rep.passes)
 
 
 def test_avalanche_input_validation():
@@ -182,6 +186,101 @@ def test_avalanche_input_validation():
         ly.avalanche_check([np.eye(3)] * 3, mu=10.0)
     with pytest.raises(ValueError):
         ly.avalanche_check([np.full((2, 2), np.nan)] * 3, mu=10.0)
+
+
+def test_avalanche_reports_a_product_that_reaches_zero():
+    # both adjacent products, and so the full product, are the zero matrix
+    mats = [np.diag([1e4, 0.0]), np.diag([0.0, 1e4]), np.diag([1e4, 0.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = ly.avalanche_check(mats, mu=10.0)
+    assert rep.hyp_det_ok and rep.hyp_large_ok
+    assert not rep.hyp_diff_ok
+    assert np.isnan(rep.passes)
+
+
+def factor(log_s, det, a, b):
+    """R(a) diag(s, det / s) R(b) with s = e^log_s."""
+    s = math.exp(log_s)
+    return rotation(a) @ np.diag([s, det / s]) @ rotation(b)
+
+
+def records(mats):
+    """The factors as ScaledProduct records, each scaled by its largest entry."""
+    scale = np.abs(mats).max(axis=(-2, -1))
+    return [cc.ScaledProduct(m / s, math.log(s)) for m, s in zip(mats, scale)]
+
+
+# log s from 0 (fails hyp_large) up; det 4 fails hyp_det and det 0 makes
+# rank-one factors; free angles put the contracting direction of one
+# factor on the expanding one of the next (fails hyp_diff)
+FACTORS = st.tuples(st.floats(0.0, 14.0), st.sampled_from([1.0, 0.25, 4.0, 0.0]),
+                    st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+AP_FIELDS = ("hyp_det_ok", "hyp_large_ok", "hyp_diff_ok", "hypotheses_ok",
+             "lhs_discrepancy", "passes")
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=st.integers(2, 8).flatmap(
+           lambda n: st.lists(st.lists(FACTORS, min_size=n, max_size=n),
+                              min_size=1, max_size=4)),
+       mu=st.sampled_from([10.0, 1e3, 1e5]))
+@example(stack=[[(math.log(1e4), 0.0, 0.0, 0.0), (math.log(1e4), 0.0, math.pi / 2, -math.pi / 2),
+                 (math.log(1e4), 0.0, 0.0, 0.0)]], mu=10.0)
+@example(stack=[[(math.log(1e4), 1.0, 0.0, 0.0), (math.log(1e4), 1.0, math.pi / 2, -math.pi / 2)] * 2,
+                [(math.log(1e4), 1.0, 0.1, 0.0)] * 4], mu=1e4)
+def test_a_stacks_report_is_its_sequences_reports_bit_for_bit(stack, mu):
+    mats = np.array([[factor(*f) for f in seq] for seq in stack])
+    whole = ly.avalanche_check(mats, mu)
+    scaled = ly.avalanche_check([records(seq) for seq in mats], mu)
+    for i, seq in enumerate(mats):
+        one = ly.avalanche_check(seq, mu)
+        one_scaled = ly.avalanche_check(records(seq), mu)
+        for name in AP_FIELDS:
+            assert bits(getattr(whole, name)[i]) == bits(getattr(one, name)), name
+            assert bits(getattr(scaled, name)[i]) == bits(getattr(one_scaled, name)), name
+    assert whole.lhs_discrepancy.shape == whole.passes.shape == (len(stack),)
+
+
+def mp_log_norm(m):
+    """log of the largest singular value of a 2x2 mpmath matrix."""
+    fro2 = sum(abs(m[i, j]) ** 2 for i in range(2) for j in range(2))
+    det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return mp.log(mp.sqrt((fro2 + mp.sqrt(fro2 * fro2 - 4 * det * det)) / 2))
+
+
+# The discrepancy sums about 3n log norms of size log mu or more, each
+# read to a few eps of itself, and n rescales of the full product add
+# about eps each; with every log||A_j|| >= log 10 all of it is a few
+# eps * sum_j |log||A_j|||.  The worst of 1500 seeded draws of this
+# family measured 3.5 of that; the gate allows AP_ORACLE_MULTIPLE.
+AP_ORACLE_MULTIPLE = 8.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=st.lists(st.tuples(st.floats(math.log(10.0), 14.0),
+                              st.sampled_from([1.0, 0.25]),
+                              st.floats(-0.2 * math.pi, 0.2 * math.pi),
+                              st.floats(-0.2 * math.pi, 0.2 * math.pi)),
+                    min_size=2, max_size=16))
+def test_discrepancy_matches_a_50_digit_reference(seq):
+    # the fuzz's regime: rotations within +-0.1 turns, no factor below 10
+    mats = np.array([factor(*f) for f in seq])
+    rep = ly.avalanche_check(mats, mu=10.0)
+    with mp.workdps(50):
+        exact = [mp.matrix(m.tolist()) for m in mats]
+        logs = [mp_log_norm(m) for m in exact]
+        pairs = [mp_log_norm(b * a) for a, b in zip(exact, exact[1:])]
+        full = exact[0]
+        for m in exact[1:]:
+            full = m * full
+        ref = float(abs(mp_log_norm(full) + mp.fsum(logs[1:-1]) - mp.fsum(pairs)))
+    budget = AP_ORACLE_MULTIPLE * float(mp.fsum(abs(v) for v in logs)) * np.finfo(float).eps
+    assert abs(rep.lhs_discrepancy - ref) <= budget
 
 
 def test_ap_extrapolate_doubles_the_refined_scale():
