@@ -36,31 +36,39 @@ starting phases.  The batched kernels (``batched_log_norms``,
 ``batched_log_absdet``), the single-phase products and determinants, the
 Green rows, and ``complex_det_grid`` under the zeros module are thin
 wrappers over it, and the zeros module's block-companion matrix reads
-the same table.  The core rescales only every
-r = max(1, floor(600 / log(sup|v| + max|E| + 2))) sites and at checkpoints,
-and each column on its own.  So a window and its reversal run as two
-columns of one pass: :func:`_det_profile` gives both Cramer families
-f_[1,k] and f_[k+1,N] of the Green rows and the eigenvector's determinant
-formula, and the eigenvalue-count bound reads its prefix and suffix norms
-the same way.  The site stream does not depend on E either, so a pass
-takes an array of energies as energy-major column groups over one stream
-(the Lyapunov scans of a phase grid), and
-:func:`batched_log_absdet_and_norm` reads log|f_n| and log||M_n|| from one
-pass, f_n being the (0, 0) entry of M_n.
+the same table.  The core divides each column by its own scale, at
+rescales it takes only when growth requires them: site by site every
+r = max(1, floor(600 / log(sup|v| + max|E| + 2))) sites and at
+checkpoints, folded (below) as the norms of the applied products
+require.  So a window and its reversal run as two columns of one pass:
+:func:`_det_profile` gives both Cramer families f_[1,k] and f_[k+1,N] of
+the Green rows and the eigenvector's determinant formula, and the
+eigenvalue-count bound reads its prefix and suffix norms the same way.
+The site stream does not depend on E either, so a pass takes an array
+of energies as energy-major column groups over one stream (the Lyapunov
+scans of a phase grid), each block offset by one scalar subtraction per
+energy, and :func:`batched_log_absdet_and_norm` reads log|f_n| and
+log||M_n|| from one pass, f_n being the (0, 0) entry of M_n.
 
 The same move makes few phases cheap.  A step costs numpy's per-call
-overhead whatever the number of columns m, so with m <= 128 the core
-cuts each block of R >= 64 sites into g consecutive column segments: at
-most 256 / m of them, and fewer where that would leave a segment shorter
-than sqrt(3 R) sites.  Their 2x2 products, each started from the
-identity, run as 2 g m columns of one multiply-subtract loop that keeps
-every partial product, and are then applied to the carried pair in site
-order, vectorized over the m phases.  A stop is the partial product up
-to it times the pair carried into its segment, so the stops of a block,
-a stop at every site included (the determinant profiles, the sup-rate
-scan, the eigenvalue-count bound), are read in one batch without a
-rescale.  With m > 128 (the phase sweeps), or a block of fewer
-than 64 sites, each site is one step, rescaled and read at each stop.
+overhead whatever the number of columns, so a pass of at most 512
+columns (phases x energies, half of ``_SEGMENT_COLUMNS`` = 1024) reads
+consecutive stream blocks into spans of up to 2^15 sites x columns and
+cuts each span of R >= 64 sites into g consecutive column segments: at
+most 1024 / columns of them, and fewer where that would leave a segment
+shorter than sqrt(3 R) sites.  Their 2x2 products, each started from
+the identity, run as 2 g times the pass's columns in one
+multiply-subtract loop that keeps every partial product, and are then
+applied to the carried pair in site order, vectorized over the columns.
+The pair is rescaled only before a product that would take the sum of
+log(2 max|entry|) over the products (and, with stops, their partial
+products) applied since its last rescale past 600.  A stop is the
+partial product up to it times the pair carried into its segment, so
+the stops of a span, a stop at every site included (the determinant
+profiles, the sup-rate scan, the eigenvalue-count bound), are read in
+one batch without a rescale.  Wider passes, or a span of fewer than 64
+sites, take each site as one step, rescaled every r sites and read at
+each stop.
 """
 
 from __future__ import annotations
@@ -141,10 +149,18 @@ class ScaledProduct:
 # evaluation temporaries of a block stay in cache
 _BLOCK_ELEMENTS = 1 << 14
 
-# width of a folded _recur pass: with m phases, a block of at least
-# _MIN_FOLD sites runs as at most _SEGMENT_COLUMNS / m segments (see _recur)
-_SEGMENT_COLUMNS = 256
+# width of a folded _recur pass: a pass of cols columns folds if
+# _SEGMENT_COLUMNS / cols >= 2, and a span of at least _MIN_FOLD sites
+# runs as at most _SEGMENT_COLUMNS / cols segments (see _recur)
+_SEGMENT_COLUMNS = 1024
 _MIN_FOLD = 64
+
+# the log of the growth a rescaled pair may take before its next rescale
+_LOG_RANGE = 600.0
+
+# A(0)^-j for j = 0..3, A(0) = [[0, -1], [1, 0]] the transfer factor at t = 0
+_TURNS_BACK = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]],
+                        [[-1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [1.0, 0.0]]])
 
 
 def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=None):
@@ -460,12 +476,18 @@ def _op_norms(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (fro2 + np.sqrt(gap)))
 
 
-def _rescale(cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray) -> None:
-    """Divide the pair by its largest modulus per column, in place."""
-    scale = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
+def _rescale(log_acc: np.ndarray, *parts: np.ndarray) -> None:
+    """Divide a pair by its largest modulus per column, in place.
+
+    The parts hold the pair's entries with the columns last: the stepped
+    pass hands (cur, prev), a fold its stacked (2, solutions, m) pair.
+    """
+    scale = np.abs(parts[0]).reshape(-1, log_acc.size).max(axis=0)
+    for part in parts[1:]:
+        np.maximum(scale, np.abs(part).max(axis=0), out=scale)
     scale[scale == 0.0] = 1.0
-    cur /= scale
-    prev /= scale
+    for part in parts:
+        part /= scale
     log_acc += np.log(scale)
 
 
@@ -498,8 +520,9 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     the blocks.  E is a scalar or a 1-D array of e energies.  An array
     makes energy-major column groups over the one site stream: column
     i m + j carries energy i at phase j, each block is written as
-    block[:, None] - E into one reused (B, e, m) buffer and run as e m
-    columns, and every read and return below has e m columns in place of m.
+    block - E_i into slice i of one reused (B, e, m) buffer, one scalar
+    subtraction per energy, and run as e m columns; every read and
+    return below has e m columns in place of m.
     ``solutions=1`` carries f_k from (f_0, f_{-1}) = (1, 0);
     ``solutions=2`` carries M_k, whose rows are (x_k, x_{k-1}) for the two
     solutions started from the identity.  Each step is an in-place
@@ -511,86 +534,118 @@ def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None
     Returns (x_n, x_{n-1}, log_scale), arrays of shape (solutions, m)
     scaled by exp(log_scale).
 
-    The pair is rescaled by its largest modulus every
-    r = max(1, floor(600 / log B)) sites and after the last site, with
-    B = bound + max|E| + 2 bounding every transfer factor's norm: the
+    Few phases leave each step to numpy's per-call cost, so a pass of at
+    most ``_SEGMENT_COLUMNS`` / 2 columns folds (:func:`_fold`).  It reads
+    consecutive blocks into one span buffer of up to twice
+    ``_BLOCK_ELEMENTS`` sites x columns (or the first block, if longer:
+    so energy groups take one block per span), behind L - 1 zero rows
+    that pad a span's first segment, each block's t = v - E rows written
+    there straight from the stream (the buffer holds the first block
+    until a second one comes, then grows to a whole span once, copying
+    that block), and folds each span of
+    R >= ``_MIN_FOLD`` sites as a whole, stops or not.  The spans live
+    here and not in the stream: a shift block's last bits depend on its
+    shape, so the stream keeps its blocks.  A span is cut into g
+    consecutive segments of at most
+
+        L = min(r, max(ceil(R / floor(_SEGMENT_COLUMNS / cols)), sqrt(3 R)))
+
+    sites, r = max(1, floor(600 / log B)) with B = bound + max|E| + 2
+    bounding every transfer factor's norm, whose 2x2 partial products,
+    each from the identity, run as 2 g cols columns of one
+    multiply-subtract loop.  So g cols stays within ``_SEGMENT_COLUMNS``
+    unless r caps L, and no product grows past B^r <= e^600.  The
+    sqrt(3 R) floor balances the loop's L steps against the g products,
+    each of which costs about three steps to apply: they are applied to
+    the carried pair in site order, rescaled by the products' own norms
+    (see :func:`_fold`), and the pair is rescaled after the span.  A stop
+    inside segment s is its partial product times the pair carried into
+    s, read for all of the span's stops at once and without a rescale.
+
+    Wider passes, and spans of fewer than ``_MIN_FOLD`` sites, step site
+    by site, and the pair is rescaled by its largest modulus every r
+    sites, at every stop (where it is read) and after the last site: the
     largest |E| sets one cadence for all energy groups.  Between
     rescalings a solution grows by at most B^r <= e^600, and since every
     factor has determinant 1 it shrinks by at most as much, so neither
     overflow nor underflow can occur.
-
-    Few phases leave each step to numpy's per-call cost, so with
-    m <= ``_SEGMENT_COLUMNS`` / 2 a block of R >= ``_MIN_FOLD`` sites is
-    folded (:func:`_fold`), stops or not.  It is cut into g consecutive
-    segments of at most
-
-        L = min(r, max(ceil(R / floor(_SEGMENT_COLUMNS / m)), sqrt(3 R)))
-
-    sites, whose 2x2 partial products, each from the identity, run as
-    2 g m columns of one multiply-subtract loop.  So g m stays within
-    ``_SEGMENT_COLUMNS`` unless r caps L, and no product grows past
-    e^600.  The sqrt(3 R) floor balances the loop's L steps against the g
-    products, each of which costs about three steps to apply: they are
-    applied to the carried pair in site order, vectorized over the m
-    phases, with a rescale before any product that would take the pair
-    more than r sites past its last rescale, and after the block.  A stop
-    inside segment s is its partial product times the pair carried into
-    s, read for all of the block's stops at once and without a rescale.
-    With m > ``_SEGMENT_COLUMNS`` / 2, or a block of fewer than
-    ``_MIN_FOLD`` sites, each site is one step of the pair, which is also
-    rescaled at every stop and read there.
     """
     # one row per energy group: (1, 1) for a scalar E, else (e, 1)
     es = np.asarray(E).reshape(-1, 1)
-    every = max(1, int(600.0 / math.log(bound + float(np.max(np.abs(es))) + 2.0)))
+    every = max(1, int(_LOG_RANGE / math.log(bound + float(np.max(np.abs(es))) + 2.0)))
     cols = es.size * m
     blocks = iter(blocks)
     block = next(blocks, np.empty((0, m)))
     cur = np.zeros((solutions, cols), np.result_type(block, es))
     prev = np.zeros_like(cur)
     nxt = np.empty_like(cur)
-    shifted = np.empty((len(block), es.size, m), cur.dtype)
-    flat = shifted.reshape(len(block), cols)
     log_acc = np.zeros(cols)
     cur[0] = 1.0
     if solutions == 2:
         prev[1] = 1.0
     width = _SEGMENT_COLUMNS // cols
+    most = max(len(block), 2 * _BLOCK_ELEMENTS // cols) if width > 1 else len(block)
+
+    def buffer(rows):
+        # zero rows of t in front of the span pad its first segment: fewer
+        # than the longest segment a span of this many sites can take
+        lead = min(every, max(-(-rows // width), math.isqrt(3 * rows), 1)) - 1 if width > 1 else 0
+        span = np.empty((lead + rows, es.size, m), cur.dtype)
+        span[:lead] = 0.0
+        return span, lead
+
+    # the first block's length, grown to a whole span once a second block
+    # comes: a one-block pass (a determinant profile) maps no span it leaves idle
+    span, lead = buffer(len(block))
     marks = np.array(sorted(stops), int) if width > 1 else None
+    # whether the pair is as a rescale leaves it: at the start and after a fold
+    fresh = True
     k = 0
     while block is not None:
-        n = len(block)
-        if es.size == 1:
-            # no broadcast: complex grids of many points draw one site per block
-            ts = np.subtract(block, E, out=flat[:n])
-        else:
-            np.subtract(block[:, None], es, out=shifted[:n])
-            ts = flat[:n]
-        # drawn now, so no block is held past its copy into ts
-        block = next(blocks, None)
+        n = 0
+        while block is not None and (n == 0 or n + len(block) <= most):
+            if lead + n + len(block) > len(span):
+                grown, top = buffer(most)
+                grown[top:top + n] = span[lead:lead + n]
+                span, lead = grown, top
+            flat = span.reshape(len(span), cols)
+            at = slice(lead + n, lead + n + len(block))
+            if es.size == 1:
+                # no broadcast: complex grids of many points draw one site per block
+                np.subtract(block, E, out=flat[at])
+            else:
+                # a broadcast block[:, None] - es runs on numpy's slow path
+                # below about 8192 elements per energy group
+                for i, e in enumerate(es[:, 0]):
+                    np.subtract(block, e, out=span[at, i])
+            n += len(block)
+            # drawn now, so no block is held past its copy into the span
+            block = next(blocks, None)
         if width > 1 and n >= _MIN_FOLD:
             ks = marks[np.searchsorted(marks, k, "right"):np.searchsorted(marks, k + n, "right")]
             length = min(every, max(-(-n // width), math.isqrt(3 * n)))
-            reads = _fold(ts, length, cur, prev, log_acc, every, ks - k - 1)
+            reads = _fold(flat[:lead + n], n, length, cur, prev, log_acc, ks - k - 1, fresh)
             if ks.size:
                 visit(ks, *reads)
             k += n
+            fresh = True
             continue
+        fresh = False
         got = []
-        for t in ts:
+        for t in flat[lead:lead + n]:
             np.multiply(t, cur, out=nxt)
             nxt -= prev
             prev, cur, nxt = cur, nxt, prev
             k += 1
             if k % every and k not in stops:
                 continue
-            _rescale(cur, prev, log_acc)
+            _rescale(log_acc, cur, prev)
             if k in stops:
                 got.append((k,) + _read(cur, prev, log_acc))
         if got:
             ks, *reads = zip(*got)
             visit(np.array(ks), *map(np.stack, reads))
-    _rescale(cur, prev, log_acc)
+    _rescale(log_acc, cur, prev)
     return cur, prev, log_acc
 
 
@@ -602,85 +657,131 @@ def _read(cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray) -> tuple:
     return log_acc + np.log(_op_norms(np.stack([cur, prev]))),
 
 
-def _fold(ts: np.ndarray, L: int, cur: np.ndarray, prev: np.ndarray, log_acc: np.ndarray,
-          every: int, at: np.ndarray) -> tuple:
+def _peaks(rec: np.ndarray) -> np.ndarray:
+    """An upper bound on max|entry| per segment of a (rows, 2, g, m) record.
+
+    Read from the largest and smallest real and imaginary parts, so no
+    |rec| copy is made; sqrt 2 times the larger part bounds a complex
+    modulus.
+    """
+    parts = rec.view(float) if np.iscomplexobj(rec) else rec
+    top = np.maximum(parts.max(axis=0), -parts.min(axis=0)).max(axis=(0, 2))
+    return top * math.sqrt(2.0) if parts is not rec else top
+
+
+def _fold(ts: np.ndarray, R: int, L: int, cur: np.ndarray, prev: np.ndarray,
+          log_acc: np.ndarray, at: np.ndarray, fresh: bool) -> tuple:
     """Advance the pair (cur, prev) in place over the site rows ts, in segments.
 
-    ts holds t = v - E for a block, shape (R, m).  The block is cut into
-    g = ceil(R / L) consecutive segments of ceil(R / g) <= L sites or one
-    fewer.  Each segment's 2x2 product, from the identity, is one set of
-    2 m columns of a single multiply-subtract loop, which keeps every
-    partial product in one record if the block has stops; a short
-    segment gets one step with t = 0 in front and starts from that step's
-    inverse factor, so the step brings it to the identity exactly.  The
-    products are then applied to the pair in site order, rescaling it
-    before any product that would take it more than ``every`` sites past
-    its last rescale, and after the block.  Returns the reads of
-    :func:`_recur` at the rows ``at`` (0-based, sorted), each the partial
-    product up to that row times the pair carried into its segment; their
-    entries stay below e^600, so an op-norm is taken of a copy scaled by
-    its largest entry.
+    The last R rows of ts hold t = v - E for a span, shape (R, m), and at
+    least L - 1 zero rows precede them.  The span is cut into
+    g = ceil(R / L) consecutive segments of L sites, read in place; the
+    first is short by pad = g L - R sites, so it takes the pad zero rows
+    in front of it and starts from A(0)^-pad, which those steps bring to
+    the identity exactly.  Each segment's 2x2 product, from the identity,
+    is one set of 2 m columns of a single multiply-subtract loop, which
+    keeps every partial product in one record if the span has stops.
+
+    The products are then applied to the pair in site order.  A 2x2
+    matrix has norm at most 2 max|entry|, so the pair, stacked as one
+    (2, solutions, m) array, is rescaled by its largest modulus per
+    column only before a product that would take the running sum of
+    log(2 max|entry|) since its last rescale past 600: the sum runs over
+    the products applied since then, and over their partial products
+    too when the span has stops, the max taken over all m columns.  The
+    pair is rescaled before the first product, unless ``fresh`` says a
+    rescale left it so, and after the last.  Every
+    value the fold forms, each stop's read included, so stays within
+    about e^+-600 of the rescaled pair, as the per-site cadence keeps
+    the stepped pass (determinants are 1).
+
+    Returns the reads of :func:`_recur` at the rows ``at`` (0-based,
+    sorted), each the partial product up to that row times the pair
+    carried into its segment; an op-norm is taken of a copy scaled by its
+    largest entry, since the squares in :func:`_op_norms` would overflow.
     """
-    R, m = ts.shape
+    m = ts.shape[1]
     g = -(-R // L)
-    L = -(-R // g)
-    short = g * L - R
-    seg = np.zeros((L, g, m), ts.dtype)
-    cut = short * (L - 1)
-    seg[1:, :short] = ts[:cut].reshape(short, L - 1, m).transpose(1, 0, 2)
-    seg[:, short:] = ts[cut:].reshape(g - short, L, m).transpose(1, 0, 2)
+    pad = g * L - R
+    # segment s is rows s L .. s L + L - 1 of the padded span, read in place
+    seg = ts[len(ts) - R - pad:].reshape(g, L, m)
     # rows[j + 2] is (x_j, x'_j) after step j of every segment, the two
     # solutions of each, and rows[j + 1] their previous values: a record of
-    # every step when the block has stops, else three buffers in turn
+    # every step when the span has stops, else three buffers in turn
     rec = np.empty((L + 2 if at.size else 3, 2, g, m), ts.dtype)
     rec[:2] = 0.0
-    rec[1, 0, short:] = rec[0, 1, short:] = 1.0
-    rec[1, 1, :short], rec[0, 0, :short] = 1.0, -1.0
-    rows = list(rec.reshape(len(rec), 2, g * m))
+    rec[1, 0] = rec[0, 1] = 1.0
+    # the first segment starts from A(0)^-pad, rows (x_0, x'_0) and
+    # (x_-1, x'_-1), so its pad steps at t = 0 bring it to the identity
+    start = _TURNS_BACK[pad % 4]
+    rec[1, :, 0], rec[0, :, 0] = start[0, :, None], start[1, :, None]
+    rows = list(rec)
     rows = [rows[i % len(rows)] for i in range(L + 2)]
-    for t, before, now, nxt in zip(seg.reshape(L, g * m), rows, rows[1:], rows[2:]):
-        np.multiply(t, now, out=nxt)
+    for j, (before, now, nxt) in enumerate(zip(rows, rows[1:], rows[2:])):
+        np.multiply(seg[:, j], now, out=nxt)
         nxt -= before
+    last = np.stack(rows[:-3:-1])
+    # log(2 max|entry|) of each product, and of its partial products at stops
+    grow = np.log(2.0 * _peaks(rec if at.size else last)).tolist()
     # cols[j][s] is column j of segment s's product, shape (2, 1, m)
-    cols = np.stack(rows[:-3:-1]).reshape(2, 2, g, 1, m).transpose(1, 2, 0, 3, 4)
+    cols = last.reshape(2, 2, g, 1, m).transpose(1, 2, 0, 3, 4)
     # carried[s] is the pair (now, before) that segment s is applied to,
     # accs[s] the log-scale it carries
     carried = np.empty((g + 1, 2) + cur.shape, cur.dtype)
     carried[0, 0], carried[0, 1] = cur, prev
     accs = []
     left, right = np.empty_like(carried[0]), np.empty_like(carried[0])
-    since = every
-    for c0, c1, now, before, out in zip(*cols, carried[:-1, 0], carried[:-1, 1], carried[1:]):
-        if since + L > every:
-            _rescale(now, before, log_acc)
-            since = 0
+    total = 0.0 if fresh else math.inf
+    acc = log_acc.copy()
+    for c0, c1, pair, out, up in zip(*cols, carried[:-1], carried[1:], grow):
+        if total + up > _LOG_RANGE:
+            _rescale(log_acc, pair)
+            total = 0.0
             acc = log_acc.copy()
         accs.append(acc)
-        np.multiply(c0, now, out=left)
-        np.multiply(c1, before, out=right)
+        np.multiply(c0, pair[0], out=left)
+        np.multiply(c1, pair[1], out=right)
         np.add(left, right, out=out)
-        since += L
-    _rescale(*carried[g], log_acc)
+        total += up
+    _rescale(log_acc, carried[g])
     cur[...], prev[...] = carried[g]
     if not at.size:
         return ()
+    # row i of the span is step j of segment s, counting the first
+    # segment's pad steps
+    s, j = np.divmod(at + pad, L)
+    # rows of the record are row (2 r + c) g + s of flat, solution c after
+    # step r - 2 of segment s
+    flat = rec.reshape(-1, m)
     accs = np.array(accs)
-    # row i of the block is step j of segment s, counting each short
-    # segment's t = 0 step
-    if short:
-        at = at + np.minimum(at // (L - 1) + 1, short)
-    s, j = np.divmod(at, L)
-    now, before = carried[s, 0], carried[s, 1]
-    top = rec[j + 2, :1, s] * now + rec[j + 2, 1:, s] * before
-    if len(cur) == 1:
+    # stops in batches of up to _BLOCK_ELEMENTS / 4 / m, so each (K, 2, 2, m)
+    # temporary stays within a stream block's size
+    batch = max(1, _BLOCK_ELEMENTS // 4 // m)
+    reads = [_stop_reads(flat, carried, accs, s[i:i + batch], j[i:i + batch], g)
+             for i in range(0, len(at), batch)]
+    return tuple(np.concatenate(r) for r in zip(*reads))
+
+
+def _stop_reads(flat: np.ndarray, carried: np.ndarray, accs: np.ndarray, s: np.ndarray,
+                j: np.ndarray, g: int) -> tuple:
+    """The reads of :func:`_fold` at the stops after step j of segments s."""
+    pairs = np.take(carried, s, axis=0)
+    acc = np.take(accs, s, axis=0)
+
+    def read(r):
+        """x_r and x'_r of each stop's segment times its pair, (stops, solutions, m)."""
+        row = np.take(flat, (2 * r[:, None] + [0, 1]) * g + s[:, None], axis=0)
+        return row[:, :1] * pairs[:, 0] + row[:, 1:] * pairs[:, 1]
+
+    top = read(j + 2)
+    if top.shape[1] == 1:
         with np.errstate(divide="ignore"):
-            return accs[s] + np.log(np.abs(top[:, 0])), top[:, 0]
-    bottom = rec[j + 1, :1, s] * now + rec[j + 1, 1:, s] * before
-    # axes (row, stop, column, phase); the squares in _op_norms need a scaled copy
-    mats = np.stack([top, bottom])
-    scale = np.abs(mats).max(axis=(0, 2))
-    norms = _op_norms((mats / scale[:, None]).transpose(0, 2, 1, 3))
-    return accs[s] + np.log(scale) + np.log(norms),
+            return acc + np.log(np.abs(top[:, 0])), top[:, 0]
+    # axes (stop, row, column, phase); the squares in _op_norms need a scaled copy
+    mats = np.stack([top, read(j + 1)], axis=1)
+    scale = np.abs(mats).reshape(len(s), 4, -1).max(axis=1)
+    mats /= scale[:, None, None]
+    return acc + np.log(scale) + np.log(_op_norms(mats.transpose(1, 2, 0, 3))),
 
 
 def _sweep(p: Potential, dyn: Dynamics, xs, E, n: int, checkpoints, rng,

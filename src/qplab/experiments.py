@@ -120,8 +120,11 @@ def _energies(raw) -> np.ndarray:
     if isinstance(raw, dict):
         if set(raw) != {"start", "stop", "count"}:
             raise ValueError(raw)
-        return np.linspace(_real(raw["start"]), _real(raw["stop"]),
-                           COUNT.parse(raw["count"]))
+        start, stop = _real(raw["start"]), _real(raw["stop"])
+        # linspace steps by stop - start, which overflows for ends near +-1.8e308
+        if not math.isfinite(stop - start):
+            raise ValueError(raw)
+        return np.linspace(start, stop, COUNT.parse(raw["count"]))
     return np.array(listof(REAL).parse(raw))
 
 
@@ -546,7 +549,8 @@ INDEX = INTEGER.where(">= 0", lambda j: j >= 0)
 NONNEGATIVE = REAL.where(">= 0", lambda v: v >= 0)
 ONE_OR_MORE = REAL.where(">= 1", lambda v: v >= 1)
 WIDTH = POSITIVE.where("and < 1", lambda h: h < 1)  # holder_scan divides by log h
-ASCENDING_ENERGIES = ENERGIES.where("in ascending order", lambda E: np.all(np.diff(E) >= 0))
+# compared, not differenced: E[1:] - E[:-1] overflows for energies near +-1.8e308
+ASCENDING_ENERGIES = ENERGIES.where("in ascending order", lambda E: np.all(E[1:] >= E[:-1]))
 # the dense trace check squares eta as a float, which raises on overflow
 ETA = POSITIVE.where("and with a finite square (below 1.341e154)",
                      lambda eta: math.isfinite(eta * eta))

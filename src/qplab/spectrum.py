@@ -18,9 +18,12 @@ sampled phases and energies of a call, reading the site stream of
 :func:`cocycle._sites` block by block with no (N, phases) table; wegner
 sweeps its narrower pairs only over the phases its widest pair caught
 when the map is the shift.  The sweep cuts the blocks into records of up
-to 255 sites, with at most 2^17 pivots per record: one subtraction
-writes d_k - E for a record, each site then costs two in-place ufuncs,
-and one pass adds the record's negative pivots to the counts.
+to 255 sites, with at most 2^17 pivots per record: one call writes
+d_k - E for a record (a broadcast subtraction, or with fewer windows
+than energies the BLAS product [d, 1] [1, -E]^T, whose unit products are
+exact, so each entry rounds once, as the subtraction does), each site
+then costs two in-place ufuncs, and one pass adds the record's negative
+pivots to the counts.
 Eigenvalues come from LAPACK (``stemr`` for all, ``dstebz`` bisection
 for a window), and so do eigenvectors (``stebz`` bisection, then
 ``stein`` inverse iteration), checked against the determinant profile.
@@ -142,9 +145,15 @@ def _sturm_counts(sites, energies) -> np.ndarray:
     Each block is cut into records of at most K <= 255 sites, with K
     times the m*g pivots of a site at most ``_PIVOT_ELEMENTS`` and K at
     most the first block's length (the longest block of a stream).  One
-    broadcast subtraction writes d_k - E for a record, each site then
-    takes ``q -= inv`` and ``inv = 1/q`` in place, and one ``less`` and
-    a uint8 sum along the record add its negatives to the counts.  One
+    call writes d_k - E for a record: with at least as many windows as
+    energies a broadcast subtraction into the energy-major (K, g, m)
+    record; with fewer, whose broadcast numpy runs on a slow path, the
+    window-major (K m, g) record as one BLAS product [d, 1] [1, -E]^T of
+    a (K m, 2) buffer, its ones written once, with the (2, g) rows [1, -E]
+    (1 * d and 1 * -E are exact, so each entry is d - E rounded once,
+    signed zeros included).  Each site then takes ``q -= inv`` and
+    ``inv = 1/q`` in place, and one ``less`` and a uint8 sum along the
+    record add its negatives to the counts.  One
     record buffer serves every record, and ``inv`` carries 1/p of the
     last pivot into the next.  Only the pivot steps run with the quiet
     errstate: the blocks are drawn outside it.
@@ -157,22 +166,29 @@ def _sturm_counts(sites, energies) -> np.ndarray:
     for block in sites:
         if counts is None:
             # the pivots are laid out (g, m) for many windows and (m, g) for
-            # many energies, so each record's broadcast d - E has the longer
-            # inner loop
+            # many energies, so each record's d - E has the longer inner loop
             m, g = block.shape[1], energies.size
             by_energy = m >= g
-            es = energies[:, None] if by_energy else energies
             shape = (g, m) if by_energy else (m, g)
             K = max(1, min(255, len(block), _PIVOT_ELEMENTS // max(1, m * g)))
             counts = np.zeros(shape, dtype=np.int64)
             record, neg = np.empty((K,) + shape), np.empty((K,) + shape, bool)
             # 1/p_0 = 1/inf: the first pivot is d_1 - E exactly; an empty window counts 0
             inv = np.zeros(shape)
-        view = block[:, None, :] if by_energy else block[:, :, None]
+            if not by_energy:
+                # rows [d, 1], the ones written once and d per record
+                lhs = np.ones((K * m, 2))
+                rhs = np.stack([np.ones(g), -energies])
         for k in range(0, len(block), K):
-            chunk = view[k:k + K]
+            chunk = block[k:k + K]
             r = record[:len(chunk)]
-            np.subtract(chunk, es, out=r)
+            if by_energy:
+                np.subtract(chunk[:, None, :], energies[:, None], out=r)
+            else:
+                # unit products are exact, so each entry rounds once, as d - E does
+                rows = lhs[:chunk.size]
+                rows[:, 0] = chunk.reshape(-1)
+                np.matmul(rows, rhs, out=r.reshape(chunk.size, g))
             with np.errstate(divide="ignore", over="ignore"):
                 for q in r:
                     q -= inv
@@ -309,7 +325,7 @@ def ids(p: Potential, dyn: Dynamics, E_grid, N: int, x_samples: int,
     (each per-sample count is) and no value depends on the other energies.
     """
     energies = np.asarray(E_grid, dtype=float)
-    if energies.ndim != 1 or np.any(np.diff(energies) < 0):
+    if energies.ndim != 1 or np.any(energies[1:] < energies[:-1]):
         raise ValueError("E_grid must be a sorted 1d grid")
     counts = _sampled_counts(p, dyn, energies, N, x_samples, seed)
     values = counts.mean(axis=0) / N
@@ -485,7 +501,10 @@ def trace_moment_lower_bound(A: np.ndarray, E: float, eta: float,
         ov = np.abs(basis.conj().T @ evecs) ** 2
         overlap4 = np.sum(ov ** 2, axis=0)
     lhs = float(np.sum(diag))
-    im_inv = eta / ((evals - E) ** 2 + eta ** 2)
+    # eta / ((lambda - E)^2 + eta^2) from the hypotenuse: the squares overflow
+    # for |lambda - E| above 1.3e154
+    h = np.hypot(evals - E, eta)
+    im_inv = eta / h / h
     rhs = float(np.sum(overlap4 * im_inv ** 2))
     return lhs, rhs
 

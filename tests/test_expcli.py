@@ -313,6 +313,32 @@ def test_a_bad_grid_value_exits_2_before_any_task(tmp_path, experiment, grid, ke
     assert not (tmp_path / "x").exists()
 
 
+# energies near the float range: the ascending-order checks differenced
+# them (overflow warnings, exit 0), a {start, stop, count} range stepped by
+# an infinite stop - start (warnings, then a message naming the NaN it
+# made), and the dense trace check squared E - lambda
+@pytest.mark.parametrize("experiment, grid, code", [
+    ("ids", {"E": [-1e308, 1e308], "N": 20, "x_samples": 2}, cli.EXIT_OK),
+    ("ids", {"E": {"start": -1e308, "stop": 1e308, "count": 3}, "N": 20, "x_samples": 2},
+     cli.EXIT_CONFIG),
+    ("lyapunov_scan", {"E": {"start": -1e308, "stop": 1e308, "count": 3}, "n_list": [10],
+                       "m_samples": 4}, cli.EXIT_CONFIG),
+    ("concatenation_bound", {"E": 1e300, "N": 50, "eta_list": [0.05], "x_samples": 1},
+     cli.EXIT_OK),
+])
+def test_energies_near_the_float_range_run_or_exit_2_without_warnings(tmp_path, experiment,
+                                                                      grid, code):
+    cfg = write_config(tmp_path, {**MIN_GAP_CONFIG, "experiment": experiment, "grid": grid})
+    stream = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(cfg, out=tmp_path / "x", stream=stream) == code
+    if code == cli.EXIT_CONFIG:
+        message = stream.getvalue()
+        assert message.startswith("config error: grid.E") and "'start'" in message
+        assert "nan" not in message
+
+
 @pytest.mark.parametrize("experiment, dynamics", [
     ("bmo_trend", {"kind": "skew_shift", "omega": "golden"}),
     ("fourier_decay", {"kind": "skew_shift", "omega": "golden"}),

@@ -13,10 +13,12 @@ and the Green entries built from them.  A pass over an array of energies
 must give each energy what a pass of its own gives.
 """
 
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,7 +26,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qplab.cocycle as cc
@@ -429,12 +431,13 @@ def test_long_single_phase_windows_match_mpmath(name, E):
 
 @pytest.mark.parametrize("name", ["shift", "skew"])
 def test_folded_batched_kernels_match_mpmath_at_split_checkpoints(name):
-    # m = 20 phases fold 12 segments wide; blocks hold 819 sites, so the
-    # checkpoints cut runs short of a fold (1 -> 20, 819 -> 820), inside
-    # a block (100, 333) and at its end (819)
+    # m = 20 phases fold 24 segments wide; blocks hold 819 sites and spans
+    # two of them, so the checkpoints fall inside a span (1, 20, 100, 333),
+    # on the block edge inside it (819, 820), on the span edge (1638, 1639)
+    # and in a last span too short to fold (1700)
     dyn = MAPS[name]
     xs = np.random.default_rng(13).random((20, dyn.d))
-    n, checks = 1200, (1, 20, 100, 333, 819, 820, 1200)
+    n, checks = 1700, (1, 20, 100, 333, 819, 820, 1638, 1639, 1700)
     norms = cc.batched_log_norms(AMO3, dyn, xs, 0.7, n, checkpoints=checks)
     dets = cc.batched_log_absdet(AMO3, dyn, xs, 0.7 + 0.05j, n, checkpoints=checks)
     for i in (0, 19):
@@ -570,8 +573,9 @@ def test_batched_kernels_match_single_phase_paths(name, seeds, E, lam, n):
        seed=st.integers(0, 2 ** 32 - 1), E=st.floats(-4.0, 4.0), lam=st.floats(0.1, 8.0),
        n=st.integers(1, 3) | st.integers(64, 3000), cuts=st.lists(st.integers(1, 3000), max_size=4))
 def test_folded_runs_match_the_site_by_site_pass(case, seed, E, lam, n, cuts):
-    # 300 copies of one phase are too wide to fold, so every site is one
-    # step; one phase folds each stop-free run of _MIN_FOLD or more sites.
+    # copies of one phase past half of _SEGMENT_COLUMNS are too wide to
+    # fold, so every site is one step; one phase folds each span of
+    # _MIN_FOLD or more sites.
     # "free" is V = 0 at E = 0, whose determinants vanish exactly at odd k
     p = pt.Potential(dict(DEG3.coeffs), lam=lam)
     dyn = SHIFT if case == "free" else MAPS[case]
@@ -601,7 +605,7 @@ def test_folded_runs_match_the_site_by_site_pass(case, seed, E, lam, n, cuts):
         close(folded[1], stepped[1])
         assert folded[2] == stepped[2]
         return
-    wide_norms, wide_dets, _ = kernels(np.repeat(x[None], 300, axis=0))
+    wide_norms, wide_dets, _ = kernels(np.repeat(x[None], cc._SEGMENT_COLUMNS // 2 + 1, axis=0))
     norms, dets, _ = kernels(x[None])
     for wide, one in ((wide_norms, norms), (wide_dets, dets)):
         for w, o in zip(wide, one):
@@ -617,10 +621,11 @@ def test_folded_runs_match_the_site_by_site_pass(case, seed, E, lam, n, cuts):
 
 @pytest.mark.parametrize("m", [1, 20])
 def test_folded_sup_rate_matches_the_dense_loop(m):
-    # a stop at every site; one block of 3000 sites at m = 1, blocks of
-    # 819 at m = 20, and runs too short to fold at n < 64
+    # a stop at every site; one span of 3000 sites at m = 1, spans of two
+    # 819-site blocks at m = 20 (a one-site last span at n = 1639), and
+    # runs too short to fold at n < 64
     xs = np.random.default_rng(14).random((m, 1))
-    for n in (1, 63, 64, 820, 3000):
+    for n in (1, 63, 64, 820, 1639, 3000):
         sups = sup_rates(AMO3, SHIFT, xs, 0.7, n)
         for i in sorted({0, m - 1}):
             assert abs(sups[i] - sup_loop(AMO3, SHIFT, xs[i], 0.7, n)) <= 1e-9, n
@@ -628,9 +633,10 @@ def test_folded_sup_rate_matches_the_dense_loop(m):
 
 @pytest.mark.parametrize("name", ["shift", "skew", "doubling"])
 def test_sup_growth_rate_is_the_max_of_single_phase_rates_on_its_grid(name):
-    # 256 phases never fold, so every stop is read site by site; the
-    # doubling rng adds 2^-52-scale bits the single-phase products lack,
-    # which move 8 sites by far less than the tolerance
+    # 256 phases fold, but ell = 8 sites are too few, so every stop is
+    # read site by site; the doubling rng adds 2^-52-scale bits the
+    # single-phase products lack, which move 8 sites by far less than the
+    # tolerance
     dyn, ell, E = MAPS[name], 8, 0.7
     xs = ly.sample_phases(dyn, "grid", ly.S_GRID_SIZE)
     assert len(xs) == 256
@@ -681,6 +687,143 @@ def test_folded_stop_reads_match_the_site_by_site_pass(case, seed, E, lam, n, ev
         assert np.all(np.isneginf(dets) == (np.array(checks) % 2 == 1))
 
 
+def span_edges(m, n, every):
+    """Sites (1-based) that end a block, a span or a fold segment of an
+    m-column pass over sites 1..n, as :func:`cocycle._recur` cuts them."""
+    block = max(1, cc._BLOCK_ELEMENTS // m)
+    span = max(block, 2 * cc._BLOCK_ELEMENTS // m) // block * block
+    width = cc._SEGMENT_COLUMNS // m
+    edges = set(range(block, n + 1, block))
+    for start in range(0, n, span):
+        R = min(span, n - start)
+        edges.add(start + R)
+        if R < cc._MIN_FOLD:
+            continue
+        L = min(every, max(-(-R // width), math.isqrt(3 * R)))
+        g = -(-R // L)
+        # segments of L sites, the first short by g L - R
+        edges.update(start + s * L - (g * L - R) for s in range(1, g + 1))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("m", [1, 20, 128, 300])
+def test_folded_spans_match_the_site_by_site_pass_at_span_block_and_segment_edges(m):
+    # two full spans and part of a third; the stops sit on, just before and
+    # just after each block, span and segment edge, and the same calls step
+    # and rescale site by site with _SEGMENT_COLUMNS = 1
+    E, Ec = 0.7, 0.7 + 0.05j
+    every = int(600.0 / math.log(AMO3.sup_bound() + abs(E) + 2.0))
+    block = cc._BLOCK_ELEMENTS // m
+    span = max(block, 2 * cc._BLOCK_ELEMENTS // m) // block * block
+    n = 2 * span + span // 2 + 1
+    edges = span_edges(m, n, every)
+    assert len(edges) > 6
+    checks = sorted({1, n} | {e + d for e in edges for d in (-1, 0, 1) if 1 <= e + d <= n})
+    xs = np.random.default_rng(31).random((m, 1))
+
+    def reads():
+        norms = cc.batched_log_norms(AMO3, SHIFT, xs, E, n, checks)
+        dets = cc.batched_log_absdet(AMO3, SHIFT, xs, Ec, n, checks)
+        return np.array([norms[k] for k in checks]), np.array([dets[k] for k in checks])
+
+    folded = reads()
+    with mock.patch.object(cc, "_SEGMENT_COLUMNS", 1):
+        stepped = reads()
+    for f, s in zip(folded, stepped):
+        np.testing.assert_allclose(f, s, rtol=0, atol=1e-9)
+
+
+def adversarial_rows(bound, m, n, plan):
+    """n site rows of +-bound and zeros, laid along the fold segments of
+    one m-column span, segment i after plan[i % len(plan)] = (kind, j).
+
+    A segment is a run of bound ("grow"), bound / 2^j and zeros ("part"),
+    zeros alone ("zeros"), j alternating pairs bound, 0 (a shear out:
+    "alt"), or such pairs followed by as many pairs -bound, 0 ("hump": out
+    and back, growth then decay inside the segment; its partial products
+    from the identity are exact, their entries sums of +-bound and +-1).
+    One sign of bound serves the whole span: runs of +bound and -bound
+    with zeros between them also fall from their peak, but by
+    cancellation, which leaves both passes only rounding to read.
+    """
+    every = int(600.0 / math.log(abs(bound) + 2.0))
+    L = min(every, max(-(-n // (cc._SEGMENT_COLUMNS // m)), math.isqrt(3 * n)))
+    g = -(-n // L)
+    rows = []
+    for i, size in enumerate([n - (g - 1) * L] + [L] * (g - 1)):
+        kind, j = plan[i % len(plan)]
+        seg = np.zeros(size)
+        pairs = 1 + j % max(1, size // 4)
+        if kind == "grow":
+            seg[:] = bound
+        elif kind == "part":
+            seg[0] = bound / 2.0 ** min(j, math.frexp(bound)[1] - 1)
+        elif kind == "alt":
+            seg[:2 * pairs:2] = bound
+        elif kind == "hump" and size >= 4:
+            seg[:2 * pairs:2] = bound
+            seg[2 * pairs:4 * pairs:2] = -bound
+        rows.append(seg)
+    rows = np.concatenate(rows)
+    # more columns on the same segments: the rows negated (a conjugate
+    # product) and halved
+    return np.stack([rows, -rows, rows / 2.0][:m], axis=1)
+
+
+def recur_reads(bound, rows, solutions, stops):
+    """{k: reads} of one _recur pass over the rows at E = 0."""
+    got = {}
+
+    def visit(ks, logs, *rest):
+        got.update(zip(ks.tolist(), logs.copy()))
+
+    cc._recur(bound, 0.0, [rows], rows.shape[1], solutions, stops, visit)
+    return got
+
+
+def folds_against_the_stepped_pass(bound, rows, stops):
+    """Folded and stepped reads of log|f_k| and log||M_k|| at the stops,
+    under warnings as errors: every read is finite (log|f_k| may be an
+    exact zero's -inf), and the two passes agree where the product has not
+    fallen from its peak."""
+    n = len(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(cc, "_SEGMENT_COLUMNS", 1):
+            profile = recur_reads(bound, rows, 2, range(1, n + 1))
+            stepped = [recur_reads(bound, rows, sol, stops) for sol in (1, 2)]
+        folded = [recur_reads(bound, rows, sol, stops) for sol in (1, 2)]
+    logs = np.array([profile[k] for k in range(1, n + 1)])
+    # a read is compared where no column's norm has fallen by more than a
+    # factor e below its running peak: past a fall the product has
+    # cancelled, and each pass keeps only its own rounding
+    steady = np.minimum.accumulate(np.all(logs >= np.maximum.accumulate(logs) - 1.0, axis=1))
+    for f, s in zip(folded, stepped):
+        assert f.keys() == s.keys() == set(stops)
+        for k in stops:
+            assert not np.any(np.isnan(f[k]) | (f[k] == np.inf)), k
+            if steady[k - 1]:
+                np.testing.assert_allclose(f[k], s[k], rtol=1e-12, atol=1e-9, err_msg=str(k))
+    assert all(np.all(np.isfinite(folded[1][k])) for k in stops)
+
+
+# growth to b^5 and b / 2^128 = 2^37 carry the pair to e^598.9 past its
+# rescale; the next segment's full product is a rotation, but its partial
+# products reach b = e^114: a rescale rule that reads only the full
+# products lets the stop at that peak overflow
+@example(bound=2.0 ** 165, m=1, n=70, picks=list(range(1, 71)),
+         plan=[("grow", 0), ("part", 128), ("hump", 0)] + [("zeros", 0)] * 11)
+@settings(max_examples=80, deadline=None)
+@given(bound=st.sampled_from([7.5, 1.1e12, 3.3e30, 5.5e49, -7.5, -3.3e30]),
+       m=st.sampled_from([1, 3]), n=st.integers(cc._MIN_FOLD, 400),
+       plan=st.lists(st.tuples(st.sampled_from(["grow", "part", "zeros", "alt", "hump"]),
+                               st.integers(0, 200)), min_size=1, max_size=12),
+       picks=st.lists(st.integers(1, 400), max_size=40))
+def test_adversarial_folds_stay_in_range_and_match_the_stepped_pass(bound, m, n, plan, picks):
+    rows = adversarial_rows(bound, m, n, plan)
+    folds_against_the_stepped_pass(abs(bound), rows, sorted({k for k in picks if k <= n} | {n}))
+
+
 def test_folded_eigenvectors_pass_the_collinearity_gate():
     # at N = 200 the eigenvector's determinant profile folds; its Cramer
     # vector must stay within eigenvector's 1e-6 gate of the LAPACK vector
@@ -714,25 +857,56 @@ def twin_rng(case):
 @pytest.mark.parametrize("case", ["shift", "skew", "doubling", "free"])
 @pytest.mark.parametrize("m", [20, 300])
 def test_energy_groups_match_one_pass_per_energy(case, m):
-    # 4 energies x 20 phases fold (80 columns); 300 phases step site by site
+    # 4 energies x 20 phases fold (80 columns); 4 x 300 columns are too wide
+    # to fold, so at m = 300 the one-energy passes (300 columns, which would
+    # fold) step site by site too, with folding switched off
     p, dyn, es = group_case(case)
     xs = np.random.default_rng(2).random((m, dyn.d))
     n, checks = 2000, [1, 2, 3, 63, 64, 65, 500, 1001, 2000]
-    for kernel in (cc.batched_log_norms, cc.batched_log_absdet):
-        rng = twin_rng(case)
-        grouped = kernel(p, dyn, xs, es, n, checks, rng=rng)
-        for i, E in enumerate(es):
-            twin = twin_rng(case)
-            one = kernel(p, dyn, xs, E, n, checks, rng=twin)
-            if rng is not None:
-                assert rng.bit_generator.state == twin.bit_generator.state
-            for k in checks:
-                assert grouped[k].shape == (es.size, m)
-                np.testing.assert_allclose(grouped[k][i], one[k], rtol=1e-12, atol=1e-12)
+    stepped = mock.patch.object(cc, "_SEGMENT_COLUMNS", 1) if m == 300 else contextlib.nullcontext()
+    with stepped:
+        for kernel in (cc.batched_log_norms, cc.batched_log_absdet):
+            rng = twin_rng(case)
+            grouped = kernel(p, dyn, xs, es, n, checks, rng=rng)
+            for i, E in enumerate(es):
+                twin = twin_rng(case)
+                one = kernel(p, dyn, xs, E, n, checks, rng=twin)
+                if rng is not None:
+                    assert rng.bit_generator.state == twin.bit_generator.state
+                for k in checks:
+                    assert grouped[k].shape == (es.size, m)
+                    np.testing.assert_allclose(grouped[k][i], one[k], rtol=1e-12, atol=1e-12)
     if case == "free":
         dets = cc.batched_log_absdet(p, dyn, xs, es, n, checks)
         for k in checks:
             assert np.all(np.isneginf(dets[k][0]) == (k % 2 == 1))
+
+
+@pytest.mark.parametrize("m", [1, 20, 300])
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_energy_offsets_are_a_pass_over_pre_expanded_columns(m, eta):
+    # each block is written as block - E_i, one scalar subtraction per
+    # energy: the same columns pre-expanded and run at E = 0, with
+    # bound + max|E|, give the same bits (4 m columns: they fold at m = 1
+    # and 20 and step at m = 300)
+    es = np.array([0.0, -1.3, 0.6, 40.0]) + (1j * eta if eta else 0.0)
+    xs = cc._phase_batch(SHIFT, np.random.default_rng(4).random((m, 1)))
+    n = 20_000 // m
+    stops = [k for k in (1, 63, 64, 65, 819, 820, n) if k <= n]
+    blocks = list(cc._sites(AMO3, SHIFT, xs, 1, n))
+    expanded = [(b[:, None] - es[:, None]).reshape(len(b), -1) for b in blocks]
+    bound = AMO3.sup_bound()
+    for solutions in (1, 2):
+        reads = ([], [])
+        grouped = cc._recur(bound, es, blocks, m, solutions, stops,
+                            lambda *r: reads[0].append([np.copy(a) for a in r]))
+        ref = cc._recur(bound + float(np.max(np.abs(es))), 0.0, expanded, es.size * m,
+                        solutions, stops, lambda *r: reads[1].append([np.copy(a) for a in r]))
+        for a, b in zip(grouped, ref):
+            assert np.array_equal(a, b)
+        assert len(reads[0]) == len(reads[1]) > 0
+        for a, b in zip(*reads):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_convergence_scan_runs_all_energies_in_one_pass():

@@ -250,6 +250,23 @@ def test_counts_are_monotone_over_consecutive_floats_at_a_tie(n, seed, tie):
     assert np.all(np.diff(counts, axis=1) >= 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
+       energies=st.lists(st.sampled_from(TIE_ENERGIES + [0.5, -1.5]), min_size=2, max_size=9))
+def test_window_major_records_count_as_single_energy_sweeps(m, n, seed, energies):
+    # with fewer windows than energies each record is filled as the BLAS
+    # product [d, 1] [1, -E]^T, and a one-energy sweep subtracts: the
+    # counts agree at every energy, signed-zero diagonals, E = +-0.0 and
+    # ties included
+    es = np.array(energies)
+    m = min(m, es.size - 1)
+    diags = np.random.default_rng(seed).choice(TIE_DIAGONALS, size=(n, m))
+    got = sp._sturm_counts([diags], es)
+    assert got.shape == (m, es.size)
+    for i, E in enumerate(es):
+        np.testing.assert_array_equal(got[:, i], sp._sturm_counts([diags], [E])[:, 0])
+
+
 def test_a_subnormal_pivot_overflows_quietly_to_its_limit():
     # at E = +-5e-324 the first pivot is subnormal and 1/p overflows to
     # +-inf, so the next pivot is -+inf and the one after reads d - E again
