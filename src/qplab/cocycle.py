@@ -29,8 +29,10 @@ log-norms are exact up to accumulated rounding.
 Real phases have one site stream, :func:`_sites`, exact to rounding for
 all three maps; complex phases of a shift have :func:`_laurent_sites`.
 Both shift streams read their per-site coefficients, built on the exact
-frac(t omega), from one table, :func:`_laurent_table`: the real stream
-as one BLAS product per block, the complex one as elementwise sums.
+frac(t omega), from one table, :func:`_laurent_table`, and make each
+block with one real BLAS product: the real stream against
+[1, Re e(jx), Im e(jx)], the complex one as (Re c, Im c) pairs against
+z^j and i z^j, viewed as interleaved float pairs.
 Both run through one recurrence core, :func:`_recur`, vectorized over
 starting phases.  The batched kernels (``batched_log_norms``,
 ``batched_log_absdet``), the single-phase products and determinants, the
@@ -186,6 +188,9 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
       one ``rng.random((m, d))`` per step, drawn as one
       ``rng.random((B', m, d))`` for the B' steps each block takes.
       Negative times raise ValueError.
+
+    Every yielded block is a fresh array; the skew-shift and doubling
+    branches form their phases in buffers that every block reuses.
     """
     if k1 < k0:
         return
@@ -209,33 +214,52 @@ def _sites(p: Potential, dyn: Dynamics, xs: np.ndarray, k0: int, k1: int, rng=No
     elif isinstance(dyn, dyn_mod.SkewShift):
         # y_hi has at most 27 bits, so j * y_hi is exact for j < size <= 2^14
         y_hi = np.round(xs[:, 1] * 2.0 ** 26) / 2.0 ** 26
+        y_lo = xs[:, 1] - y_hi
         steps = np.arange(min(size, t1 - t0))[:, None]
         frac_y = dyn_mod._fracmul_each(xs[:, 1])
+        # the phases of a block and one work array, reused by every block
+        phases, work = np.empty((2, len(steps), m))
         for start in range(t0, t1, size):
             j = steps[:t1 - start]
             lin = frac_y(start)
             quad = dyn_mod._fracmuls(range(start, start + len(j)), dyn.omega,
                                      triangular=True)[:, None]
-            yield pot_mod.eval_real_many(p, dyn_mod.mod1(
-                xs[:, 0] + lin + dyn_mod.mod1(j * y_hi) + j * (xs[:, 1] - y_hi) + quad))
+            # mod1(((x + lin) + mod1(j y_hi)) + j y_lo + quad), mod1 in place
+            ph, tmp = phases[:len(j)], work[:len(j)]
+            np.multiply(j, y_hi, out=ph)
+            ph -= np.floor(ph, out=tmp)
+            ph += xs[:, 0] + lin
+            ph += np.multiply(j, y_lo, out=tmp)
+            ph += quad
+            ph -= np.floor(ph, out=tmp)
+            yield pot_mod.eval_real_many(p, ph)
     elif isinstance(dyn, dyn_mod.Doubling):
         if t0 < 0:
             raise ValueError("doubling map is not invertible; window starts too early")
         # the orbit is cur at time t; each block steps it on to the block's
-        # last time, drawing the noise of all those steps at once
-        t, cur = 0, xs
+        # last time, drawing the noise of all those steps at once, into
+        # orbit and noise buffers that every block reuses
+        t, cur, work = 0, xs.copy(), np.empty_like(xs)
+        orbits = np.empty((min(size, t1 - t0),) + xs.shape)
+        # the first block also draws the steps from time 0 to t0
+        draws = max(min(t0 + size, t1) - 1, min(size, t1 - t0))
+        noises = np.empty((draws,) + xs.shape) if rng is not None else None
         for start in range(t0, t1, size):
             stop = min(start + size, t1)
-            orbit = np.empty((stop - start,) + cur.shape)
+            orbit = orbits[:stop - start]
             if start == t:
                 orbit[0] = cur
             if rng is not None:
-                noise = rng.random((stop - 1 - t,) + cur.shape) * 2.0 ** -52
+                noise = rng.random(out=noises[:stop - 1 - t])
+                noise *= 2.0 ** -52
             for i in range(stop - 1 - t):
                 t += 1
-                cur = dyn_mod.mod1(2.0 * cur)
+                # mod1(2 cur), then mod1(cur + noise), in place
+                cur *= 2.0
+                cur -= np.floor(cur, out=work)
                 if rng is not None:
-                    cur = dyn_mod.mod1(cur + noise[i])
+                    cur += noise[i]
+                    cur -= np.floor(cur, out=work)
                 if t >= start:
                     orbit[t - start] = cur
             yield pot_mod.eval_real_many(p, orbit[:, :, 0])
@@ -298,12 +322,13 @@ def _laurent_table(p: Potential, omega: float, a: int, b: int, real: bool = Fals
         return ks, vs, table
     # one contiguous row per harmonic, the exponent as (2 pi i j) frac and
     # v times the row into the table: numpy's fused complex multiply rounds
-    # other orders and layouts apart in the last bit
+    # other orders and layouts apart in the last bit; the table is then
+    # copied site-major, so a block's rows view as real (Re c, Im c) pairs
     rows = np.empty((ks.size, frac.size), complex)
     for row, k, v in zip(rows, ks, vs):
         e = 2j * math.pi * k * frac
         np.multiply(v, np.exp(e, out=e), out=row)
-    return ks, vs, rows.T
+    return ks, vs, np.ascontiguousarray(rows.T)
 
 
 def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
@@ -316,28 +341,51 @@ def _laurent_sites(p: Potential, omega: float, zs: np.ndarray, a: int, b: int,
     formed here, once per call.  ``blocks`` yields (B, m) complex arrays
     in one reused buffer, each valid until the next is drawn; ``bound`` =
     max_z sum_j |lam v_j| |z|^j is at least sup|v|.
+
+    Each block is one real matrix product: the table's rows, viewed as
+    the real pairs (Re c_kj, Im c_kj), times the (2h, 2m) rows z^j and
+    i z^j viewed as interleaved float pairs, whose float (B, 2m) output
+    is the complex block.  Blocks hold at least two sites (a lone last
+    site joins the first block), so every product is a matrix-matrix
+    product, whose sums OpenBLAS does not split across threads: the
+    stream has the same bits at one and two BLAS threads.  A one-site
+    window is formed by numpy's own loop, as the real stream forms a lone
+    phase.  Each entry is v(k, z) to a few eps sum_j |c_kj| |z|^j (an
+    mpmath test holds a degree-3 potential to 16); its last bits may
+    depend on the block's shape, as the real stream's do, since the
+    kernel a BLAS picks for a shape sets the order of the 2h-term sum.
     """
     if np.any(zs == 0):
         raise ZeroDivisionError("Laurent evaluation needs z != 0")
     # one coefficient table per stream at most, so no block makes a fresh temporary
     ks, vs, coef = _laurent_table(p, omega, a, b) if table is None else table
-    rows = [zs ** int(j) for j in ks]
-    bound = float(np.max(sum(abs(v) * np.abs(r) for v, r in zip(vs, rows))))
+    m, n = zs.size, len(coef)
+    # the rows z^j and i z^j (exact: a product with 0 and 1 per part)
+    powers = np.empty((2 * ks.size, m), complex)
+    for row, j in zip(powers[::2], ks):
+        row[...] = zs ** int(j)
+    np.multiply(powers[::2], 1j, out=powers[1::2])
+    mags = np.abs(zs)
+    bound = float(np.max(sum(abs(v) * mags ** int(j) for v, j in zip(vs, ks))))
+    left, right = coef.view(float), powers.view(float)
 
     def blocks():
-        # 64 KiB complex buffers, here and in _recur: malloc maps larger ones afresh per call
-        size = max(1, _BLOCK_ELEMENTS // 4 // zs.size)
-        out = np.empty((min(size, len(coef)), zs.size), complex)
-        term = np.empty_like(out)
-        for start in range(0, len(coef), size):
-            c = coef[start:start + size]
-            blk, tmp = out[:len(c)], term[:len(c)]
-            # elementwise sums: a complex BLAS product measured level on the almost
-            # Mathieu grids the zeros items run (faster only with several harmonics)
-            np.multiply(c[:, :1], rows[0], out=blk)
-            for i in range(1, len(rows)):
-                blk += np.multiply(c[:, i:i + 1], rows[i], out=tmp)
-            yield blk
+        # 64 KiB complex buffers, here and in _recur, where m allows: malloc
+        # maps larger ones afresh per call
+        size = max(2, _BLOCK_ELEMENTS // 4 // m)
+        # the first block takes the site that would be a lone last block
+        hi = size + 1 if n > size and n % size == 1 else min(size, n)
+        out = np.empty((hi, m), complex)
+        flat = out.view(float)
+        lo = 0
+        while lo < n:
+            blk = flat[:hi - lo]
+            if hi - lo > 1:
+                np.matmul(left[lo:hi], right, out=blk)
+            else:
+                np.einsum("ij,jk->ik", left[lo:hi], right, out=blk)
+            yield out[:hi - lo]
+            lo, hi = hi, min(n, hi + size)
 
     return bound, blocks()
 
@@ -436,6 +484,10 @@ def complex_det_grid(p: Potential, omega: float, zs: np.ndarray, E, n: int, *,
     ``logs_only`` the call returns log_mags alone, the same floats,
     without normalising the phases: Jensen averages and circle means read
     only log|f_n|, windings need the phases.
+
+    A point's bits depend on the grid it sits in, though not beyond
+    rounding: the grid's size decides whether and in which segments
+    :func:`_recur` folds, and its largest |z| sets the rescale cadence.
     """
     if n < 1:
         raise ValueError("complex_det_grid needs n >= 1")
@@ -501,13 +553,19 @@ def _read_det(f: np.ndarray, log_scale) -> tuple:
         logs = log_scale + np.log(np.abs(f))
     if not np.iscomplexobj(f):
         return np.sign(f), logs
-    # divide the parts by the larger one first: for subnormal f the complex
-    # division f / |f| overflows
+    # divide the parts by the larger one first: a subnormal |f| has too few
+    # bits to divide by, the scaled parts' modulus has all of them
     big = np.maximum(np.abs(f.real), np.abs(f.imag))
     big[big == 0.0] = 1.0
-    f = f.real / big + 1j * (f.imag / big)
-    mag = np.abs(f)
-    return np.where(mag > 0.0, f / np.where(mag > 0, mag, 1.0), 0j), logs
+    phases = np.empty_like(f)
+    np.divide(f.real, big, out=phases.real)
+    np.divide(f.imag, big, out=phases.imag)
+    # an exact zero has parts 0 / 1 = 0, and keeps phase 0
+    mag = np.abs(phases)
+    mag[mag == 0.0] = 1.0
+    phases.real /= mag
+    phases.imag /= mag
+    return phases, logs
 
 
 def _recur(bound: float, E, blocks, m: int, solutions: int, stops=(), visit=None):

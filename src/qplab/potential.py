@@ -165,24 +165,37 @@ def eval_real_many(p: Potential, x: np.ndarray) -> np.ndarray:
     hot path for transfer-matrix sweeps: a harmonic with v_k real skips
     its sine and one with v_k imaginary its cosine.  The skipped term is
     an exact zero, so the sum is the full cos - sin form's bit for bit.
+    Each harmonic is formed in one work buffer and added in place, in
+    the order ((0 + v_0) + 2 t_1) + 2 t_2 ..., where 2 t_k is formed as
+    (2 v_k) times the cosine and sine: doubling is exact, so this rounds
+    as 2 (v_k cos - ...) does.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
+    ang, term = np.empty_like(x), None
     for k, v in zip(p._ks, p._vs):
         if k < 0:
             continue
         if k == 0:
-            out = out + v.real
+            out += v.real
             continue
-        ang = (_TWO_PI * k) * x
+        np.multiply(_TWO_PI * k, x, out=ang)
         if v.imag == 0:
-            term = v.real * np.cos(ang)
+            out += np.multiply(2.0 * v.real, np.cos(ang, out=ang), out=ang)
         elif v.real == 0:
-            term = -(v.imag * np.sin(ang))
+            out -= np.multiply(2.0 * v.imag, np.sin(ang, out=ang), out=ang)
         else:
-            term = v.real * np.cos(ang) - v.imag * np.sin(ang)
-        out = out + 2.0 * term
-    return p.lam * out
+            if term is None:
+                term = np.empty_like(x)
+            # both parts from the one angle, the sine into the second buffer
+            np.sin(ang, out=term)
+            np.cos(ang, out=ang)
+            ang *= 2.0 * v.real
+            term *= 2.0 * v.imag
+            ang -= term
+            out += ang
+    out *= p.lam
+    return out
 
 
 def eval_laurent(p: Potential, z) -> complex:

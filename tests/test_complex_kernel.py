@@ -2,14 +2,20 @@
 
 complex_det_grid and the transfer products behind concatenation_w_grid
 share one site stream (powers z^j formed once per point, site
-coefficients once per call, renormalization in blocks).  These tests pin
-that stream against mpmath at 50 digits, against a per-site loop that
-rotates z and rescales after every site, and against explicit 2x2
-products.
+coefficients once per call, each block one real BLAS product,
+renormalization in blocks).  These tests pin the stream's blocks against
+mpmath and across BLAS thread counts, and the determinants against
+mpmath at 50 digits, against a per-site loop that rotates z and
+rescales after every site, and against explicit 2x2 products.
 """
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -106,6 +112,93 @@ def test_subnormal_determinant_keeps_a_unit_phase():
     for z, ph in zip(zs, phases):
         ref_log, ref_phase = mp_det(tiny, GOLDEN, z, 0.0, 1)
         assert abs(ph - ref_phase) <= 1e-12
+
+
+# ------------------------------------------------------- the site stream
+
+COMPLEX_SITES_DIGEST = """
+import hashlib, numpy as np, qplab.cocycle as cc, qplab.dynamics as dy, qplab.potential as pt
+deg3 = pt.Potential({0: 0.4, 1: 0.3 + 0.2j, 2: -0.1j, 3: 0.25}, lam=2.0)
+wide = pt.Potential({j: 1.0 / (1 + j) for j in range(41)}, lam=2.0)
+for p in (pt.almost_mathieu(3.0), deg3, wide):
+    for m, n in ((1, 5000), (1, 1), (2048, 59), (2048, 1), (9001, 3), (9001, 1)):
+        rng = np.random.default_rng(m)
+        zs = np.exp(2j * np.pi * rng.random(m) + 2 * np.pi * 0.04 * (rng.random(m) - 0.5))
+        digest = hashlib.sha256()
+        for block in cc._laurent_sites(p, dy.GOLDEN_MEAN, zs, -5, n - 6)[1]:
+            digest.update(block.tobytes())
+        print(digest.hexdigest())
+"""
+
+
+def test_complex_sites_keep_their_bits_at_one_and_two_blas_threads():
+    # every block of two or more sites is a matrix-matrix product and a
+    # one-site window numpy's own loop, so no product is a matrix-vector
+    # one, whose sums OpenBLAS rounds apart with its thread count
+    src = str(Path(cc.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", COMPLEX_SITES_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 18 and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 4096), (1, 4097), (1, 9000), (3, 1366),
+                                  (2048, 1), (2048, 2), (2048, 3), (2048, 59), (9001, 5)])
+def test_complex_blocks_hold_two_sites_but_in_a_one_site_window(m, n):
+    zs = np.exp(2j * np.pi * np.arange(m) / m)
+    sizes = [len(block) for block in cc._laurent_sites(DEG3, GOLDEN, zs, 1, n)[1]]
+    assert sum(sizes) == n and min(sizes) >= min(2, n)
+    # the first block is the longest, as _recur needs: 2^12 elements or
+    # two sites, and the site that would be a lone last block
+    assert max(sizes) == sizes[0] <= max(cc._BLOCK_ELEMENTS // 4 // m, 2) + 1
+
+
+def mp_sites(p, omega, z, ks):
+    """v(k, z) = lam sum_j v_j (z e(k omega))^j at 40 digits, frac(k omega) exact."""
+    out = []
+    with mp.workdps(40):
+        for k in ks:
+            frac = (k * Fraction(omega)) % 1
+            w = mp.mpc(z) * mp.expjpi(2 * mp.mpf(frac.numerator) / frac.denominator)
+            out.append(mp.fsum(p.lam * mp.mpc(v) * w ** j for j, v in p.coeffs))
+    return out
+
+
+@pytest.mark.parametrize("y", [0.04, -0.04])
+@pytest.mark.parametrize("m, a, n", [(1, 1, 300), (5, -20, 200), (700, 3, 12), (3000, 0, 3),
+                                     (4, 0, 1)])
+def test_complex_blocks_match_mpmath(y, m, a, n):
+    # each entry against the exact v(k, z), within 16 eps sum_j |c_kj| |z|^j:
+    # the table's rounding (angles up to 6 pi), the powers z^j and the
+    # 2h-term sums; measured at most about 4
+    rng = np.random.default_rng(m + n)
+    zs = np.exp(2j * np.pi * rng.random(m) + 2 * np.pi * y)
+    _, blocks = cc._laurent_sites(DEG3, GOLDEN, zs, a, a + n - 1)
+    vals = np.concatenate([block.copy() for block in blocks])
+    ks, _, coef = cc._laurent_table(DEG3, GOLDEN, a, a + n - 1)
+    scale = sum(np.abs(coef[:, [i]]) * np.abs(zs) ** int(j) for i, j in enumerate(ks))
+    rows = rng.choice(n, min(n, 12), replace=False)
+    for i in rng.choice(m, min(m, 6), replace=False):
+        ref = mp_sites(DEG3, GOLDEN, zs[i], a + rows)
+        err = [float(abs(r - mp.mpc(v))) for r, v in zip(ref, vals[rows, i])]
+        assert np.all(np.array(err) <= 16 * EPS * scale[rows, i])
+
+
+def test_a_points_determinant_bits_depend_on_its_grid():
+    # alone, the point's window folds in 13-site segments; among 600 points
+    # it steps site by site, on the cadence of the grid's largest |z|: the
+    # same f_n to rounding, not bit for bit
+    z = cmath.exp(complex(2 * math.pi * 0.03, 2 * math.pi * 0.31))
+    rng = np.random.default_rng(2)
+    others = np.exp(2j * np.pi * rng.random(599) + 2 * np.pi * 0.03 * (rng.random(599) - 0.5))
+    alone = cc.complex_det_grid(DEG3, GOLDEN, np.array([z]), 0.5, 64)
+    grid = cc.complex_det_grid(DEG3, GOLDEN, np.concatenate([[z], others]), 0.5, 64)
+    assert abs(grid[1][0] - alone[1][0]) <= 1e-13 and abs(grid[0][0] - alone[0][0]) <= 1e-13
+    assert (grid[0][0], grid[1][0]) != (alone[0][0], alone[1][0])
 
 
 # ---------------------------------------------------------------- mpmath
